@@ -1,171 +1,168 @@
-"""Compressed fixed-stride bitsets over a dense row-id universe.
+"""Row-id sets over a dense universe 0..n-1, in one of two numpy forms.
 
-A bitset knows its universe size n and stores only nonzero 4096-bit
-blocks, each as a Python int.  Empty blocks cost nothing; a full block is
-the all-ones int, so long runs in either direction stay cheap.  This is
-the in-process stand-in for the compressed bit arrays a bitmap join index
-would keep on disk.
+A set is either a sorted array of unique ids or a bool mask of length n.
+The form follows the container rule of Chambi, Lemire, Kaser & Godin,
+*Better bitmap performance with Roaring bitmaps* (SPE 2016), applied to
+the whole universe: a set built from ids is an array below n / DENSE_FRACTION
+ids and a mask at or above it, and a union is an array when its operands
+are arrays holding fewer ids than that in total.  A complement is always
+a mask.  An intersection with an array operand, and a difference from an
+array, are arrays, since they can only shrink it.  Posting lists are array-form views
+of a posting index's shared, read-only id arrays, whatever their size; no
+operation writes into an operand.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-STRIDE = 4096
-_STRIDE_BYTES = STRIDE // 8
-_FULL_BLOCK = (1 << STRIDE) - 1
+DENSE_FRACTION = 32
+
+
+def _is_dense(count: int, n: int) -> bool:
+    return count * DENSE_FRACTION >= n
+
+
+def _check(n: int, s: "CompressedBitset") -> None:
+    if s.n != n:
+        raise ValueError(f"universe mismatch: {n} vs {s.n}")
 
 
 class CompressedBitset:
-    __slots__ = ("n", "blocks", "_cardinality")
+    """A set of row ids in 0..n-1: exactly one of `ids` (ascending unique
+    ints) and `mask` (bool, length n) is set."""
 
-    def __init__(self, n: int, blocks: dict[int, int] | None = None):
+    __slots__ = ("n", "ids", "mask")
+
+    def __init__(self, n: int, ids: np.ndarray | None = None, mask: np.ndarray | None = None):
         self.n = n
-        self.blocks = blocks or {}
-        self._cardinality: int | None = None
+        self.ids = ids
+        self.mask = mask
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def empty(cls, n: int) -> "CompressedBitset":
-        return cls(n)
+        return cls(n, ids=np.empty(0, dtype=np.int64))
 
     @classmethod
     def full(cls, n: int) -> "CompressedBitset":
-        blocks = {b: _FULL_BLOCK for b in range(n // STRIDE)}
-        tail = n % STRIDE
-        if tail:
-            blocks[n // STRIDE] = (1 << tail) - 1
-        return cls(n, blocks)
+        return cls(n, mask=np.ones(n, dtype=bool))
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "CompressedBitset":
-        blocks: dict[int, int] = {}
-        for rid in ids:
-            if not 0 <= rid < n:
-                raise ValueError(f"row id {rid} outside universe 0..{n - 1}")
-            blocks[rid // STRIDE] = blocks.get(rid // STRIDE, 0) | (1 << (rid % STRIDE))
-        return cls(n, blocks)
+        return cls.from_sorted_array(n, np.unique(np.fromiter(ids, dtype=np.int64)))
 
     @classmethod
     def from_sorted_array(cls, n: int, ids: np.ndarray) -> "CompressedBitset":
-        """Bulk build from an ascending unique int array."""
-        if len(ids) == 0:
-            return cls(n)
-        if ids[0] < 0 or ids[-1] >= n:
-            raise ValueError("row ids outside universe")
-        block_ids = ids >> 12
-        firsts = np.searchsorted(block_ids, np.unique(block_ids))
-        bounds = list(firsts) + [len(ids)]
-        blocks: dict[int, int] = {}
-        for s, e in zip(bounds, bounds[1:]):
-            b = int(block_ids[s])
-            bits = np.zeros(STRIDE, dtype=bool)
-            bits[ids[s:e] & (STRIDE - 1)] = True
-            packed = np.packbits(bits, bitorder="little").tobytes()
-            blocks[b] = int.from_bytes(packed, "little")
-        return cls(n, blocks)
+        """From an ascending unique int array, in the form its size calls for."""
+        if len(ids) and (ids[0] < 0 or ids[-1] >= n):
+            raise ValueError(f"row ids outside universe 0..{n - 1}")
+        if not _is_dense(len(ids), n):
+            return cls(n, ids=ids)
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        return cls(n, mask=mask)
 
     # -- algebra ---------------------------------------------------------------
 
-    def _check(self, other: "CompressedBitset") -> None:
-        if self.n != other.n:
-            raise ValueError(f"universe mismatch: {self.n} vs {other.n}")
+    def _has(self, values: np.ndarray) -> np.ndarray:
+        """Per id in `values` (all inside the universe): is it in this set?"""
+        if self.mask is not None:
+            return self.mask[values]
+        if len(self.ids) == 0:
+            return np.zeros(len(values), dtype=bool)
+        pos = np.searchsorted(self.ids, values)
+        np.minimum(pos, len(self.ids) - 1, out=pos)
+        return self.ids[pos] == values
 
     def __and__(self, other: "CompressedBitset") -> "CompressedBitset":
-        self._check(other)
-        small, large = (self, other) if len(self.blocks) <= len(other.blocks) else (other, self)
-        out: dict[int, int] = {}
-        for b, v in small.blocks.items():
-            w = large.blocks.get(b)
-            if w is not None:
-                merged = v & w
-                if merged:
-                    out[b] = merged
-        return CompressedBitset(self.n, out)
+        _check(self.n, other)
+        if self.mask is not None and other.mask is not None:
+            return CompressedBitset(self.n, mask=self.mask & other.mask)
+        # Filter the smaller array through the other side.
+        a, b = self, other
+        if a.ids is None or (b.ids is not None and len(b.ids) < len(a.ids)):
+            a, b = b, a
+        return CompressedBitset(self.n, ids=a.ids[b._has(a.ids)])
 
     def __or__(self, other: "CompressedBitset") -> "CompressedBitset":
-        self._check(other)
-        out = dict(self.blocks)
-        for b, v in other.blocks.items():
-            out[b] = out.get(b, 0) | v
-        return CompressedBitset(self.n, out)
+        return union(self.n, (self, other))
 
     def __sub__(self, other: "CompressedBitset") -> "CompressedBitset":
-        self._check(other)
-        out: dict[int, int] = {}
-        for b, v in self.blocks.items():
-            w = other.blocks.get(b)
-            merged = v & ~w if w is not None else v
-            if merged:
-                out[b] = merged
-        return CompressedBitset(self.n, out)
+        _check(self.n, other)
+        if self.ids is not None:
+            return CompressedBitset(self.n, ids=self.ids[~other._has(self.ids)])
+        if other.ids is not None:
+            mask = self.mask.copy()
+            mask[other.ids] = False
+        else:
+            mask = self.mask & ~other.mask
+        return CompressedBitset(self.n, mask=mask)
 
     def complement(self) -> "CompressedBitset":
-        """All row ids of the universe not in this set."""
-        out: dict[int, int] = {}
-        whole, tail = divmod(self.n, STRIDE)
-        for b in range(whole):
-            v = _FULL_BLOCK ^ self.blocks.get(b, 0)
-            if v:
-                out[b] = v
-        if tail:
-            v = ((1 << tail) - 1) ^ self.blocks.get(whole, 0)
-            if v:
-                out[whole] = v
-        return CompressedBitset(self.n, out)
+        """All row ids of the universe not in this set, as a mask."""
+        if self.mask is not None:
+            return CompressedBitset(self.n, mask=~self.mask)
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.ids] = False
+        return CompressedBitset(self.n, mask=mask)
 
     # -- inspection --------------------------------------------------------------
 
     def cardinality(self) -> int:
-        if self._cardinality is None:
-            self._cardinality = sum(v.bit_count() for v in self.blocks.values())
-        return self._cardinality
+        if self.ids is not None:
+            return len(self.ids)
+        return int(np.count_nonzero(self.mask))
 
     def __len__(self) -> int:
         return self.cardinality()
 
-    def __bool__(self) -> bool:
-        return bool(self.blocks)
-
     def __contains__(self, rid: int) -> bool:
-        if not 0 <= rid < self.n:
-            return False
-        return bool(self.blocks.get(rid // STRIDE, 0) >> (rid % STRIDE) & 1)
+        return 0 <= rid < self.n and bool(self._has(np.array([rid]))[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompressedBitset):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
+        return self.n == other.n and np.array_equal(self.to_array(), other.to_array())
 
     def __iter__(self) -> Iterator[int]:
-        for b in sorted(self.blocks):
-            v = self.blocks[b]
-            base = b * STRIDE
-            while v:
-                low = v & -v
-                yield base + low.bit_length() - 1
-                v ^= low
+        return iter(self.to_array().tolist())
 
     def to_array(self) -> np.ndarray:
-        """Ascending row ids as an int64 array."""
-        if not self.blocks:
-            return np.empty(0, dtype=np.int64)
-        parts = []
-        for b in sorted(self.blocks):
-            raw = self.blocks[b].to_bytes(_STRIDE_BYTES, "little")
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-            parts.append(np.flatnonzero(bits).astype(np.int64) + b * STRIDE)
-        return np.concatenate(parts)
+        """Ascending row ids as a new int64 array."""
+        if self.ids is not None:
+            return self.ids.astype(np.int64)
+        return np.flatnonzero(self.mask).astype(np.int64, copy=False)
 
     def to_ids(self) -> list[int]:
-        return [int(r) for r in self.to_array()]
+        return self.to_array().tolist()
 
     def byte_size(self) -> int:
-        """Approximate compressed footprint: stored block payloads plus keys."""
-        return sum((v.bit_length() + 7) // 8 + 8 for v in self.blocks.values())
+        """Bytes of the id array or mask behind this set."""
+        return (self.ids if self.ids is not None else self.mask).nbytes
 
     def __repr__(self) -> str:
         return f"CompressedBitset(n={self.n}, cardinality={self.cardinality()})"
+
+
+def union(n: int, sets: Sequence[CompressedBitset]) -> CompressedBitset:
+    """The union of sets over universe n in one pass: one sort of the
+    concatenated arrays when they hold fewer than n / DENSE_FRACTION ids
+    in total, else one mask."""
+    for s in sets:
+        _check(n, s)
+    arrays = [s.ids for s in sets if s.ids is not None]
+    if len(arrays) == len(sets) and not _is_dense(sum(map(len, arrays)), n):
+        # Sort and drop repeats by hand: np.unique is several times slower.
+        ids = np.sort(np.concatenate(arrays))
+        return CompressedBitset(n, ids=ids[np.diff(ids, prepend=-1) != 0])
+    mask = np.zeros(n, dtype=bool)
+    for s in sets:
+        if s.ids is not None:
+            mask[s.ids] = True
+        else:
+            mask |= s.mask
+    return CompressedBitset(n, mask=mask)

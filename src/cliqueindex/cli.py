@@ -50,7 +50,6 @@ from .engine import (
     evaluate,
     format_query,
     parse_query,
-    selectivity,
 )
 from .errors import CliqueIndexError
 from .intersection import (
@@ -391,11 +390,12 @@ def cmd_query(args) -> int:
             return EXIT_VERIFY
         _note("scan check passed")
     if args.sum:
+        ids = result.to_array()
         payload = {
             "expr": format_query(expr),
-            "rows": result.cardinality(),
-            "sum": aggregate_sum(expr, idx, fact),
-            "selectivity": selectivity(expr, idx, fact) if fact.n else None,
+            "rows": len(ids),
+            "sum": fact.measure_sum(ids),
+            "selectivity": len(ids) / fact.n if fact.n else None,
         }
         _emit_json(payload, args.out)
     else:
@@ -633,7 +633,6 @@ def cmd_bench(args) -> int:
         rows=args.rows,
         levels=args.levels,
         targets=_parse_targets(args.targets),
-        lanes=args.lanes,
     )
     report = bench(spec)
     with _out_stream(args.out) as fh:
@@ -744,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=12)
     p.add_argument("--targets", default="1/24,1/204",
                    help="comma-separated selectivities, fractions allowed")
-    p.add_argument("--lanes", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -2,8 +2,10 @@
 
 One posting per (color column, entry) holds the row ids whose referenced
 node carries that entry in that column, emulating a bitmap join index.
-Boolean predicates then run as set algebra on compressed bitsets, with a
-row-at-a-time full scan as the reference path and a bench harness that
+A column's postings are slices of one sorted id array (CSR layout), so
+building the index is one argsort per column.  Boolean predicates run as
+set algebra on sorted rid arrays and bool masks (`bitset`), with a full
+scan over per-column codes as the reference path and a bench harness that
 reports index-vs-scan work.
 """
 
@@ -14,13 +16,13 @@ import io
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .bitset import CompressedBitset
+from .bitset import CompressedBitset, union
 from .errors import EmptyFactTable, MalformedCsv, MalformedExpr, MeasureOverflow
 from .schema import NULL, CliqueTable
 
@@ -78,7 +80,7 @@ class FactTable:
         for required in ("rid", "acc", "m"):
             if required not in fields:
                 raise MalformedCsv(f"fact CSV is missing column {required!r}")
-        triples = []
+        rids, accs, measures = [], [], []
         for record in reader:
             try:
                 rid = int(record["rid"])
@@ -92,14 +94,37 @@ class FactTable:
                     acc = acc_cast(acc)
                 except ValueError:
                     raise MalformedCsv(f"bad acc {acc!r} for rid {rid}") from None
-            triples.append((rid, acc, _parse_measure(record["m"])))
-        triples.sort()
-        if [t[0] for t in triples] != list(range(len(triples))):
+            rids.append(rid)
+            accs.append(acc)
+            measures.append(_parse_measure(record["m"]))
+        n = len(rids)
+        # n rids inside 0..N-1 with no rid twice are a permutation.
+        if n and (min(rids) < 0 or max(rids) >= n or np.bincount(rids).max() > 1):
             raise MalformedCsv("rids are not contiguous 0..N-1")
-        return cls([t[1] for t in triples], [t[2] for t in triples])
+        row_of = np.empty(n, dtype=np.intp)
+        row_of[rids] = np.arange(n)
+        order = row_of.tolist()
+        return cls([accs[i] for i in order], [measures[i] for i in order])
 
-    def total_measure(self):
-        return sum(self.measures)
+    def measure_sum(self, ids: np.ndarray):
+        """Sum of the measure over the rows `ids`; 0 when there are none.
+
+        Integer measures sum exactly; a float sum reaching infinity raises
+        MeasureOverflow.
+        """
+        if ids.size == 0:
+            return 0
+        kind, marr = self.measure_data()
+        if kind == "int":
+            return int(marr[ids].sum())
+        if kind == "pyint":
+            measures = self.measures
+            return sum(measures[int(i)] for i in ids)
+        with np.errstate(over="ignore"):
+            total = float(marr[ids].sum())
+        if not math.isfinite(total):
+            raise MeasureOverflow(f"measure sum overflowed: {total!r}")
+        return total
 
     def __len__(self) -> int:
         return self.n
@@ -223,78 +248,96 @@ def _wrap(q, tight: bool = False) -> str:
 # -- posting index ------------------------------------------------------------
 
 
+class _Postings(Mapping):
+    """(column, entry) -> rid set.  Per column, `ids` holds the non-NULL
+    fact rids grouped by entry code (read-only, ascending within a code);
+    code c's posting is the zero-copy view ids[offsets[c]:offsets[c + 1]]."""
+
+    def __init__(self, n: int, columns: list[tuple[dict, np.ndarray, np.ndarray]]):
+        self.n = n
+        self.columns = columns
+
+    def __getitem__(self, key) -> CompressedBitset:
+        col, entry = key
+        if not 1 <= col <= len(self.columns):
+            raise KeyError(key)
+        entry_code, offsets, ids = self.columns[col - 1]
+        code = entry_code[entry]
+        return CompressedBitset(self.n, ids=ids[offsets[code]:offsets[code + 1]])
+
+    def __iter__(self):
+        for col, (entry_code, _, _) in enumerate(self.columns, start=1):
+            for entry in entry_code:
+                yield col, entry
+
+    def __len__(self) -> int:
+        return sum(len(entry_code) for entry_code, _, _ in self.columns)
+
+
 @dataclass
 class PostingIndex:
-    """Per-(column, entry) compressed rid sets plus build statistics."""
+    """Per-(column, entry) rid sets plus build statistics."""
 
     n: int
     k: int
-    postings: dict[tuple[int, Hashable], CompressedBitset]
+    postings: _Postings
     unresolved: int
 
     def cardinalities(self) -> dict[tuple[int, Hashable], int]:
         return {key: b.cardinality() for key, b in self.postings.items()}
 
     def byte_size(self) -> int:
-        return sum(b.byte_size() for b in self.postings.values())
+        """Bytes of the posting id arrays."""
+        return sum(ids.nbytes for _, _, ids in self.postings.columns)
 
 
 def _resolve_codes(fact: FactTable, clique: CliqueTable):
-    """Per-column integer codes for every fact row; -1 = NULL/unresolved."""
-    node_list = list(clique.rows.keys())
-    node_pos = {u: j for j, u in enumerate(node_list)}
+    """(unresolved row count, generator of (entry_code, row_codes) per
+    column): entry -> code by first appearance, and each fact row's code,
+    -1 for NULL or unresolved.  One column at a time bounds the memory."""
+    rows = list(clique.rows.values())
+    node_pos = {u: j for j, u in enumerate(clique.rows)}
     get = node_pos.get
-    acc_idx = np.fromiter((get(a, -1) for a in fact.accs), dtype=np.int64, count=fact.n)
-    valid = acc_idx >= 0
-    per_column = []
-    for i in range(1, clique.k + 1):
-        entries = []
-        entry_code: dict = {}
-        node_codes = np.empty(len(node_list), dtype=np.int64)
-        for j, u in enumerate(node_list):
-            cell = clique.rows[u][i - 1]
-            if cell is NULL:
-                node_codes[j] = -1
-                continue
-            code = entry_code.get(cell)
-            if code is None:
-                code = len(entries)
-                entry_code[cell] = code
-                entries.append(cell)
-            node_codes[j] = code
-        row_codes = np.full(fact.n, -1, dtype=np.int64)
-        row_codes[valid] = node_codes[acc_idx[valid]]
-        per_column.append((entries, entry_code, row_codes))
-    unresolved = int(fact.n - valid.sum())
-    return per_column, unresolved
+    acc_idx = np.fromiter((get(a, -1) for a in fact.accs), dtype=np.intp, count=fact.n)
+
+    def columns():
+        for i in range(clique.k):
+            entry_code: dict = {}
+            # One slot past the nodes stays -1: acc index -1 (unresolved) reads it.
+            node_codes = np.full(len(rows) + 1, -1, dtype=np.int32)
+            for j, cells in enumerate(rows):
+                if cells[i] is not NULL:
+                    node_codes[j] = entry_code.setdefault(cells[i], len(entry_code))
+            yield entry_code, node_codes[acc_idx]
+
+    return int(np.count_nonzero(acc_idx < 0)), columns()
 
 
 def build_index(fact: FactTable, clique: CliqueTable) -> PostingIndex:
     """Group fact rids by each color column's entry value.
 
-    Rows whose acc is absent from the clique domain are counted as
-    unresolved and appear in no posting (they still occupy rids, so NOT
-    can return them).
+    A column's postings are slices of one stable argsort of its non-NULL
+    row codes, kept as int32 rids.  Rows whose acc is absent from the
+    clique domain are counted as unresolved and appear in no posting (they
+    still occupy rids, so NOT can return them).
     """
-    per_column, unresolved = _resolve_codes(fact, clique)
-    postings: dict[tuple[int, Hashable], CompressedBitset] = {}
-    for i, (entries, _, row_codes) in enumerate(per_column, start=1):
-        if not entries:
-            continue
-        order = np.argsort(row_codes, kind="stable")
-        sorted_codes = row_codes[order]
-        bounds = np.searchsorted(sorted_codes, np.arange(len(entries) + 1))
-        for code, entry in enumerate(entries):
-            s, e = int(bounds[code]), int(bounds[code + 1])
-            if s == e:
-                postings[(i, entry)] = CompressedBitset.empty(fact.n)
-            else:
-                postings[(i, entry)] = CompressedBitset.from_sorted_array(fact.n, order[s:e])
-    return PostingIndex(fact.n, clique.k, postings, unresolved)
+    unresolved, columns = _resolve_codes(fact, clique)
+    csr = []
+    for entry_code, row_codes in columns:
+        rows = np.flatnonzero(row_codes >= 0)
+        codes = row_codes[rows]
+        ids = rows[np.argsort(codes, kind="stable")].astype(np.int32)
+        ids.flags.writeable = False
+        counts = np.bincount(codes, minlength=len(entry_code))
+        csr.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
+    return PostingIndex(fact.n, clique.k, _Postings(fact.n, csr), unresolved)
 
 
 @dataclass
 class QueryStats:
+    """Work done by one evaluation: postings read, ids in them, and the
+    bytes of their id arrays."""
+
     postings_touched: int = 0
     ids_touched: int = 0
     bytes_touched: int = 0
@@ -318,10 +361,7 @@ def _evaluate(q, idx: PostingIndex, stats: QueryStats | None) -> CompressedBitse
             out = out & _evaluate(item, idx, stats)
         return out
     if isinstance(q, Or):
-        out = _evaluate(q.items[0], idx, stats)
-        for item in q.items[1:]:
-            out = out | _evaluate(item, idx, stats)
-        return out
+        return union(idx.n, [_evaluate(item, idx, stats) for item in q.items])
     if isinstance(q, Not):
         return _evaluate(q.item, idx, stats).complement()
     raise MalformedExpr(f"not a query node: {q!r}")
@@ -339,29 +379,8 @@ def evaluate_with_stats(q, idx: PostingIndex) -> tuple[CompressedBitset, QuerySt
 
 
 def aggregate_sum(q, idx: PostingIndex, fact: FactTable):
-    """Sum of the measure column over the matching rows; 0 on no match.
-
-    Integer measures sum exactly; a float sum reaching infinity raises
-    MeasureOverflow.
-    """
-    ids = evaluate(q, idx).to_array()
-    return _sum_over_ids(fact, ids)
-
-
-def _sum_over_ids(fact: FactTable, ids: np.ndarray):
-    if ids.size == 0:
-        return 0
-    kind, marr = fact.measure_data()
-    if kind == "int":
-        return int(marr[ids].sum())
-    if kind == "pyint":
-        measures = fact.measures
-        return sum(measures[int(i)] for i in ids)
-    with np.errstate(over="ignore"):
-        total = float(marr[ids].sum())
-    if not math.isfinite(total):
-        raise MeasureOverflow(f"measure sum overflowed: {total!r}")
-    return total
+    """Sum of the measure column over the matching rows (FactTable.measure_sum)."""
+    return fact.measure_sum(evaluate(q, idx).to_array())
 
 
 # -- scan path ----------------------------------------------------------------
@@ -377,8 +396,8 @@ class ScanOracle:
     def __init__(self, fact: FactTable, clique: CliqueTable):
         self.fact = fact
         self.k = clique.k
-        per_column, self.unresolved = _resolve_codes(fact, clique)
-        self._columns = [(entry_code, row_codes) for _, entry_code, row_codes in per_column]
+        self.unresolved, columns = _resolve_codes(fact, clique)
+        self._columns = list(columns)
 
     def _mask(self, q) -> np.ndarray:
         if isinstance(q, Atom):
@@ -431,7 +450,6 @@ def selectivity(q, idx: PostingIndex, fact: FactTable) -> float:
 
 BENCH_COLUMNS = (
     "query_id",
-    "lane",
     "expr",
     "target_sigma",
     "achieved_sigma",
@@ -455,7 +473,6 @@ class BenchSpec:
     rows: int = 1_500_000
     levels: int = 12
     targets: tuple[float, ...] = (1 / 24, 1 / 204)
-    lanes: int = 1
 
 
 def _pick_workload(target: float, levels: int) -> tuple[int, int]:
@@ -499,16 +516,11 @@ def bench(spec: BenchSpec) -> str:
     idx = build_index(fact, clique)
     scan = ScanOracle(fact, clique)
 
-    queries = []
     for qid, target in enumerate(spec.targets):
         q_level, m = _pick_workload(target, spec.levels)
         level_ids = np.arange(1 << (q_level - 1), 1 << q_level)
         chosen = sorted(int(p) for p in rng.choice(level_ids, size=m, replace=False))
         expr = Or(tuple(Atom(q_level, p) for p in chosen)) if m > 1 else Atom(q_level, chosen[0])
-        queries.append((qid, target, expr))
-
-    def run(job):
-        qid, target, expr = job
         t0 = time.perf_counter()
         result, stats = evaluate_with_stats(expr, idx)
         index_s = time.perf_counter() - t0
@@ -518,9 +530,8 @@ def bench(spec: BenchSpec) -> str:
         rows = result.cardinality()
         if rows != len(scan_rids):
             raise AssertionError(f"index/scan disagree on query {qid}: {rows} vs {len(scan_rids)}")
-        return {
+        row = {
             "query_id": qid,
-            "lane": 0,
             "expr": format_query(expr),
             "target_sigma": f"{target:.10g}",
             "achieved_sigma": f"{rows / fact.n:.10g}" if fact.n else "0",
@@ -532,15 +543,5 @@ def bench(spec: BenchSpec) -> str:
             "scan_ms": f"{scan_s * 1000:.3f}",
             "speedup": f"{scan_s / index_s:.2f}" if index_s > 0 else "inf",
         }
-
-    if spec.lanes > 1:
-        with ThreadPoolExecutor(max_workers=spec.lanes) as pool:
-            rows = list(pool.map(run, queries))
-        for lane, row in zip(range(len(rows)), rows):
-            row["lane"] = lane % spec.lanes
-    else:
-        rows = [run(job) for job in queries]
-
-    for row in rows:
         writer.writerow([row[c] for c in BENCH_COLUMNS])
     return buf.getvalue()

@@ -154,6 +154,18 @@ def test_query_sum_and_check(fact_csv, tmp_path, capsys):
     assert abs(payload["selectivity"] - len(want_rows) / 300) < 1e-12
 
 
+def test_query_sum_json_on_readme_toy(tmp_path, capsys):
+    edges = write(tmp_path / "toy.tsv", "x\ta\nx\tb\ny\tb\ny\tc\n")
+    facts = write(tmp_path / "facts.csv", "rid,acc,m\n0,a,5\n1,b,7\n2,c,1\n3,a,2\n")
+    table = str(tmp_path / "toy_table.csv")
+    assert main(["materialize", "--edges", edges, "--out", table]) == 0
+    capsys.readouterr()
+    assert main(["query", "--fact", facts, "--clique", table, "--expr", "c2='x'", "--sum"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "expr": "c2=\'x\'",\n  "rows": 3,\n  "selectivity": 0.75,\n  "sum": 14\n}\n'
+    )
+
+
 def test_query_rid_listing(fact_csv, tmp_path, capsys):
     clique = tmp_path / "clique.csv"
     main(["build", "tree", "--levels", "4", "--out", str(clique)])

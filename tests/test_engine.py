@@ -79,6 +79,18 @@ def test_from_csv_missing_column():
 def test_from_csv_rejects_gapped_rids():
     with pytest.raises(MalformedCsv):
         FactTable.from_csv("rid,acc,m\n0,a,1\n2,b,1\n")
+    with pytest.raises(MalformedCsv):
+        FactTable.from_csv(f"rid,acc,m\n0,a,1\n{2**70},b,1\n")
+
+
+def test_from_csv_rejects_duplicated_rid():
+    with pytest.raises(MalformedCsv):
+        FactTable.from_csv("rid,acc,m\n0,a,1\n1,b,1\n1,c,1\n")
+
+
+def test_from_csv_rejects_negative_rid():
+    with pytest.raises(MalformedCsv):
+        FactTable.from_csv("rid,acc,m\n0,a,1\n-1,b,1\n")
 
 
 def test_from_csv_rejects_bad_measure():
@@ -312,8 +324,3 @@ def test_bench_empty_targets_yields_header_only():
     text = bench(BenchSpec(seed=1, rows=100, levels=4, targets=()))
     lines = text.strip().splitlines()
     assert lines == [",".join(BENCH_COLUMNS)]
-
-
-def test_bench_parallel_lanes_cover_all_queries():
-    rows = read_bench_csv(bench(BenchSpec(seed=4, rows=4000, levels=8, lanes=2)))
-    assert sorted(int(r["query_id"]) for r in rows) == [0, 1]
