@@ -118,6 +118,24 @@ def test_mismatched_universes_rejected():
             op(b)
 
 
+def test_array_membership_by_search_and_by_scratch_mask():
+    """Few values are looked up in an id array by binary search, many through
+    a scratch mask; both must give the set answer and leave operands as they were."""
+    n = 40_000
+    rng = np.random.default_rng(5)
+    big = set(rng.choice(n, size=n // 8, replace=False).tolist())
+    for size in (3, 40, 400, 4000):  # from far below to far above len(big) / log2(len(big))
+        small = set(rng.choice(n, size=size, replace=False).tolist()) | set(list(big)[:size // 2])
+        a = CompressedBitset.from_ids(n, small)
+        b = CompressedBitset.from_ids(n, big)
+        assert not is_mask(a) and not is_mask(b)
+        a_ids, b_ids = a.ids.copy(), b.ids.copy()
+        assert set(a & b) == set(b & a) == small & big
+        assert set(a - b) == small - big
+        assert set(b - a) == big - small
+        assert np.array_equal(a.ids, a_ids) and np.array_equal(b.ids, b_ids)
+
+
 def test_byte_size_grows_with_population():
     n = 32768
     sparse = CompressedBitset.from_ids(n, {1})
