@@ -51,7 +51,7 @@ from .engine import (
     format_query,
     parse_query,
 )
-from .errors import CliqueIndexError
+from .errors import CliqueIndexError, MalformedCsv
 from .intersection import (
     GREEDY_ORDERS,
     EntryColoring,
@@ -145,10 +145,16 @@ def _load_intervals(path: str) -> list[IntervalRecord]:
         for required in ("id", "x", "y"):
             if required not in fields:
                 raise CliqueIndexError(f"interval CSV is missing column {required!r}")
-        return [
-            IntervalRecord(rec["id"], float(rec["x"]), float(rec["y"]))
-            for rec in reader
-        ]
+        records = []
+        for rec in reader:
+            try:
+                x, y = float(rec["x"]), float(rec["y"])
+            except (TypeError, ValueError):
+                raise MalformedCsv(
+                    f"{path} line {reader.line_num}: endpoints {rec['x']!r}, {rec['y']!r} are not numbers"
+                ) from None
+            records.append(IntervalRecord(rec["id"], x, y))
+        return records
 
 
 def _load_function(path: str) -> SetValuedFunction:
@@ -167,6 +173,11 @@ def _load_function(path: str) -> SetValuedFunction:
 def _load_fact(path: str, acc_cast=None) -> FactTable:
     with open(path, encoding="utf-8") as fh:
         return FactTable.from_csv(fh, acc_cast=acc_cast)
+
+
+def _load_table(path: str) -> CliqueTable:
+    with open(path, encoding="utf-8") as fh:
+        return import_table(fh)
 
 
 def _function_for_dag(g, map_kind: str) -> SetValuedFunction:
@@ -364,7 +375,7 @@ def cmd_materialize(args) -> int:
 
 def cmd_index(args) -> int:
     fact = _load_fact(args.fact)
-    clique = import_table(args.clique)
+    clique = _load_table(args.clique)
     idx = build_index(fact, clique)
     payload = {
         "rows": fact.n,
@@ -379,7 +390,7 @@ def cmd_index(args) -> int:
 
 def cmd_query(args) -> int:
     fact = _load_fact(args.fact)
-    clique = import_table(args.clique)
+    clique = _load_table(args.clique)
     expr = parse_query(args.expr)
     idx = build_index(fact, clique)
     result = evaluate(expr, idx)
@@ -642,7 +653,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export(args) -> int:
-    table = import_table(args.table)
+    table = _load_table(args.table)
     if args.compact_colors:
         table, _ = compact_colors(table)
     with _out_stream(args.out) as fh:
@@ -765,7 +776,7 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except BrokenPipeError:
         return EXIT_DOMAIN
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _note(f"error: {exc}")
         return EXIT_DOMAIN
 

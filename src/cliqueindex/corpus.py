@@ -13,7 +13,7 @@ from .digraph import AcyclicDigraph, build_digraph
 from .endpoints import IntervalRecord
 from .engine import And, Atom, Not, Or
 from .intersection import SetValuedFunction
-from .schema import NULL, CliqueTable
+from .schema import CliqueTable
 
 
 def random_dag(rng: random.Random, max_nodes: int = 12) -> AcyclicDigraph:
@@ -76,12 +76,7 @@ def random_expr(rng: random.Random, clique: CliqueTable, depth: int = 3):
     """Random boolean tree over (column, entry) pairs present in the table,
     with a few atoms referencing values that match nothing."""
     pairs = sorted(
-        {
-            (i, cells[i - 1])
-            for cells in clique.rows.values()
-            for i in range(1, clique.k + 1)
-            if cells[i - 1] is not NULL
-        },
+        {(i, e) for i, column in enumerate(clique.entries, start=1) for e in column},
         key=repr,
     )
 

@@ -30,6 +30,12 @@ class IntervalRecord:
     y: float
 
     def __post_init__(self):
+        try:
+            finite = math.isfinite(self.x) and math.isfinite(self.y)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise InvalidRange(f"interval {self.id!r}: endpoints {self.x!r}, {self.y!r} must be finite numbers")
         if self.y < self.x:
             raise InvalidRange(f"interval {self.id!r}: upper {self.y} below lower {self.x}")
 

@@ -2,11 +2,12 @@
 
 One posting per (color column, entry) holds the row ids whose referenced
 node carries that entry in that column, emulating a bitmap join index.
-A column's postings are slices of one sorted id array (CSR layout), so
-building the index is one argsort per column.  Boolean predicates run as
-set algebra on sorted rid arrays and bool masks (`bitset`), with a full
-scan over per-column codes as the reference path and a bench harness that
-reports index-vs-scan work.
+A column's postings are CSR slices of one id array (`schema.Postings`,
+as for the clique table's own nodes), built by one gather of the table's
+codes and one argsort per column.  Boolean predicates run as set algebra
+on sorted rid arrays and bool masks (`bitset`), with a full scan over
+per-column codes as the reference path and a bench harness that reports
+index-vs-scan work.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ import io
 import math
 import re
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .bitset import CompressedBitset, union
-from .errors import EmptyFactTable, MalformedCsv, MalformedExpr, MeasureOverflow
-from .schema import NULL, CliqueTable
+from .errors import EmptyFactTable, MalformedCsv, MalformedExpr, MeasureOverflow, OutOfRange
+from .schema import CliqueTable, PostingIndex, Postings
 
 
 def _parse_measure(text: str):
@@ -248,89 +248,32 @@ def _wrap(q, tight: bool = False) -> str:
 # -- posting index ------------------------------------------------------------
 
 
-class _Postings(Mapping):
-    """(column, entry) -> rid set.  Per column, `ids` holds the non-NULL
-    fact rids grouped by entry code (read-only, ascending within a code);
-    code c's posting is the zero-copy view ids[offsets[c]:offsets[c + 1]]."""
-
-    def __init__(self, n: int, columns: list[tuple[dict, np.ndarray, np.ndarray]]):
-        self.n = n
-        self.columns = columns
-
-    def __getitem__(self, key) -> CompressedBitset:
-        col, entry = key
-        if not 1 <= col <= len(self.columns):
-            raise KeyError(key)
-        entry_code, offsets, ids = self.columns[col - 1]
-        code = entry_code[entry]
-        return CompressedBitset(self.n, ids=ids[offsets[code]:offsets[code + 1]])
-
-    def __iter__(self):
-        for col, (entry_code, _, _) in enumerate(self.columns, start=1):
-            for entry in entry_code:
-                yield col, entry
-
-    def __len__(self) -> int:
-        return sum(len(entry_code) for entry_code, _, _ in self.columns)
-
-
-@dataclass
-class PostingIndex:
-    """Per-(column, entry) rid sets plus build statistics."""
-
-    n: int
-    k: int
-    postings: _Postings
-    unresolved: int
-
-    def cardinalities(self) -> dict[tuple[int, Hashable], int]:
-        return {key: b.cardinality() for key, b in self.postings.items()}
-
-    def byte_size(self) -> int:
-        """Bytes of the posting id arrays."""
-        return sum(ids.nbytes for _, _, ids in self.postings.columns)
-
-
 def _resolve_codes(fact: FactTable, clique: CliqueTable):
-    """(unresolved row count, generator of (entry_code, row_codes) per
-    column): entry -> code by first appearance, and each fact row's code,
-    -1 for NULL or unresolved.  One column at a time bounds the memory."""
-    rows = list(clique.rows.values())
-    node_pos = {u: j for j, u in enumerate(clique.rows)}
-    get = node_pos.get
-    acc_idx = np.fromiter((get(a, -1) for a in fact.accs), dtype=np.intp, count=fact.n)
+    """(unresolved row count, generator of per-column fact-row codes): a
+    row's code is its acc node's code in the clique table, -1 for NULL or
+    an acc outside the table's domain.  One column at a time bounds the
+    memory."""
+    get = clique.position.get
+    acc_pos = np.fromiter((get(a, -1) for a in fact.accs), dtype=np.intp, count=fact.n)
 
     def columns():
-        for i in range(clique.k):
-            entry_code: dict = {}
-            # One slot past the nodes stays -1: acc index -1 (unresolved) reads it.
-            node_codes = np.full(len(rows) + 1, -1, dtype=np.int32)
-            for j, cells in enumerate(rows):
-                if cells[i] is not NULL:
-                    node_codes[j] = entry_code.setdefault(cells[i], len(entry_code))
-            yield entry_code, node_codes[acc_idx]
+        # One slot past the nodes stays -1: acc position -1 (unresolved) reads it.
+        padded = np.full(len(clique) + 1, -1, dtype=np.int32)
+        for codes in clique.codes:
+            padded[:-1] = codes
+            yield padded.take(acc_pos)
 
-    return int(np.count_nonzero(acc_idx < 0)), columns()
+    return int(np.count_nonzero(acc_pos < 0)), columns()
 
 
 def build_index(fact: FactTable, clique: CliqueTable) -> PostingIndex:
-    """Group fact rids by each color column's entry value.
-
-    A column's postings are slices of one stable argsort of its non-NULL
-    row codes, kept as int32 rids.  Rows whose acc is absent from the
-    clique domain are counted as unresolved and appear in no posting (they
-    still occupy rids, so NOT can return them).
+    """Group fact rids by each color column's entry, with the clique
+    table's own entry codes (schema.Postings).  Rows whose acc is absent
+    from the clique domain are counted as unresolved and appear in no
+    posting (they still occupy rids, so NOT can return them).
     """
     unresolved, columns = _resolve_codes(fact, clique)
-    csr = []
-    for entry_code, row_codes in columns:
-        rows = np.flatnonzero(row_codes >= 0)
-        codes = row_codes[rows]
-        ids = rows[np.argsort(codes, kind="stable")].astype(np.int32)
-        ids.flags.writeable = False
-        counts = np.bincount(codes, minlength=len(entry_code))
-        csr.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
-    return PostingIndex(fact.n, clique.k, _Postings(fact.n, csr), unresolved)
+    return PostingIndex(fact.n, clique.k, Postings(fact.n, clique.entry_codes, columns), unresolved)
 
 
 @dataclass
@@ -397,7 +340,7 @@ class ScanOracle:
         self.fact = fact
         self.k = clique.k
         self.unresolved, columns = _resolve_codes(fact, clique)
-        self._columns = list(columns)
+        self._columns = list(zip(clique.entry_codes, columns))
 
     def _mask(self, q) -> np.ndarray:
         if isinstance(q, Atom):
@@ -424,14 +367,12 @@ class ScanOracle:
         return np.flatnonzero(self._mask(q))
 
     def rids(self, q) -> set[int]:
-        return {int(r) for r in self.rid_array(q)}
+        return set(self.rid_array(q).tolist())
 
     def sum_measure(self, q):
+        """Row-at-a-time sum, left to right over the matching rids."""
         measures = self.fact.measures
-        total = 0
-        for rid in self.rid_array(q):
-            total += measures[rid]
-        return total
+        return sum(measures[rid] for rid in self.rid_array(q).tolist())
 
 
 def full_scan_oracle(q, fact: FactTable, clique: CliqueTable) -> set[int]:
@@ -501,6 +442,8 @@ def bench(spec: BenchSpec) -> str:
     """
     from .tree import build_tree_schema
 
+    if spec.levels < 2:
+        raise OutOfRange(f"bench needs at least 2 tree levels, got {spec.levels}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)

@@ -5,6 +5,9 @@ graph, the table has one row per node and one column per color; cell
 (u, i) holds the unique entry of color i whose image contains u, or NULL.
 Column i is then an index on the data: the rows holding e* in column
 c(e*) are exactly the image of e*, which is what verify_schema checks.
+The table is stored as such an index, by column (O'Neil & Quass's bitmap
+join index): int32 entry codes over node positions and CSR postings over
+them, built by the same `Postings` that indexes fact rows in `engine`.
 """
 
 from __future__ import annotations
@@ -13,9 +16,16 @@ import csv
 import io
 import json
 import os
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
+from .bitset import CompressedBitset
 from .errors import ColorCollision, InconsistentArity, MalformedCsv, UnknownNode
 from .intersection import EntryColoring, SetValuedFunction
 
@@ -33,44 +43,162 @@ def _sorted_ids(values: Iterable) -> list:
         return sorted(values, key=repr)
 
 
-@dataclass
-class CliqueTable:
-    """k color columns over an ordered node domain.
+class Postings(Mapping):
+    """(column, entry) -> id set over positions 0..n-1, built from one int32
+    code array per column (-1 for NULL) by one stable argsort each.
 
-    rows maps node -> tuple of k cells; a cell is an entry identifier or
-    None.  Immutable by convention once built.
+    Per column, `ids` holds the positions of the non-NULL codes grouped by
+    code (read-only int32, ascending within a code), and code c's posting
+    is the zero-copy view ids[offsets[c]:offsets[c + 1]]; entry_code maps
+    an entry to its code.
     """
 
-    k: int
-    rows: dict[Node, tuple]
+    def __init__(self, n: int, entry_codes: Sequence[dict], code_columns: Iterable[np.ndarray]):
+        self.n = n
+        self.columns: list[tuple[dict, np.ndarray, np.ndarray]] = []
+        for entry_code, codes in zip(entry_codes, code_columns):
+            rows = np.flatnonzero(codes >= 0)
+            codes = codes[rows]
+            ids = rows[np.argsort(codes, kind="stable")].astype(np.int32)
+            ids.flags.writeable = False
+            counts = np.bincount(codes, minlength=len(entry_code))
+            self.columns.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
 
-    def __post_init__(self):
-        for u, cells in self.rows.items():
-            if len(cells) != self.k:
-                raise InconsistentArity(
-                    f"row {u!r} has {len(cells)} cells, table width is {self.k}"
-                )
+    def __getitem__(self, key) -> CompressedBitset:
+        col, entry = key
+        if not 1 <= col <= len(self.columns):
+            raise KeyError(key)
+        entry_code, offsets, ids = self.columns[col - 1]
+        code = entry_code[entry]
+        return CompressedBitset(self.n, ids=ids[offsets[code]:offsets[code + 1]])
+
+    def __iter__(self):
+        for col, (entry_code, _, _) in enumerate(self.columns, start=1):
+            for entry in entry_code:
+                yield col, entry
+
+    def __len__(self) -> int:
+        return sum(len(entry_code) for entry_code, _, _ in self.columns)
+
+
+@dataclass
+class PostingIndex:
+    """Per-(column, entry) id sets over n positions; `unresolved` counts the
+    positions that reference no table node (they are in no posting)."""
+
+    n: int
+    k: int
+    postings: Postings
+    unresolved: int
+
+    def cardinalities(self) -> dict[tuple[int, Hashable], int]:
+        return {key: b.cardinality() for key, b in self.postings.items()}
+
+    def byte_size(self) -> int:
+        """Bytes of the posting id arrays."""
+        return sum(ids.nbytes for _, _, ids in self.postings.columns)
+
+
+class CliqueTable:
+    """k color columns over an ordered node domain, stored by column.
+
+    entries[i] lists column i + 1's entries in code order, each held by
+    some node; codes[i, j] is that column's code at node position j, -1 for
+    NULL; index holds the column postings over node positions.
+    CliqueTable(k, rows) converts node -> k cells, for small tables;
+    builders of large ones call from_columns.  Immutable by convention.
+    """
+
+    def __init__(self, k: int, rows: Mapping[Node, tuple]):
+        entry_codes: list[dict] = [{} for _ in range(k)]
+        codes = []
+        for u, cells in rows.items():
+            if len(cells) != k:
+                raise InconsistentArity(f"row {u!r} has {len(cells)} cells, table width is {k}")
+            codes.append([-1 if v is NULL else ec.setdefault(v, len(ec)) for ec, v in zip(entry_codes, cells)])
+        by_row = np.array(codes, dtype=np.int32).reshape(len(codes), k)
+        self._init(k, rows, [list(ec) for ec in entry_codes], by_row.T.copy())
+
+    @classmethod
+    def from_columns(cls, k: int, nodes: Iterable[Node], entries: list[list], codes: np.ndarray) -> "CliqueTable":
+        table = cls.__new__(cls)
+        table._init(k, nodes, entries, codes)
+        return table
+
+    def _init(self, k: int, nodes: Iterable[Node], entries: list[list], codes: np.ndarray) -> None:
+        self.k, self.entries, self.codes = k, entries, codes
+        self._nodes = np.fromiter(nodes, dtype=object, count=codes.shape[1])
+        self.entry_codes = [{e: code for code, e in enumerate(column)} for column in entries]
+        self.index = PostingIndex(len(self._nodes), k, Postings(len(self._nodes), self.entry_codes, codes), 0)
+
+    @cached_property
+    def position(self) -> dict:
+        """Node -> position, built on first use."""
+        return dict(zip(self._nodes.tolist(), range(len(self._nodes))))
+
+    @property
+    def rows(self) -> Mapping[Node, tuple]:
+        """Read-only node -> tuple of cells; each row is decoded when read."""
+        return _Rows(self)
 
     def cell(self, u: Node, i: int):
         """Cell in column i (1-based) of node u's row."""
-        if u not in self.rows:
+        if u not in self.position:
             raise UnknownNode(u)
         if not 1 <= i <= self.k:
             raise IndexError(f"column {i} outside 1..{self.k}")
-        return self.rows[u][i - 1]
+        code = self.codes[i - 1, self.position[u]]
+        return NULL if code < 0 else self.entries[i - 1][code]
 
     def nodes(self) -> tuple:
-        return tuple(self.rows.keys())
+        return tuple(self._nodes.tolist())
+
+    def nodes_at(self, positions: np.ndarray) -> set:
+        return set(self._nodes.take(positions).tolist())
 
     def null_count(self) -> int:
-        return sum(1 for cells in self.rows.values() for c in cells if c is NULL)
+        return int(np.count_nonzero(self.codes < 0))
 
     def column_preimage(self, i: int, e: Entry) -> set:
-        """Nodes whose column i holds entry e."""
-        return {u for u, cells in self.rows.items() if cells[i - 1] == e}
+        """Nodes whose column i holds entry e: its posting."""
+        posting = self.index.postings.get((i, e))
+        return set() if posting is None else self.nodes_at(posting.ids)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._nodes)
+
+
+class _Rows(Mapping):
+    """The rows view of a CliqueTable."""
+
+    def __init__(self, table: CliqueTable):
+        self._table = table
+
+    def __getitem__(self, u: Node) -> tuple:
+        t = self._table
+        codes = t.codes[:, t.position[u]].tolist()
+        return tuple(NULL if c < 0 else column[c] for column, c in zip(t.entries, codes))
+
+    def __iter__(self):
+        return iter(self._table.nodes())
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
+def _first_conflict(f: SetValuedFunction, c: EntryColoring, position: dict) -> Exception:
+    """The error a cell-by-cell fill in entry order meets first: a node
+    outside the domain, or a cell claimed by two entries of one color."""
+    owner: dict = {}
+    for e in f.entries:
+        i = c.assignment[e]
+        for u in f.image[e]:
+            if u not in position:
+                return UnknownNode(u)
+            prev = owner.setdefault((u, i), e)
+            if prev != e:
+                return ColorCollision(u, i, prev, e)
+    raise AssertionError("no conflicting cell")
 
 
 def materialize(
@@ -78,32 +206,38 @@ def materialize(
     c: EntryColoring,
     domain: Sequence[Node] | None = None,
 ) -> CliqueTable:
-    """Fill the table cell by cell from the coloring.
+    """Write each entry's code into its column at its image's node positions.
 
     The row set defaults to the sorted union of all images; an explicit
     domain may add nodes no entry references (their rows are all NULL).
-    A node claimed by two entries of one color means the coloring was not
-    proper on the intersection graph: ColorCollision.
+    An image node outside the domain raises UnknownNode.  A node claimed
+    by two entries of one color means the coloring was not proper on the
+    intersection graph: ColorCollision.  One Python pass gathers the image
+    positions and one scatter writes the codes; reading the cells back
+    finds collisions, since only one of two writes to a cell survives.
     """
-    if domain is None:
-        order = _sorted_ids(f.node_domain())
-    else:
-        order, seen = [], set()
-        for u in domain:
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    cells: dict[Node, list] = {u: [NULL] * c.k for u in order}
+    order = _sorted_ids(f.node_domain()) if domain is None else list(dict.fromkeys(domain))
+    position = dict(zip(order, range(len(order))))
+    entries: list[list] = [[] for _ in range(c.k)]
+    writes = []  # (column, code, image size) per entry with a non-empty image
+    flat = array("i")  # image positions, entry after entry; -1 outside the domain
     for e in f.entries:
-        i = c.assignment[e]
-        for u in f.image[e]:
-            if u not in cells:
-                raise UnknownNode(u)
-            existing = cells[u][i - 1]
-            if existing is not NULL and existing != e:
-                raise ColorCollision(u, i, existing, e)
-            cells[u][i - 1] = e
-    return CliqueTable(c.k, {u: tuple(cells[u]) for u in order})
+        image = f.image[e]
+        if image:
+            i = c.assignment[e] - 1
+            writes.append((i, len(entries[i]), len(image)))
+            entries[i].append(e)
+            flat.extend(map(position.get, image, repeat(-1)))
+    col, code, size = np.array(writes, dtype=np.intp).reshape(-1, 3).T
+    col, code = np.repeat(col, size), np.repeat(code, size)
+    pos = np.frombuffer(flat, dtype=np.int32)
+    codes = np.full((c.k, len(order)), -1, dtype=np.int32)
+    if (pos < 0).any():
+        raise _first_conflict(f, c, position)
+    codes[col, pos] = code
+    if not np.array_equal(codes[col, pos], code):
+        raise _first_conflict(f, c, position)
+    return CliqueTable.from_columns(c.k, order, entries, codes)
 
 
 @dataclass(frozen=True)
@@ -122,9 +256,9 @@ class VerifyResult:
 def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> VerifyResult:
     """Check the table is a complete schema for f under coloring c.
 
-    For every entry e, the preimage of e in column c(e) must equal the
-    image F(e) exactly; any cell value that is not an entry of its column's
-    color is also a failure.
+    For every entry e, the preimage of e in column c(e) (its posting) must
+    equal the image F(e) exactly; any entry a column holds that is not of
+    that column's color is also a failure, reported at its first node.
     """
     for e in f.entries:
         recovered = t.column_preimage(c.assignment[e], e)
@@ -134,47 +268,45 @@ def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> Ver
     by_color: dict[int, set] = {}
     for e in f.entries:
         by_color.setdefault(c.assignment[e], set()).add(e)
-    for u, row in t.rows.items():
-        for i, value in enumerate(row, start=1):
-            if value is not NULL and value not in by_color.get(i, ()):
-                return VerifyResult(False, value, frozenset(), frozenset({u}))
+    strays = [
+        (int(t.index.postings[i, value].ids[0]), i, value)
+        for i, column in enumerate(t.entries, start=1)
+        for value in column
+        if value not in by_color.get(i, ())
+    ]
+    if strays:
+        j, _, value = min(strays)  # positions and columns never tie
+        return VerifyResult(False, value, frozenset(), frozenset({t._nodes[j]}))
     return VerifyResult(True)
 
 
 def recover_coloring(t: CliqueTable) -> EntryColoring:
-    """Read the entry -> column map back out of a table.
+    """Read the entry -> column map back out of a table's entry lists.
 
     Every complete schema induces a proper coloring this way.  An entry
     sitting in two different columns means the table is no schema at all.
     """
     assignment: dict[Entry, int] = {}
-    for u, row in t.rows.items():
-        for i, value in enumerate(row, start=1):
-            if value is NULL:
-                continue
-            prev = assignment.get(value)
-            if prev is not None and prev != i:
+    for i, column in enumerate(t.entries, start=1):
+        for value in column:
+            prev = assignment.setdefault(value, i)
+            if prev != i:
                 raise MalformedCsv(
                     f"entry {value!r} appears in columns {prev} and {i}; not a schema"
                 )
-            assignment[value] = i
     return EntryColoring(assignment, t.k)
 
 
 def compact_colors(t: CliqueTable) -> tuple[CliqueTable, dict[int, int]]:
-    """Drop all-NULL columns and renumber the rest 1..k'.
+    """Drop all-NULL columns (those with no entries) and renumber the rest 1..k'.
 
     Returns the new table and the old -> new column map.
     """
-    used = [
-        i for i in range(1, t.k + 1)
-        if any(row[i - 1] is not NULL for row in t.rows.values())
-    ]
+    used = [i for i in range(1, t.k + 1) if t.entries[i - 1]]
     remap = {old: new for new, old in enumerate(used, start=1)}
-    rows = {
-        u: tuple(row[old - 1] for old in used) for u, row in t.rows.items()
-    }
-    return CliqueTable(len(used), rows), remap
+    keep = [i - 1 for i in used]
+    table = CliqueTable.from_columns(len(used), t.nodes(), [t.entries[i] for i in keep], t.codes[keep])
+    return table, remap
 
 
 def export_table(t: CliqueTable, dest=None) -> str | None:
@@ -200,7 +332,7 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
 
 
 def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
-    """Read a table back from CSV text, a file object, or a path.
+    """Read a table back from a file object, an os.PathLike path, or CSV text.
 
     Values arrive as strings; node_cast/entry_cast convert them (e.g. int
     for tree tables).  Raises MalformedCsv on a bad header or duplicate
@@ -208,9 +340,7 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
     """
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, os.PathLike) or (
-        isinstance(source, str) and "\n" not in source and os.path.exists(source)
-    ):
+    elif isinstance(source, os.PathLike):
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -257,10 +387,18 @@ def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
 
 
 def read_sidecar(path, entry_cast=None) -> tuple[EntryColoring, dict]:
+    """Coloring and provenance from a sidecar; MalformedCsv when it is not
+    JSON or lacks an integer k and an entry -> color map."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assignment = {
-        (entry_cast(e) if entry_cast else e): int(i)
-        for e, i in payload["coloring"].items()
-    }
-    return EntryColoring(assignment, int(payload["k"])), payload.get("provenance", {})
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedCsv(f"sidecar {path}: not JSON ({exc})") from None
+    try:
+        assignment = {
+            (entry_cast(e) if entry_cast else e): int(i)
+            for e, i in payload["coloring"].items()
+        }
+        return EntryColoring(assignment, int(payload["k"])), payload.get("provenance", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedCsv(f"sidecar {path}: needs k and a coloring map ({exc!r})") from None

@@ -7,6 +7,10 @@ when p sits exactly at level q, and at {p} alone when p sits above q;
 coloring entries by q gives an n-column schema with no NULL cells, and a
 single-column IN query over an id's ancestor chain answers overlap.
 
+Both table variants are computed column by column (the table variant's
+cell(k, q) is k >> max(L(k) - q, 0)), for the clique table and for the
+streamed CSV alike; overlap queries, on the table or on a fact index over
+it, are one OR of the ancestor chain's postings in column L(k).
 All arithmetic is integer: extents are kept in units of 2^(1-n).
 """
 
@@ -14,6 +18,8 @@ from __future__ import annotations
 
 import math
 from typing import Iterator
+
+import numpy as np
 
 from . import engine
 from .errors import OutOfRange
@@ -119,18 +125,20 @@ def tree_coloring(n: int, canonical: bool = True) -> EntryColoring:
     return EntryColoring(assignment, n)
 
 
-def _row_cells(k: int, n: int, variant: str) -> tuple:
-    lvl = level(k)
+def _tree_cells(ids: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """Cells of the given ids as an (n, len(ids)) array, 0 for NULL.
+
+    Table variant: column q holds k's level-q ancestor k >> (L(k) - q) up
+    to k's level and k itself below.  Literal variant: k from its level
+    down; above it the printed formula's p = (k << q) >> n when
+    2^q <= 2p <= k, else NULL.
+    """
+    levels = np.frexp(ids)[1]  # L(k) = bit_length(k), exact below 2^53
+    q = np.arange(1, n + 1)[:, None]
     if variant == "literal":
-        cells = []
-        for q in range(1, n + 1):
-            if q >= lvl:
-                cells.append(k)
-            else:
-                p = (k << q) >> n
-                cells.append(p if (1 << q) <= 2 * p <= k < (1 << n) else NULL)
-        return tuple(cells)
-    return tuple((k >> (lvl - q)) if q <= lvl else k for q in range(1, n + 1))
+        p = (ids << q) >> n
+        return np.where(q >= levels, ids, np.where(((1 << q) <= 2 * p) & (2 * p <= ids), p, 0))
+    return ids >> np.maximum(levels - q, 0)
 
 
 def iter_tree_rows(n: int, variant: str = "table") -> Iterator[tuple[int, tuple]]:
@@ -138,8 +146,10 @@ def iter_tree_rows(n: int, variant: str = "table") -> Iterator[tuple[int, tuple]
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_levels(n)
-    for k in range(1, 1 << n):
-        yield k, _row_cells(k, n, variant)
+    for start in range(1, 1 << n, 4096):
+        ids = np.arange(start, min(start + 4096, 1 << n))
+        for k, cells in zip(ids.tolist(), _tree_cells(ids, n, variant).T.tolist()):
+            yield k, tuple(c or NULL for c in cells)
 
 
 def build_tree_schema(n: int, cap: int = DEFAULT_TREE_CAP, variant: str = "table") -> CliqueTable:
@@ -147,12 +157,20 @@ def build_tree_schema(n: int, cap: int = DEFAULT_TREE_CAP, variant: str = "table
 
     Column q of row k holds the id truncated to level q (its level-q
     ancestor) for q up to k's level, and k itself below; storing the bare
-    p is enough because the column fixes q.
+    p is enough because the column fixes q.  Each column's codes come from
+    one np.unique of its cells.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_levels(n, cap)
-    return CliqueTable(n, {k: cells for k, cells in iter_tree_rows(n, variant)})
+    cells = _tree_cells(np.arange(1, 1 << n), n, variant)
+    entries, codes = [], np.empty(cells.shape, dtype=np.int32)
+    for q, column in enumerate(cells):
+        values, inverse = np.unique(column, return_inverse=True)
+        null = int(values[0] == 0)  # NULL cells of the literal variant
+        codes[q] = inverse - null
+        entries.append(values[null:].tolist())
+    return CliqueTable.from_columns(n, range(1, 1 << n), entries, codes)
 
 
 def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> VerifyResult:
@@ -176,13 +194,10 @@ def overlap_query(k: int, schema: CliqueTable) -> set[int]:
     """Ids whose extent meets id k's extent, read from the table.
 
     One IN predicate on column L(k): a row overlaps k exactly when its
-    level-L(k) cell is one of k's ancestors-or-self.
+    level-L(k) cell is one of k's ancestors-or-self.  It runs as
+    tree_fact_query on the table's own postings over its rows.
     """
-    n = schema.k
-    _check_id(k, n)
-    lvl = level(k)
-    wanted = set(ancestor_path(k))
-    return {u for u, cells in schema.rows.items() if cells[lvl - 1] in wanted}
+    return schema.nodes_at(tree_fact_query(k, schema.index).to_array())
 
 
 def map_point_to_leaf(x: float, n: int) -> int:
@@ -217,8 +232,9 @@ def map_range_to_cover(a: float, b: float, n: int) -> list[int]:
 
 
 def tree_fact_query(k: int, idx: "engine.PostingIndex"):
-    """Fact rows referencing any interval overlapping k: one OR of postings
-    in column L(k) over the ancestor path."""
+    """Rows of the index (fact rows, or a tree table's own rows) referencing
+    any interval overlapping k: one OR of postings in column L(k) over the
+    ancestor path."""
     n = idx.k
     _check_id(k, n)
     lvl = level(k)

@@ -305,7 +305,7 @@ def test_criterion_12_user_dag_pipeline(tmp_path, capsys):
         assert main(["materialize", "--edges", str(tsv), "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert "k=" in err and "verified" in err
-        table = import_table(str(out))
+        table = import_table(out)
         g = build_digraph(edges, isolated=names)
         f_desc = {u: g.descendants_and_self(u) for u in names}
         f = SetValuedFunction.from_images(f_desc)

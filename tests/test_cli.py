@@ -87,7 +87,7 @@ def test_color_and_materialize_pipeline(pair_edges_tsv, tmp_path, capsys):
     ]) == 0
     err = capsys.readouterr().err
     assert "verified" in err
-    t = import_table(str(table_csv), node_cast=int, entry_cast=int)
+    t = import_table(table_csv, node_cast=int, entry_cast=int)
     assert t.k == payload["k"]
     assert len(t) == 10
     # rows carry ancestors: a sink's row names every source covering it
@@ -123,7 +123,7 @@ def test_materialize_ancestor_map(pair_edges_tsv, tmp_path):
         "materialize", "--edges", pair_edges_tsv, "--map", "ancestors",
         "--out", str(table_csv),
     ]) == 0
-    t = import_table(str(table_csv), node_cast=int, entry_cast=int)
+    t = import_table(table_csv, node_cast=int, entry_cast=int)
     # rows now carry descendants instead
     assert set(t.rows[12]) - {None} == {1, 2, 12}
 
@@ -132,7 +132,7 @@ def test_materialize_function_csv(tmp_path):
     fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\ng1,b\ng2,b\ng2,c\n")
     out = tmp_path / "t.csv"
     assert main(["materialize", "--function", fn_csv, "--out", str(out)]) == 0
-    t = import_table(str(out))
+    t = import_table(out)
     assert t.k == 2
     assert set(t.nodes()) == {"a", "b", "c"}
 
@@ -227,7 +227,7 @@ def test_build_intervals_emits_table_and_sidecar(tmp_path, capsys):
         "--out", str(out), "--sidecar", str(sidecar),
     ]) == 0
     assert "k=2" in capsys.readouterr().err
-    t = import_table(str(out))
+    t = import_table(out)
     assert t.k == 2
     assert json.loads(sidecar.read_text())["k"] == 2
 
@@ -271,7 +271,7 @@ def test_export_compacts_unused_columns(tmp_path, capsys):
     src = write(tmp_path / "t.csv", "node,c1,c2,c3\nu,,a,\nv,,a,\n")
     out = tmp_path / "squeezed.csv"
     assert main(["export", "--table", src, "--compact-colors", "--out", str(out)]) == 0
-    t = import_table(str(out))
+    t = import_table(out)
     assert t.k == 1
     assert t.cell("u", 1) == "a"
 
@@ -280,3 +280,56 @@ def test_tree_cap_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "3")
     assert main(["build", "tree", "--levels", "4"]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def _no_traceback(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_query_intervals_rejects_nan_endpoints(tmp_path, capsys):
+    data = write(tmp_path / "iv.csv", "id,x,y\na,nan,nan\nb,1,2\n")
+    assert main(["query-intervals", "--data", data, "--a", "0", "--b", "5"]) == 1
+    assert "finite" in _no_traceback(capsys)
+
+
+def test_interval_csv_non_numeric_endpoint_names_the_line(tmp_path, capsys):
+    data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,abc,2\n")
+    assert main(["query-intervals", "--data", data, "--a", "0", "--b", "5"]) == 1
+    assert "line 3" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("payload", ['{"k": 2}', '{"coloring": {}}', '{"k": "two", "coloring": {}}', "[1]", "{"])
+def test_materialize_rejects_malformed_sidecar(tmp_path, capsys, payload):
+    fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\n")
+    sidecar = write(tmp_path / "c.json", payload)
+    assert main(["materialize", "--function", fn_csv, "--coloring", sidecar]) == 1
+    assert "sidecar" in _no_traceback(capsys)
+
+
+def test_bench_rejects_fewer_than_two_levels(capsys):
+    assert main(["bench", "--seed", "1", "--rows", "100", "--levels", "1"]) == 1
+    assert "2 tree levels" in _no_traceback(capsys)
+
+
+def test_query_missing_clique_file_is_an_os_error(fact_csv, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["query", "--fact", fact_csv, "--clique", missing, "--expr", "c1='1'"]) == 1
+    err = _no_traceback(capsys)
+    assert "No such file" in err and "header" not in err
+
+
+@pytest.mark.parametrize("command", ["build-intervals", "export", "query", "materialize"])
+def test_input_that_is_not_utf8_exits_one(fact_csv, tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\n")
+    argv = {
+        "build-intervals": ["build", "intervals", "--data", str(bad)],
+        "export": ["export", "--table", str(bad)],
+        "query": ["query", "--fact", fact_csv, "--clique", str(bad), "--expr", "c1='1'"],
+        "materialize": ["materialize", "--function", fn_csv, "--coloring", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    assert "error" in _no_traceback(capsys)

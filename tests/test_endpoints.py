@@ -26,6 +26,15 @@ def test_record_rejects_reversed_endpoints():
         IntervalRecord("bad", 2.0, 1.0)
 
 
+@pytest.mark.parametrize("x, y", [
+    (math.nan, math.nan), (0.0, math.nan), (math.nan, 5.0),
+    (-math.inf, 1.0), (0.0, math.inf), ("abc", "abd"), (None, 1.0),
+])
+def test_record_rejects_non_finite_or_non_numeric_endpoints(x, y):
+    with pytest.raises(InvalidRange):
+        IntervalRecord("bad", x, y)
+
+
 def test_zero_length_record_allowed():
     r = IntervalRecord("pt", 3.0, 3.0)
     assert r.x == r.y

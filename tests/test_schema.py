@@ -171,7 +171,7 @@ def test_csv_round_trip_via_file(tmp_path):
     dest = tmp_path / "t.csv"
     with open(dest, "w", encoding="utf-8") as fh:
         export_table(t, fh)
-    assert import_table(str(dest)).cell("u", 1) == "a"
+    assert import_table(dest).cell("u", 1) == "a"
     with open(dest, encoding="utf-8") as fh:
         assert import_table(fh).cell("u", 1) == "a"
 

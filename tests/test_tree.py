@@ -152,7 +152,7 @@ def test_overlap_query_root_hits_everything():
 
 
 def test_overlap_query_matches_oracle():
-    for n in range(1, 8):
+    for n in range(1, 9):
         t = build_tree_schema(n)
         for k in range(1, 2 ** n):
             assert overlap_query(k, t) == oracle_tree_overlap(k, n), (k, n)
