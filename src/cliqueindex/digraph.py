@@ -30,6 +30,7 @@ from .errors import (
 from .intersection import (
     IntersectionGraph,
     SetValuedFunction,
+    build_intersection_graph,
     exact_chromatic,
     greedy_color,
 )
@@ -428,17 +429,7 @@ class DownColoring:
 def down_conflict_graph(g: AcyclicDigraph) -> IntersectionGraph:
     """Pairwise conflict graph: two nodes clash when some node sees both
     among its descendants, i.e. their ancestors-and-self sets intersect."""
-    masks = g._all_anc_masks()
-    n = len(g.nodes)
-    adj: dict[NodeId, list[NodeId]] = {u: [] for u in g.nodes}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if masks[i] & masks[j]:
-                adj[g.nodes[i]].append(g.nodes[j])
-                adj[g.nodes[j]].append(g.nodes[i])
-    for u in adj:
-        adj[u].sort()
-    return IntersectionGraph(g.nodes, adj)
+    return build_intersection_graph(ancestor_set_function(g))
 
 
 def greedy_down_coloring(g: AcyclicDigraph, order: str = "smallest-last") -> DownColoring:

@@ -75,20 +75,28 @@ class FactTable:
             text = source.read()
         else:
             text = source
-        reader = csv.DictReader(io.StringIO(text))
-        fields = reader.fieldnames or []
+        reader = csv.reader(io.StringIO(text))
+        # Header positions as DictReader's field names: the last column of a
+        # name wins, and a row too short to reach a column reads None there.
+        where = {name: i for i, name in enumerate(next(reader, None) or [])}
         for required in ("rid", "acc", "m"):
-            if required not in fields:
+            if required not in where:
                 raise MalformedCsv(f"fact CSV is missing column {required!r}")
+        i_rid, i_acc, i_m = where["rid"], where["acc"], where["m"]
+        width = max(i_rid, i_acc, i_m) + 1
         rids, accs, measures = [], [], []
-        for record in reader:
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [None] * (width - len(row))
             try:
-                rid = int(record["rid"])
+                rid = int(row[i_rid])
             except (TypeError, ValueError):
-                raise MalformedCsv(f"bad rid {record.get('rid')!r}") from None
-            if record["acc"] is None or record["m"] is None:
+                raise MalformedCsv(f"bad rid {row[i_rid]!r}") from None
+            acc, m = row[i_acc], row[i_m]
+            if acc is None or m is None:
                 raise MalformedCsv(f"short row for rid {rid}")
-            acc = record["acc"]
             if acc_cast is not None:
                 try:
                     acc = acc_cast(acc)
@@ -96,7 +104,7 @@ class FactTable:
                     raise MalformedCsv(f"bad acc {acc!r} for rid {rid}") from None
             rids.append(rid)
             accs.append(acc)
-            measures.append(_parse_measure(record["m"]))
+            measures.append(_parse_measure(m))
         n = len(rids)
         # n rids inside 0..N-1 with no rid twice are a permutation.
         if n and (min(rids) < 0 or max(rids) >= n or np.bincount(rids).max() > 1):

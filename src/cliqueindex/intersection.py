@@ -7,14 +7,29 @@ Any proper coloring of that graph can be materialized as an indexing schema
 coloring, so the chromatic number is the exact lower limit on schema width.
 
 Entry identifiers must be hashable and totally orderable within one
-function (strings, ints, or tuples -- not mixed), because greedy coloring
-breaks ties by lowest identifier to stay deterministic.
+function (strings, ints, or tuples -- not mixed): the graph numbers the
+entries by their sorted order, and greedy coloring breaks ties by lowest
+identifier to stay deterministic.  Mixed types raise TypeError.
+
+Layout and cost.  The graph is CSR over positions, a position being an
+entry's rank in sorted order: row p lists p's neighbour positions,
+ascending.  The builder gives each node a Python-int mask of the entries
+holding it and ORs an entry's node masks into its row, which costs
+Theta(sum_e |F(e)| * n/64) machine words plus one O(n) decode per row,
+instead of one pair per shared node.  Smallest-last is n argmin steps over
+an int64 degree array (O(n^2) in numpy, O(n + m) decrements); largest-first
+is one stable sort; first-fit reads each vertex's neighbour colors
+through its CSR row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import TooLargeForExact
 
@@ -71,35 +86,109 @@ class SetValuedFunction:
         return len(self.entries)
 
 
-@dataclass
 class IntersectionGraph:
     """Entries as vertices; an edge wherever two images overlap.
 
-    Adjacency is stored as deduplicated sorted lists, symmetric and
-    irreflexive by construction.
+    Stored as CSR over positions: `order` is the vertices sorted, and a
+    vertex's position is its rank there.  Row p is
+    indices[indptr[p]:indptr[p + 1]], the int32 positions of p's
+    neighbours in ascending order, so it decodes to the sorted neighbour
+    list; `indptr` holds the n + 1 int64 offsets.  Symmetric and
+    irreflexive.  IntersectionGraph(vertices, adj) converts entry ->
+    neighbour lists once; build_intersection_graph calls from_csr.
+    Immutable: both arrays are read-only.
     """
 
-    vertices: tuple[Entry, ...]
-    adj: dict[Entry, list[Entry]]
+    def __init__(self, vertices: Iterable[Entry], adj: Mapping[Entry, Iterable[Entry]]):
+        vertices = tuple(vertices)
+        order = tuple(sorted(vertices))
+        rank = {e: p for p, e in enumerate(order)}
+        rows = [np.unique(np.fromiter((rank[w] for w in adj[e]), dtype=np.int64)) for e in order]
+        self._init(vertices, order, *_csr(rows))
+
+    @classmethod
+    def from_csr(
+        cls, vertices: tuple[Entry, ...], order: tuple[Entry, ...], indptr: np.ndarray, indices: np.ndarray
+    ) -> "IntersectionGraph":
+        g = cls.__new__(cls)
+        g._init(vertices, order, indptr, indices)
+        return g
+
+    def _init(self, vertices, order, indptr, indices) -> None:
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.vertices, self.order, self.indptr, self.indices = vertices, order, indptr, indices
+
+    @cached_property
+    def position(self) -> dict[Entry, int]:
+        """Entry -> position, built on first use."""
+        return {e: p for p, e in enumerate(self.order)}
+
+    @property
+    def adj(self) -> Mapping[Entry, list[Entry]]:
+        """Read-only entry -> sorted neighbour list; each row is decoded when read."""
+        return _Adjacency(self)
+
+    def row(self, p: int) -> np.ndarray:
+        """Neighbour positions of position p, ascending."""
+        return self.indices[self.indptr[p]:self.indptr[p + 1]]
 
     def degree(self, e: Entry) -> int:
-        return len(self.adj[e])
+        return self.row(self.position[e]).size
 
     def has_edge(self, a: Entry, b: Entry) -> bool:
-        return b in self._adj_sets[a]
+        row = self.row(self.position[a])
+        q = self.position.get(b)
+        if q is None:
+            return False
+        i = int(np.searchsorted(row, q))
+        return bool(i < row.size and row[i] == q)
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.adj.values()) // 2
+        return self.indices.size // 2
+
+    def input_positions(self) -> np.ndarray:
+        """Positions of `vertices`, in vertex order."""
+        return np.fromiter(map(self.position.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
 
     def edges(self) -> Iterable[tuple[Entry, Entry]]:
-        for u in self.vertices:
-            for v in self.adj[u]:
-                if self._index[u] < self._index[v]:
-                    yield (u, v)
+        """Each edge once as (u, v), u before v in `vertices`; grouped by u
+        in vertex order, v ascending within a group."""
+        n = len(self.order)
+        seq = np.empty(n, dtype=np.int64)
+        seq[self.input_positions()] = np.arange(n)
+        src = np.repeat(np.arange(n), np.diff(self.indptr))
+        keep = seq[src] < seq[self.indices]
+        src, dst = src[keep], self.indices[keep]
+        by_u = np.argsort(seq[src], kind="stable")
+        order = self.order
+        for a, b in zip(src[by_u].tolist(), dst[by_u].tolist()):
+            yield order[a], order[b]
 
-    def __post_init__(self):
-        self._adj_sets = {u: set(vs) for u, vs in self.adj.items()}
-        self._index = {u: i for i, u in enumerate(self.vertices)}
+
+class _Adjacency(Mapping):
+    """The adj view of an IntersectionGraph."""
+
+    def __init__(self, g: IntersectionGraph):
+        self._g = g
+
+    def __getitem__(self, e: Entry) -> list[Entry]:
+        g = self._g
+        return [g.order[q] for q in g.row(g.position[e]).tolist()]
+
+    def __iter__(self):
+        return iter(self._g.vertices)
+
+    def __len__(self) -> int:
+        return len(self._g.vertices)
+
+
+def _csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 offsets and int32 positions of the concatenated rows."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    indices = np.concatenate([np.empty(0, dtype=np.int32), *rows]).astype(np.int32)
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -116,56 +205,62 @@ class EntryColoring:
 
 
 def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
-    """Construct the intersection graph through an inverted node index.
+    """Construct the intersection graph from per-node entry masks.
 
-    Each node contributes a clique among the entries containing it, which
-    beats the all-pairs set-intersection route whenever the index is sparse.
-    The all-pairs route lives in the oracle module for verification.
+    One pass over the images gives each node the Python-int mask of the
+    entries holding it (bit = position); an entry's row is the OR of its
+    nodes' masks without its own bit, decoded one row at a time.  The
+    all-pairs route lives in the oracle module for verification.
     """
-    inverted: dict[Node, list[Entry]] = {}
-    for e in f.entries:
+    order = tuple(sorted(f.entries))
+    holders: dict[Node, int] = {}
+    for p, e in enumerate(order):
+        bit = 1 << p
         for node in f.image[e]:
-            inverted.setdefault(node, []).append(e)
-
-    neighbor_sets: dict[Entry, set[Entry]] = {e: set() for e in f.entries}
-    for members in inverted.values():
-        if len(members) < 2:
-            continue
-        for i, a in enumerate(members):
-            sa = neighbor_sets[a]
-            for b in members[i + 1:]:
-                sa.add(b)
-                neighbor_sets[b].add(a)
-
-    adj = {e: sorted(neighbor_sets[e]) for e in f.entries}
-    return IntersectionGraph(tuple(f.entries), adj)
+            holders[node] = holders.get(node, 0) | bit
+    width = (len(order) + 7) // 8
+    rows = []
+    for p, e in enumerate(order):
+        mask = 0
+        for node in f.image[e]:
+            mask |= holders[node]
+        mask &= ~(1 << p)
+        bits = np.frombuffer(mask.to_bytes(width, "little"), dtype=np.uint8)
+        rows.append(np.flatnonzero(np.unpackbits(bits, bitorder="little")))
+    return IntersectionGraph.from_csr(tuple(f.entries), order, *_csr(rows))
 
 
-def _smallest_last_order(g: IntersectionGraph) -> list[Entry]:
-    """Repeatedly remove a minimum-degree vertex (lowest id on ties);
-    return the reverse removal sequence."""
-    degree = {u: len(g.adj[u]) for u in g.vertices}
-    alive = set(g.vertices)
-    removed: list[Entry] = []
-    while alive:
-        u = min(alive, key=lambda v: (degree[v], v))
-        removed.append(u)
-        alive.remove(u)
-        for w in g.adj[u]:
-            if w in alive:
-                degree[w] -= 1
-    removed.reverse()
-    return removed
+def _smallest_last_positions(g: IntersectionGraph) -> np.ndarray:
+    """Repeatedly remove a minimum-degree vertex; return the reverse
+    removal sequence.  argmin takes the first minimum, the lowest position,
+    which is the lowest entry."""
+    bounds = g.indptr.tolist()
+    indices = g.indices
+    degree = np.diff(g.indptr)
+    gone = np.iinfo(np.int64).max
+    removed = np.empty(len(g.order), dtype=np.int64)
+    for step in range(len(g.order)):
+        p = int(degree.argmin())
+        removed[step] = p
+        # Removed vertices sit near int64 max, far above any live degree,
+        # so decrementing them with the rest of the row is harmless.
+        degree[p] = gone
+        degree[indices[bounds[p]:bounds[p + 1]]] -= 1
+    return removed[::-1]
+
+
+def _order_positions(g: IntersectionGraph, order: str) -> np.ndarray:
+    if order == "input":
+        return g.input_positions()
+    if order == "largest-first":
+        return np.argsort(-np.diff(g.indptr), kind="stable")
+    if order == "smallest-last":
+        return _smallest_last_positions(g)
+    raise ValueError(f"unknown order {order!r}; expected one of {GREEDY_ORDERS}")
 
 
 def coloring_order(g: IntersectionGraph, order: str) -> list[Entry]:
-    if order == "input":
-        return list(g.vertices)
-    if order == "largest-first":
-        return sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    if order == "smallest-last":
-        return _smallest_last_order(g)
-    raise ValueError(f"unknown order {order!r}; expected one of {GREEDY_ORDERS}")
+    return [g.order[p] for p in _order_positions(g, order).tolist()]
 
 
 def greedy_color(g: IntersectionGraph, order: str = "smallest-last") -> EntryColoring:
@@ -174,16 +269,20 @@ def greedy_color(g: IntersectionGraph, order: str = "smallest-last") -> EntryCol
     Each vertex gets the smallest color (starting at 1) unused among its
     already-colored neighbors.  Deterministic for a given order.
     """
-    assignment: dict[Entry, int] = {}
+    positions = _order_positions(g, order).tolist()
+    bounds = g.indptr.tolist()
+    indices = g.indices
+    colors = np.zeros(len(g.order), dtype=np.int64)
     k = 0
-    for u in coloring_order(g, order):
-        used = {assignment[w] for w in g.adj[u] if w in assignment}
-        c = 1
-        while c in used:
-            c += 1
-        assignment[u] = c
+    for p in positions:
+        # Colors 1..k+1 suffice; index 0 marks the uncolored neighbours.
+        taken = np.zeros(k + 2, dtype=bool)
+        taken[colors[indices[bounds[p]:bounds[p + 1]]]] = True
+        taken[0] = True
+        c = int(taken.argmin())
+        colors[p] = c
         k = max(k, c)
-    return EntryColoring(assignment, k)
+    return EntryColoring(dict(zip([g.order[p] for p in positions], colors[positions].tolist())), k)
 
 
 def clique_lower_bound(f: SetValuedFunction) -> int:
@@ -211,10 +310,7 @@ def exact_chromatic(g: IntersectionGraph, cap: int = DEFAULT_CHROMATIC_CAP) -> i
     if g.edge_count() == 0:
         return 1
 
-    index = {u: i for i, u in enumerate(g.vertices)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u in g.vertices:
-        adj[index[u]] = sorted(index[w] for w in g.adj[u])
+    adj = [g.row(p).tolist() for p in range(n)]
     adj_sets = [set(a) for a in adj]
 
     lower = _greedy_clique_bound(adj, adj_sets)

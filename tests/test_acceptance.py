@@ -1,4 +1,5 @@
-"""Acceptance gate: twelve criteria, one test each, run with pytest -v.
+"""Acceptance gate: twelve criteria, one test each, run with pytest -v,
+and a scale guard on the coloring pipeline.
 
 Each test prints a PASS line with the measured values after its assertions
 hold, and enforces its wall-clock budget.  Tolerances are exact unless the
@@ -11,6 +12,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from cliqueindex.cli import main
@@ -23,6 +25,7 @@ from cliqueindex.corpus import (
 )
 from cliqueindex.digraph import (
     build_digraph,
+    descendant_set_function,
     down_chromatic_bounds,
     down_hypergraph,
     exact_down_chromatic,
@@ -313,3 +316,26 @@ def test_criterion_12_user_dag_pipeline(tmp_path, capsys):
         assert table.k >= bound
         assert len(table) == 150
     report(12, f"150-node DAG pipeline: verified table, k={table.k} >= bound {bound}", b)
+
+
+def layered_dag_edges(n, seed, window=200):
+    """Node i gets 1-3 parents among the `window` nodes before it."""
+    rng = random.Random(seed)
+    edges = []
+    for i in range(1, n):
+        for p in sorted(rng.sample(range(max(0, i - window), i), min(i, rng.randint(1, 3)))):
+            edges.append((f"n{p}", f"n{i}"))
+    return edges
+
+
+def test_scale_guard_2000_node_dag_builds_and_colors():
+    with Budget(30.0) as b:
+        f = descendant_set_function(build_digraph(layered_dag_edges(2000, seed=2000)))
+        g = build_intersection_graph(f)
+        c = greedy_color(g, "smallest-last")
+    colors = np.array([c.assignment[e] for e in g.order])
+    rows = np.repeat(np.arange(len(g.order)), np.diff(g.indptr))
+    assert not (colors[rows] == colors[g.indices]).any()
+    assert c.k >= clique_lower_bound(f)
+    print(f"PASS scale guard ({b.elapsed:.2f}s): 2000-node DAG, "
+          f"{g.edge_count()} edges, k={c.k}")

@@ -2,11 +2,13 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_dag, random_out_tree
 from cliqueindex.digraph import (
     build_digraph,
     down_chromatic_bounds,
+    down_conflict_graph,
     down_hypergraph,
     DownColoring,
     DownHypergraph,
@@ -235,6 +237,32 @@ def test_greedy_down_coloring_all_orders_valid(pair_dag, rng):
         g = random_dag(rng)
         for order in ("input", "largest-first", "smallest-last"):
             assert greedy_down_coloring(g, order=order).is_valid(g)
+
+
+def reference_conflict_adj(g):
+    """Node -> sorted clashing nodes, from all pairs of ancestor masks."""
+    masks = g._all_anc_masks()
+    n = len(g.nodes)
+    adj = {u: [] for u in g.nodes}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if masks[i] & masks[j]:
+                adj[g.nodes[i]].append(g.nodes[j])
+                adj[g.nodes[j]].append(g.nodes[i])
+    return {u: sorted(vs) for u, vs in adj.items()}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_down_conflict_graph_matches_pairwise_masks(seed):
+    g = random_dag(random.Random(seed), max_nodes=16)
+    conflict = down_conflict_graph(g)
+    assert conflict.vertices == g.nodes
+    assert conflict.adj == reference_conflict_adj(g)
+
+
+def test_down_conflict_graph_on_pair_digraph(pair_dag):
+    assert down_conflict_graph(pair_dag).adj == reference_conflict_adj(pair_dag)
 
 
 def test_down_coloring_validity_detects_clash(pair_dag):

@@ -3,9 +3,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_expr
 from cliqueindex.engine import (
+    _parse_measure,
     aggregate_sum,
     And,
     Atom,
@@ -106,6 +108,81 @@ def test_from_csv_acc_cast():
 
 
 # -- query mini-language ---------------------------------------------------------
+
+
+def reference_from_csv(text, acc_cast=None):
+    """(accs, measures) in rid order, read through csv.DictReader."""
+    reader = csv.DictReader(io.StringIO(text))
+    fields = reader.fieldnames or []
+    for required in ("rid", "acc", "m"):
+        if required not in fields:
+            raise MalformedCsv(f"fact CSV is missing column {required!r}")
+    rows = []
+    for record in reader:
+        try:
+            rid = int(record["rid"])
+        except (TypeError, ValueError):
+            raise MalformedCsv(f"bad rid {record.get('rid')!r}") from None
+        if record["acc"] is None or record["m"] is None:
+            raise MalformedCsv(f"short row for rid {rid}")
+        acc = record["acc"]
+        if acc_cast is not None:
+            try:
+                acc = acc_cast(acc)
+            except ValueError:
+                raise MalformedCsv(f"bad acc {acc!r} for rid {rid}") from None
+        rows.append((rid, acc, _parse_measure(record["m"])))
+    if sorted(r[0] for r in rows) != list(range(len(rows))):
+        raise MalformedCsv("rids are not contiguous 0..N-1")
+    rows.sort(key=lambda r: r[0])
+    return [r[1] for r in rows], [r[2] for r in rows]
+
+
+@st.composite
+def fact_csvs(draw):
+    """Fact CSV text: rid, acc and m among extra (possibly repeated) columns
+    in any order, shuffled rids, int and float measures, and now and then a
+    blank line, a short row, a bad value or a rid out of place."""
+    names = draw(st.permutations(["rid", "acc", "m"] + draw(st.lists(
+        st.sampled_from(["x", "note", "acc", "m"]), max_size=2))))
+    n = draw(st.integers(min_value=0, max_value=12))
+    rids = draw(st.permutations(range(n)))
+    cells = {
+        "rid": lambda rid: str(rid),
+        "acc": lambda rid: draw(st.sampled_from(["7", "a", "b c", "", "-3"])),
+        "m": lambda rid: draw(st.one_of(st.integers(-9, 9).map(str), st.sampled_from(["2.5", "1e3", "-0.5"]))),
+    }
+    lines = [",".join(names)]
+    for rid in rids:
+        row = [cells.get(name, lambda _: "z")(rid) for name in names]
+        fault = draw(st.integers(0, 40))
+        if fault == 0:
+            row[names.index("rid")] = draw(st.sampled_from(["-1", str(n), "r", str(rids[0])]))
+        elif fault == 1:
+            row[names.index("m")] = "x"
+        elif fault == 2:
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif fault == 3:
+            row.append("extra")
+        lines.append(",".join(row))
+        if draw(st.integers(0, 8)) == 0:
+            lines.append("")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(fact_csvs(), st.sampled_from([None, int]))
+@settings(max_examples=300, deadline=None)
+def test_from_csv_matches_the_dictreader_reading(text, acc_cast):
+    try:
+        want = reference_from_csv(text, acc_cast)
+    except MalformedCsv as exc:
+        with pytest.raises(MalformedCsv) as got:
+            FactTable.from_csv(text, acc_cast)
+        assert str(got.value) == str(exc)
+        return
+    fact = FactTable.from_csv(text, acc_cast)
+    assert fact.accs == want[0]
+    assert [(type(m), m) for m in fact.measures] == [(type(m), m) for m in want[1]]
 
 
 def test_parse_atom():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_function
 from cliqueindex.digraph import ancestor_set_function, descendant_set_function
@@ -6,6 +7,7 @@ from cliqueindex.errors import TooLargeForExact
 from cliqueindex.intersection import (
     build_intersection_graph,
     clique_lower_bound,
+    coloring_order,
     EntryColoring,
     exact_chromatic,
     GREEDY_ORDERS,
@@ -42,12 +44,117 @@ def test_empty_images_are_isolated():
     assert greedy_color(g).k == 1
 
 
-def test_matches_pairwise_oracle(rng):
-    for _ in range(25):
-        f = random_function(rng, max_entries=15, max_nodes=20)
-        fast = build_intersection_graph(f)
-        slow = oracle_intersection_graph(f)
-        assert set(fast.edges()) == set(slow.edges())
+# One entry type per function: str, int or tuple ids, as the module requires.
+entry_types = st.sampled_from([
+    st.text(max_size=3),
+    st.integers(min_value=-40, max_value=40),
+    st.tuples(st.integers(min_value=0, max_value=3), st.text(max_size=2)),
+])
+
+
+def functions(nodes: int, max_entries: int = 14):
+    """Set-valued functions with possibly empty images over nodes 0..nodes-1."""
+    images = st.frozensets(st.integers(min_value=0, max_value=nodes - 1), max_size=5)
+    return entry_types.flatmap(
+        lambda ids: st.dictionaries(ids, images, max_size=max_entries)
+    ).map(SetValuedFunction.from_images)
+
+
+def reference_adj(f):
+    """Entry -> sorted list of the entries whose image meets its own."""
+    return {a: sorted(b for b in f.entries if b != a and f.image[a] & f.image[b]) for a in f.entries}
+
+
+def reference_edges(vertices, adj):
+    index = {u: i for i, u in enumerate(vertices)}
+    return [(u, v) for u in vertices for v in adj[u] if index[u] < index[v]]
+
+
+@given(functions(nodes=12))
+@settings(max_examples=150, deadline=None)
+def test_matches_pairwise_oracle(f):
+    fast = build_intersection_graph(f)
+    slow = oracle_intersection_graph(f)
+    adj = reference_adj(f)
+    assert fast.vertices == slow.vertices == f.entries
+    assert fast.adj == slow.adj == adj
+    assert list(fast.edges()) == reference_edges(f.entries, adj)
+    assert fast.edge_count() == len(reference_edges(f.entries, adj))
+    for a in f.entries:
+        assert fast.degree(a) == len(adj[a])
+        for b in f.entries:
+            assert fast.has_edge(a, b) == (b in adj[a])
+
+
+def test_single_entry_and_empty_function():
+    g = build_intersection_graph(fn(a={1, 2}))
+    assert dict(g.adj) == {"a": []} and list(g.edges()) == []
+    assert greedy_color(g).assignment == {"a": 1}
+    empty = build_intersection_graph(SetValuedFunction((), {}))
+    assert dict(empty.adj) == {} and empty.edge_count() == 0
+    for order in GREEDY_ORDERS:
+        assert greedy_color(empty, order) == EntryColoring({}, 0)
+
+
+def reference_order(vertices, adj, order):
+    """Entry-keyed vertex orders, as dict and set code."""
+    if order == "input":
+        return list(vertices)
+    if order == "largest-first":
+        return sorted(vertices, key=lambda v: (-len(adj[v]), v))
+    degree = {u: len(adj[u]) for u in vertices}
+    alive = set(vertices)
+    removed = []
+    while alive:
+        u = min(alive, key=lambda v: (degree[v], v))
+        removed.append(u)
+        alive.remove(u)
+        for w in adj[u]:
+            if w in alive:
+                degree[w] -= 1
+    removed.reverse()
+    return removed
+
+
+def reference_first_fit(vertices, adj, order):
+    assignment, k = {}, 0
+    for u in reference_order(vertices, adj, order):
+        used = {assignment[w] for w in adj[u] if w in assignment}
+        c = 1
+        while c in used:
+            c += 1
+        assignment[u] = c
+        k = max(k, c)
+    return assignment, k
+
+
+def tied_functions():
+    """Many equal degrees: cycles, and entries sharing few distinct images."""
+    cycles = st.integers(min_value=1, max_value=12).map(
+        lambda m: SetValuedFunction.from_images({i: {i, (i + 1) % m} for i in range(m)})
+    )
+    pooled = st.lists(st.frozensets(st.integers(0, 5), max_size=3), min_size=1, max_size=3).flatmap(
+        lambda pool: st.dictionaries(st.integers(0, 30), st.sampled_from(pool), max_size=16)
+    ).map(SetValuedFunction.from_images)
+    return st.one_of(cycles, pooled, functions(nodes=4, max_entries=16))
+
+
+@given(st.one_of(functions(nodes=12), tied_functions()))
+@settings(max_examples=200, deadline=None)
+def test_orders_and_first_fit_match_the_set_code(f):
+    g = build_intersection_graph(f)
+    adj = reference_adj(f)
+    for order in GREEDY_ORDERS:
+        assert coloring_order(g, order) == reference_order(f.entries, adj, order)
+        assignment, k = reference_first_fit(f.entries, adj, order)
+        c = greedy_color(g, order)
+        assert list(c.assignment.items()) == list(assignment.items())
+        assert c.k == k
+
+
+def test_mixed_entry_types_are_rejected():
+    with pytest.raises(TypeError):
+        build_intersection_graph(SetValuedFunction.from_images({"a": {1}, 2: {1}}))
 
 
 def test_pair_digraph_descendant_and_ancestor_functions(pair_dag):
