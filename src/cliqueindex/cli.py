@@ -180,6 +180,11 @@ def _load_table(path: str) -> CliqueTable:
         return import_table(fh)
 
 
+def _sidecar_path(args):
+    """--sidecar, else the --out table path plus .sidecar.json, else none."""
+    return args.sidecar or (args.out + ".sidecar.json" if args.out else None)
+
+
 def _function_for_dag(g, map_kind: str) -> SetValuedFunction:
     return descendant_set_function(g) if map_kind == "descendants" else ancestor_set_function(g)
 
@@ -208,7 +213,7 @@ def cmd_build_intervals(args) -> int:
     s = build_endpoint_schema(records)
     with _out_stream(args.out) as fh:
         export_table(s.clique, fh)
-    sidecar = args.sidecar or (args.out + ".sidecar.json" if args.out else None)
+    sidecar = _sidecar_path(args)
     if sidecar:
         write_sidecar(
             sidecar,
@@ -306,15 +311,7 @@ def cmd_color(args) -> int:
             "clique_lower_bound": clique_lower_bound(f),
         }
         _note(f"colored {len(f)} entries with k={coloring.k}")
-    if args.out:
-        write_sidecar(args.out, coloring, provenance)
-    else:
-        payload = {
-            "k": coloring.k,
-            "coloring": {str(e): c for e, c in coloring.assignment.items()},
-            "provenance": provenance,
-        }
-        _emit_json(payload, None)
+    write_sidecar(args.out, coloring, provenance)
     return EXIT_OK
 
 
@@ -356,7 +353,7 @@ def cmd_materialize(args) -> int:
         return EXIT_VERIFY
     with _out_stream(args.out) as fh:
         export_table(table, fh)
-    sidecar = args.sidecar or (args.out + ".sidecar.json" if args.out else None)
+    sidecar = _sidecar_path(args)
     if sidecar:
         provenance = {"source": source, "order": args.order, "verified": True,
                       "clique_lower_bound": clique_lower_bound(f)}
@@ -625,16 +622,17 @@ def cmd_verify(args) -> int:
 
 
 def _parse_targets(text: str) -> tuple[float, ...]:
+    """Comma-separated selectivities, each a number or a fraction a/b."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "/" in part:
-            num, den = part.split("/", 1)
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(part))
+        try:
+            num, slash, den = part.partition("/")
+            out.append(float(num) / float(den) if slash else float(num))
+        except (ValueError, ZeroDivisionError):
+            raise CliqueIndexError(f"--targets: {part!r} is not a number or fraction") from None
     return tuple(out)
 
 

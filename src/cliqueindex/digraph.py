@@ -33,6 +33,7 @@ from .intersection import (
     build_intersection_graph,
     exact_chromatic,
     greedy_color,
+    mask_positions,
 )
 
 NodeId = Hashable
@@ -43,19 +44,16 @@ DEFAULT_DOWN_CHROMATIC_CAP = 20
 DEGENERACY_MODES = ("exact", "peel")
 
 
-def _mask_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class AcyclicDigraph:
-    """Immutable acyclic digraph with memoized reachability queries.
+    """Immutable acyclic digraph with memoized reachability closures.
 
-    Closure sets are computed by DFS on first request and cached per queried
-    node; no full transitive closure is kept unless a caller asks for
-    everything (precompute or the hypergraph/coloring operations).
+    A closure is a Python-int mask over node handles (bit i = self.nodes[i]).
+    The first closure query in a direction computes every node's mask in one
+    topological pass, each node ORing its successors' (or predecessors')
+    masks into its own bit, and keeps them; _all_desc_masks and
+    _all_anc_masks are the only accessors.  Every caller in the package reads
+    all closures anyway, so nothing is gained by computing them one node at
+    a time.
     """
 
     def __init__(self, nodes: Sequence[NodeId], edges: Sequence[tuple[NodeId, NodeId]]):
@@ -70,8 +68,8 @@ class AcyclicDigraph:
             self._out[si].append(ti)
             self._in[ti].append(si)
         self._topo = self._toposort_or_raise()
-        self._desc_cache: dict[int, int] = {}
-        self._anc_cache: dict[int, int] = {}
+        self._desc_masks: tuple[int, ...] | None = None
+        self._anc_masks: tuple[int, ...] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -105,51 +103,27 @@ class AcyclicDigraph:
 
     # -- reachability ----------------------------------------------------------
 
-    def _closure_mask(self, i: int, adj: list[list[int]], cache: dict[int, int]) -> int:
-        cached = cache.get(i)
-        if cached is not None:
-            return cached
-        mask = 1 << i
-        stack = [i]
-        while stack:
-            v = stack.pop()
+    def _closure_masks(self, order: Iterable[int], adj: list[list[int]]) -> tuple[int, ...]:
+        """Every node's closure mask; `order` must reach each v after all of adj[v]."""
+        masks = [0] * len(self.nodes)
+        for v in order:
+            mask = 1 << v
             for w in adj[v]:
-                shortcut = cache.get(w)
-                if shortcut is not None:
-                    mask |= shortcut
-                elif not (mask >> w) & 1:
-                    mask |= 1 << w
-                    stack.append(w)
-        cache[i] = mask
-        return mask
+                mask |= masks[w]
+            masks[v] = mask
+        return tuple(masks)
 
-    def _desc_mask(self, i: int) -> int:
-        return self._closure_mask(i, self._out, self._desc_cache)
+    def _all_desc_masks(self) -> tuple[int, ...]:
+        """Descendants-and-self mask of every node handle."""
+        if self._desc_masks is None:
+            self._desc_masks = self._closure_masks(reversed(self._topo), self._out)
+        return self._desc_masks
 
-    def _anc_mask(self, i: int) -> int:
-        return self._closure_mask(i, self._in, self._anc_cache)
-
-    def _all_desc_masks(self) -> list[int]:
-        for v in reversed(self._topo):
-            if v not in self._desc_cache:
-                mask = 1 << v
-                for w in self._out[v]:
-                    mask |= self._desc_cache[w]
-                self._desc_cache[v] = mask
-        return [self._desc_cache[i] for i in range(len(self.nodes))]
-
-    def _all_anc_masks(self) -> list[int]:
-        for v in self._topo:
-            if v not in self._anc_cache:
-                mask = 1 << v
-                for w in self._in[v]:
-                    mask |= self._anc_cache[w]
-                self._anc_cache[v] = mask
-        return [self._anc_cache[i] for i in range(len(self.nodes))]
-
-    def precompute_reachability(self) -> None:
-        self._all_desc_masks()
-        self._all_anc_masks()
+    def _all_anc_masks(self) -> tuple[int, ...]:
+        """Ancestors-and-self mask of every node handle."""
+        if self._anc_masks is None:
+            self._anc_masks = self._closure_masks(self._topo, self._in)
+        return self._anc_masks
 
     def _require(self, u: NodeId) -> int:
         try:
@@ -158,15 +132,17 @@ class AcyclicDigraph:
             raise UnknownNode(u) from None
 
     def _unmask(self, mask: int) -> frozenset[NodeId]:
-        return frozenset(self.nodes[b] for b in _mask_bits(mask))
+        return frozenset(map(self.nodes.__getitem__, mask_positions(mask).tolist()))
 
     def descendants_and_self(self, u: NodeId) -> frozenset[NodeId]:
         """All nodes reachable from u along edge direction, including u."""
-        return self._unmask(self._desc_mask(self._require(u)))
+        i = self._require(u)
+        return self._unmask(self._all_desc_masks()[i])
 
     def ancestors_and_self(self, u: NodeId) -> frozenset[NodeId]:
         """Reachability on the reversed digraph, including u."""
-        return self._unmask(self._anc_mask(self._require(u)))
+        i = self._require(u)
+        return self._unmask(self._all_anc_masks()[i])
 
     def topological_order(self) -> tuple[NodeId, ...]:
         return tuple(self.nodes[i] for i in self._topo)
@@ -181,7 +157,6 @@ class AcyclicDigraph:
 def build_digraph(
     edge_list: Iterable[tuple[NodeId, NodeId]],
     isolated: Iterable[NodeId] = (),
-    precompute_reachability: bool = False,
 ) -> AcyclicDigraph:
     """Build a digraph from edge pairs plus optional isolated nodes.
 
@@ -204,10 +179,7 @@ def build_digraph(
         if u not in seen_nodes:
             seen_nodes.add(u)
             nodes.append(u)
-    g = AcyclicDigraph(nodes, edges)
-    if precompute_reachability:
-        g.precompute_reachability()
-    return g
+    return AcyclicDigraph(nodes, edges)
 
 
 def read_edge_list(source) -> tuple[list[tuple[str, str]], list[str]]:
@@ -329,7 +301,7 @@ def _peel_degeneracy(edge_masks: list[int], width: int) -> int:
         restrictions = {em & alive for em in edge_masks}
         restrictions = [r for r in restrictions if r.bit_count() >= 2]
         worst_u, worst_d = -1, None
-        for u in _mask_bits(alive):
+        for u in mask_positions(alive).tolist():
             d = sum(1 for r in restrictions if (r >> u) & 1)
             if worst_d is None or d < worst_d:
                 worst_u, worst_d = u, d
@@ -457,15 +429,13 @@ def descendant_set_function(g: AcyclicDigraph) -> SetValuedFunction:
     intersection graph and materializing gives a schema answering
     descendant-conditioned queries.
     """
-    g._all_desc_masks()
     return SetValuedFunction(
-        g.nodes, {u: g.descendants_and_self(u) for u in g.nodes}
+        g.nodes, {u: g._unmask(m) for u, m in zip(g.nodes, g._all_desc_masks())}
     )
 
 
 def ancestor_set_function(g: AcyclicDigraph) -> SetValuedFunction:
     """Mirror of descendant_set_function on the reversed digraph."""
-    g._all_anc_masks()
     return SetValuedFunction(
-        g.nodes, {u: g.ancestors_and_self(u) for u in g.nodes}
+        g.nodes, {u: g._unmask(m) for u, m in zip(g.nodes, g._all_anc_masks())}
     )

@@ -49,11 +49,8 @@ class EndpointSchema:
     function: SetValuedFunction
     coloring: EntryColoring
     clique: CliqueTable
-    window: int  # longest straddled-entry run, the k estimate
-    escalations: int  # times the cyclic coloring had to widen; expected 0
-
-    def _upper_endpoints(self):
-        return self._ys, self._y_ids
+    window: int  # longest straddled-entry run, which is k
+    escalations: int  # always 0; kept for the sidecar and CLI report
 
     def __post_init__(self):
         order = sorted(range(len(self.intervals)), key=lambda i: (self.intervals[i].y, i))
@@ -66,22 +63,13 @@ def _straddle_run(entries: Sequence, rec: IntervalRecord) -> tuple[int, int]:
     return bisect.bisect_left(entries, rec.x), bisect.bisect_left(entries, rec.y)
 
 
-def _cyclic_coloring_proper(entries: Sequence, intervals: Sequence[IntervalRecord], k: int) -> bool:
-    """Proper iff no run holds two entries k positions apart, i.e. all runs <= k.
-
-    Conflicting entries are exactly those straddled by one common interval,
-    which is a consecutive position run; cyclic colors repeat every k.
-    """
-    return all(e - s <= k for s, e in (_straddle_run(entries, r) for r in intervals))
-
-
 def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema:
     """Entries, cyclic coloring, and materialized table for the collection.
 
-    k starts at the window bound (the longest run) and widens until the
-    direct properness check passes; with the run argument above the first
-    check already passes, so escalations stays 0 unless that argument is
-    ever wrong on some input.
+    k is the window, the longest straddled run.  Conflicting entries are
+    exactly those straddled by one common interval, a consecutive position
+    run no longer than k, and cyclic colors repeat only every k positions,
+    so the coloring is proper; materialize raises ColorCollision if not.
     """
     records = tuple(sorted(intervals, key=lambda r: (r.x, r.y, r.id)))
     if not records:
@@ -97,16 +85,11 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
             image[entries[pos]].add(rec.id)
     f = SetValuedFunction(tuple(entries), {e: frozenset(s) for e, s in image.items()})
 
-    k = window
-    escalations = 0
-    while not _cyclic_coloring_proper(entries, records, k):
-        k += 1
-        escalations += 1
-    coloring = EntryColoring({e: (pos % k) + 1 for pos, e in enumerate(entries)}, k)
+    coloring = EntryColoring({e: (pos % window) + 1 for pos, e in enumerate(entries)}, window)
 
     domain = sorted(r.id for r in records)
     clique = materialize(f, coloring, domain)
-    return EndpointSchema(records, tuple(entries), f, coloring, clique, window, escalations)
+    return EndpointSchema(records, tuple(entries), f, coloring, clique, window, 0)
 
 
 def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:
@@ -115,18 +98,20 @@ def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:
     First: rows whose color column for the greatest entry N* <= b holds N*
     (intervals straddling N*, all with y > b).  Second: intervals whose
     upper endpoint lies inside [a, b].  The branches are provably disjoint.
+    A NaN bound raises InvalidRange; infinite bounds are allowed.
     """
-    if b < a:
+    if not a <= b:  # also true when either bound is NaN
+        if a != a or b != b:
+            raise InvalidRange(f"query bound is NaN: [{a}, {b}]")
         raise InvalidRange(f"query upper {b} below lower {a}")
     first: set = set()
     pos = bisect.bisect_right(s.entries, b) - 1
     if pos >= 0:
         star = s.entries[pos]
         first = s.clique.column_preimage(s.coloring.assignment[star], star)
-    ys, y_ids = s._upper_endpoints()
-    lo = bisect.bisect_left(ys, a)
-    hi = bisect.bisect_right(ys, b)
-    return first, set(y_ids[lo:hi])
+    lo = bisect.bisect_left(s._ys, a)
+    hi = bisect.bisect_right(s._ys, b)
+    return first, set(s._y_ids[lo:hi])
 
 
 def interval_query(s: EndpointSchema, a, b) -> set:

@@ -452,6 +452,11 @@ def bench(spec: BenchSpec) -> str:
 
     if spec.levels < 2:
         raise OutOfRange(f"bench needs at least 2 tree levels, got {spec.levels}")
+    if spec.rows < 0:
+        raise OutOfRange(f"bench needs a row count of at least 0, got {spec.rows}")
+    for target in spec.targets:
+        if not 0 < target <= 1:  # also rejects NaN
+            raise OutOfRange(f"bench targets must be finite numbers in (0, 1], got {target}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)

@@ -20,6 +20,10 @@ instead of one pair per shared node.  Smallest-last is n argmin steps over
 an int64 degree array (O(n^2) in numpy, O(n + m) decrements); largest-first
 is one stable sort; first-fit reads each vertex's neighbour colors
 through its CSR row.
+
+The row decoder, mask_positions, is shared: it is the package's one way to
+turn a Python-int mask into ascending positions, and the digraph module
+decodes its closure masks with it too.
 """
 
 from __future__ import annotations
@@ -204,6 +208,12 @@ class EntryColoring:
         )
 
 
+def mask_positions(mask: int) -> np.ndarray:
+    """Ascending positions of the set bits of a non-negative Python int."""
+    data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+
+
 def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
     """Construct the intersection graph from per-node entry masks.
 
@@ -218,15 +228,12 @@ def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
         bit = 1 << p
         for node in f.image[e]:
             holders[node] = holders.get(node, 0) | bit
-    width = (len(order) + 7) // 8
     rows = []
     for p, e in enumerate(order):
         mask = 0
         for node in f.image[e]:
             mask |= holders[node]
-        mask &= ~(1 << p)
-        bits = np.frombuffer(mask.to_bytes(width, "little"), dtype=np.uint8)
-        rows.append(np.flatnonzero(np.unpackbits(bits, bitorder="little")))
+        rows.append(mask_positions(mask & ~(1 << p)))
     return IntersectionGraph.from_csr(tuple(f.entries), order, *_csr(rows))
 
 

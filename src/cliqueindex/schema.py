@@ -16,8 +16,10 @@ import csv
 import io
 import json
 import os
+import sys
 from array import array
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -375,13 +377,14 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
 
 
 def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
-    """JSON sidecar giving k, the entry -> color map, and provenance notes."""
+    """JSON sidecar giving k, the entry -> color map, and provenance notes;
+    written to stdout when no path is given."""
     payload = {
         "k": c.k,
         "coloring": {str(e): i for e, i in c.assignment.items()},
         "provenance": provenance,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

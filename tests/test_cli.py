@@ -94,6 +94,22 @@ def test_color_and_materialize_pipeline(pair_edges_tsv, tmp_path, capsys):
     assert set(t.rows[1]) - {None} == {1, 12, 13, 14}
 
 
+@pytest.mark.parametrize("source", [
+    ["--edges", "EDGES", "--map", "descendants"],
+    ["--edges", "EDGES", "--map", "ancestors"],
+    ["--function", "FUNCTION"],
+], ids=["descendants", "ancestors", "function"])
+def test_color_stdout_matches_the_out_file(pair_edges_tsv, tmp_path, capsys, source):
+    fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\ng1,b\ng2,b\ng3,c\n")
+    argv = ["color"] + [{"EDGES": pair_edges_tsv, "FUNCTION": fn_csv}.get(a, a) for a in source]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "c.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == stdout
+
+
 def test_color_ancestor_map_reports_bounds(pair_edges_tsv, tmp_path):
     sidecar = tmp_path / "anc.json"
     assert main([
@@ -294,6 +310,14 @@ def test_query_intervals_rejects_nan_endpoints(tmp_path, capsys):
     assert "finite" in _no_traceback(capsys)
 
 
+@pytest.mark.parametrize("bounds", [["--a", "nan", "--b", "nan"], ["--a", "nan", "--b", "5"], ["--a", "0", "--b", "nan"]])
+@pytest.mark.parametrize("extra", [[], ["--bucketed"]])
+def test_query_intervals_rejects_nan_bounds(tmp_path, capsys, bounds, extra):
+    data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,1,2\n")
+    assert main(["query-intervals", "--data", data] + bounds + extra) == 1
+    assert "NaN" in _no_traceback(capsys)
+
+
 def test_interval_csv_non_numeric_endpoint_names_the_line(tmp_path, capsys):
     data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,abc,2\n")
     assert main(["query-intervals", "--data", data, "--a", "0", "--b", "5"]) == 1
@@ -311,6 +335,21 @@ def test_materialize_rejects_malformed_sidecar(tmp_path, capsys, payload):
 def test_bench_rejects_fewer_than_two_levels(capsys):
     assert main(["bench", "--seed", "1", "--rows", "100", "--levels", "1"]) == 1
     assert "2 tree levels" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("bad", [
+    ["--targets", "abc"], ["--targets", "1/0"], ["--targets", "nan"], ["--targets", "inf"],
+    ["--targets", "-1"], ["--targets", "0"], ["--targets", "2"], ["--rows", "-5"],
+], ids=lambda a: " ".join(a))
+def test_bench_rejects_bad_arguments(capsys, bad):
+    assert main(["bench", "--seed", "1", "--rows", "100", "--levels", "4"] + bad) == 1
+    assert "error" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("edge", [["--targets", ""], ["--rows", "0"]], ids=lambda a: " ".join(a))
+def test_bench_accepts_empty_targets_and_zero_rows(capsys, edge):
+    assert main(["bench", "--seed", "1", "--rows", "100", "--levels", "4"] + edge) == 0
+    assert capsys.readouterr().out.startswith("query_id,")
 
 
 def test_query_missing_clique_file_is_an_os_error(fact_csv, tmp_path, capsys):

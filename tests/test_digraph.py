@@ -101,14 +101,45 @@ def test_topological_order_respects_edges(rng):
             assert pos[u] < pos[v]
 
 
-def test_precomputed_reachability_matches_lazy(rng):
-    for _ in range(10):
-        g = random_dag(rng)
-        h = build_digraph(list(g.edges), isolated=list(g.nodes),
-                          precompute_reachability=True)
-        for u in g.nodes:
-            assert g.descendants_and_self(u) == h.descendants_and_self(u)
-            assert g.ancestors_and_self(u) == h.ancestors_and_self(u)
+def bfs_closure(edges, u, forward=True):
+    """u plus every node reachable from it over `edges` (reversed if not forward)."""
+    step = {}
+    for s, t in edges:
+        a, b = (s, t) if forward else (t, s)
+        step.setdefault(a, []).append(b)
+    seen, frontier = {u}, [u]
+    while frontier:
+        frontier = [w for v in frontier for w in step.get(v, ()) if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def assert_closures_match_bfs(g):
+    for u in g.nodes:
+        assert g.descendants_and_self(u) == bfs_closure(g.edges, u)
+        assert g.ancestors_and_self(u) == bfs_closure(g.edges, u, forward=False)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_closures_match_bfs_on_random_dags(seed):
+    assert_closures_match_bfs(random_dag(random.Random(seed), max_nodes=20))
+
+
+@pytest.mark.parametrize("edges, isolated", [
+    ([(i, i + 1) for i in range(69)], []),  # 70-node chain: masks past 64 bits
+    ([(i, j) for i in range(16) for j in range(i + 1, 16) if (i * j) % 3 == 1], list(range(16))),
+    ([("a", "b"), ("b", "c")], ["x", "y", "z"]),
+], ids=["chain-70", "width-16", "isolated"])
+def test_closures_match_bfs_on_fixed_digraphs(edges, isolated):
+    assert_closures_match_bfs(build_digraph(edges, isolated=isolated))
+
+
+def test_single_node_query_on_fresh_digraph():
+    g = build_digraph([(i, i + 1) for i in range(69)])
+    assert g.ancestors_and_self(69) == set(range(70))
+    g = build_digraph([(i, i + 1) for i in range(69)])
+    assert g.descendants_and_self(65) == {65, 66, 67, 68, 69}
 
 
 def test_max_down_set_size_empty_raises():

@@ -12,9 +12,10 @@ from cliqueindex.endpoints import (
     IntervalRecord,
     stabbing_query,
 )
-from cliqueindex.errors import EmptyInput, InvalidRange
+from cliqueindex.errors import ColorCollision, EmptyInput, InvalidRange
+from cliqueindex.intersection import EntryColoring
 from cliqueindex.oracle import oracle_interval_intersections
-from cliqueindex.schema import verify_schema
+from cliqueindex.schema import materialize, verify_schema
 
 
 def records(*pairs):
@@ -125,6 +126,39 @@ def test_reversed_query_raises():
     s = build_endpoint_schema(records((0.0, 1.0)))
     with pytest.raises(InvalidRange):
         interval_query(s, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_nan_query_bound_raises(a, b):
+    s = build_endpoint_schema(records((0.0, 1.0), (2.0, 3.0)))
+    with pytest.raises(InvalidRange):
+        interval_query_branches(s, a, b)
+    with pytest.raises(InvalidRange):
+        bucketed_interval_query(bucketed_schema(records((0.0, 1.0))), a, b)
+
+
+def test_nan_stabbing_point_raises():
+    s = build_endpoint_schema(records((0.0, 1.0), (2.0, 3.0)))
+    with pytest.raises(InvalidRange):
+        stabbing_query(s, math.nan)
+
+
+def test_infinite_query_bounds_are_allowed():
+    s = build_endpoint_schema(records((0.0, 1.0), (2.0, 3.0), (5.0, 5.0)))
+    assert interval_query(s, -math.inf, math.inf) == {"i0", "i1", "i2"}
+    assert interval_query(s, 2.5, math.inf) == {"i1", "i2"}
+    assert interval_query(s, -math.inf, 0.0) == {"i0"}
+
+
+def test_cyclic_coloring_below_the_window_collides():
+    # i0 straddles entries 0, 1, 2: window 3, so two colors must collide
+    ivs = records((0.0, 3.0), (1.0, 1.0), (2.0, 2.0))
+    s = build_endpoint_schema(ivs)
+    assert s.window == 3
+    k = s.window - 1
+    narrow = EntryColoring({e: (pos % k) + 1 for pos, e in enumerate(s.entries)}, k)
+    with pytest.raises(ColorCollision):
+        materialize(s.function, narrow)
 
 
 def test_window_bounds_column_count(rng):

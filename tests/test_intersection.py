@@ -12,6 +12,7 @@ from cliqueindex.intersection import (
     exact_chromatic,
     GREEDY_ORDERS,
     greedy_color,
+    mask_positions,
     SetValuedFunction,
 )
 from cliqueindex.oracle import oracle_intersection_graph
@@ -19,6 +20,15 @@ from cliqueindex.oracle import oracle_intersection_graph
 
 def fn(**images):
     return SetValuedFunction.from_images({k: frozenset(v) for k, v in images.items()})
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [0, 1, 1 << 7, 1 << 8, 1 << 63, 1 << 64] + [(1 << n) - 1 for n in (1, 8, 9, 64, 65)],
+)
+def test_mask_positions_lists_set_bits_ascending(mask):
+    want = [b for b in range(mask.bit_length()) if (mask >> b) & 1]
+    assert mask_positions(mask).tolist() == want
 
 
 def test_from_pairs_groups_by_entry():
