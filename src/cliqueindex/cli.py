@@ -16,6 +16,8 @@ import random
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import corpus
 from .digraph import (
     ancestor_set_function,
@@ -81,7 +83,7 @@ from .schema import (
 from .tree import (
     DEFAULT_TREE_CAP,
     build_tree_schema,
-    iter_tree_rows,
+    iter_tree_blocks,
     overlap_query,
     tree_fact_query,
     verify_tree_schema,
@@ -237,19 +239,18 @@ def cmd_build_tree(args) -> int:
     n = args.levels
     if n > cap:
         raise CliqueIndexError(f"level count {n} exceeds the cap {cap} (env CLIQUEINDEX_TREE_CAP)")
+    line = ",".join(["%s"] * (n + 1)) + "\n"
+    rows = 0
     with _out_stream(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node"] + [f"c{i}" for i in range(1, n + 1)])
-        buffer = []
-        rows = 0
-        for k, cells in iter_tree_rows(n, args.variant):
-            buffer.append([k] + ["" if c is NULL else c for c in cells])
-            if len(buffer) >= 16384:
-                writer.writerows(buffer)
-                rows += len(buffer)
-                buffer = []
-        writer.writerows(buffer)
-        rows += len(buffer)
+        fh.write(",".join(["node"] + [f"c{i}" for i in range(1, n + 1)]) + "\n")
+        # One block of text per chunk: the id column, then the cells, with
+        # 0 (NULL) written as an empty field.
+        for ids, cells in iter_tree_blocks(n, args.variant):
+            block = np.vstack([ids, cells]).T
+            fields = block.astype(object)
+            fields[block == 0] = ""
+            fh.write(line * len(ids) % tuple(fields.ravel().tolist()))
+            rows += len(ids)
     _note(f"wrote {rows} rows x {n} columns ({args.variant} variant)")
     return EXIT_OK
 

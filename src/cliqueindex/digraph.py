@@ -227,19 +227,12 @@ class DownHypergraph:
 
 
 def down_hypergraph(g: AcyclicDigraph) -> DownHypergraph:
-    """Keep the inclusion-maximal distinct descendants-and-self sets."""
+    """Keep the inclusion-maximal descendants-and-self sets: the closures of
+    the sources, in node order.  A source lies in no other closure, and
+    every closure lies inside some source's closure."""
     masks = g._all_desc_masks()
-    distinct: list[int] = []
-    seen: set[int] = set()
-    for m in masks:
-        if m not in seen:
-            seen.add(m)
-            distinct.append(m)
-    maximal = [
-        m for m in distinct
-        if not any(other != m and m | other == other for other in distinct)
-    ]
-    return DownHypergraph(g.nodes, tuple(g._unmask(m) for m in maximal))
+    sources = [i for i in range(len(g.nodes)) if not g._in[i]]
+    return DownHypergraph(g.nodes, tuple(g._unmask(masks[i]) for i in sources))
 
 
 def max_down_set_size(g: AcyclicDigraph) -> int:
@@ -422,6 +415,18 @@ def exact_down_chromatic(g: AcyclicDigraph, cap: int = DEFAULT_DOWN_CHROMATIC_CA
     return exact_chromatic(down_conflict_graph(g), cap=len(g.nodes))
 
 
+def _closure_function(g: AcyclicDigraph, masks: tuple[int, ...]) -> SetValuedFunction:
+    """Nodes as entries over the same nodes, each row a closure mask decoded
+    into its slot of one int32 array sized from the masks' bit counts."""
+    indptr = np.zeros(len(masks) + 1, dtype=np.int64)
+    np.cumsum([m.bit_count() for m in masks], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    bounds = indptr.tolist()
+    for i, m in enumerate(masks):
+        indices[bounds[i]:bounds[i + 1]] = mask_positions(m)
+    return SetValuedFunction.from_csr(g.nodes, g.nodes, indptr, indices)
+
+
 def descendant_set_function(g: AcyclicDigraph) -> SetValuedFunction:
     """Nodes as data entries, each pointing at its descendants-and-self set.
 
@@ -429,13 +434,9 @@ def descendant_set_function(g: AcyclicDigraph) -> SetValuedFunction:
     intersection graph and materializing gives a schema answering
     descendant-conditioned queries.
     """
-    return SetValuedFunction(
-        g.nodes, {u: g._unmask(m) for u, m in zip(g.nodes, g._all_desc_masks())}
-    )
+    return _closure_function(g, g._all_desc_masks())
 
 
 def ancestor_set_function(g: AcyclicDigraph) -> SetValuedFunction:
     """Mirror of descendant_set_function on the reversed digraph."""
-    return SetValuedFunction(
-        g.nodes, {u: g._unmask(m) for u, m in zip(g.nodes, g._all_anc_masks())}
-    )
+    return _closure_function(g, g._all_anc_masks())

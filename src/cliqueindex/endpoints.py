@@ -14,7 +14,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptyInput, InvalidRange
 from .intersection import EntryColoring, SetValuedFunction
@@ -53,14 +56,10 @@ class EndpointSchema:
     escalations: int  # always 0; kept for the sidecar and CLI report
 
     def __post_init__(self):
-        order = sorted(range(len(self.intervals)), key=lambda i: (self.intervals[i].y, i))
-        self._ys = [self.intervals[i].y for i in order]
+        ys = [r.y for r in self.intervals]
+        order = sorted(range(len(ys)), key=ys.__getitem__)  # stable: ties keep input order
+        self._ys = [ys[i] for i in order]
         self._y_ids = [self.intervals[i].id for i in order]
-
-
-def _straddle_run(entries: Sequence, rec: IntervalRecord) -> tuple[int, int]:
-    """Index range [s, e) of entries the interval straddles: x <= entry < y."""
-    return bisect.bisect_left(entries, rec.x), bisect.bisect_left(entries, rec.y)
 
 
 def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema:
@@ -70,25 +69,37 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     exactly those straddled by one common interval, a consecutive position
     run no longer than k, and cyclic colors repeat only every k positions,
     so the coloring is proper; materialize raises ColorCollision if not.
+
+    The function is written as CSR straight from the runs: an interval's
+    run is [rank of x, rank of y) in the sorted distinct endpoints (the
+    entries straddled: x <= entry < y), the runs expand into
+    (entry, interval) position pairs, and one sort groups them by entry.
     """
-    records = tuple(sorted(intervals, key=lambda r: (r.x, r.y, r.id)))
+    records = tuple(sorted(intervals, key=attrgetter("x", "y", "id")))
     if not records:
         raise EmptyInput("no intervals given")
-    entries = sorted({v for r in records for v in (r.x, r.y)})
+    xs, ys, ids = (list(map(attrgetter(name), records)) for name in ("x", "y", "id"))
+    entries = sorted({v for pair in zip(xs, ys) for v in pair})
+    rank = dict(zip(entries, range(len(entries))))
+    nodes = tuple(dict.fromkeys(sorted(ids)))
+    node_pos = dict(zip(nodes, range(len(nodes))))
+    start = np.fromiter(map(rank.__getitem__, xs), dtype=np.int64, count=len(xs))
+    run = np.fromiter(map(rank.__getitem__, ys), dtype=np.int64, count=len(ys)) - start
+    held = np.fromiter(map(node_pos.__getitem__, ids), dtype=np.int64, count=len(ids))
+    window = max(1, int(run.max()))
 
-    image: dict = {e: set() for e in entries}
-    window = 1
-    for rec in records:
-        s, e = _straddle_run(entries, rec)
-        window = max(window, e - s)
-        for pos in range(s, e):
-            image[entries[pos]].add(rec.id)
-    f = SetValuedFunction(tuple(entries), {e: frozenset(s) for e, s in image.items()})
+    # Pair j of interval r is (start[r] + j, held[r]); keyed entry-major,
+    # one sort groups the pairs, and a node that repeated ids repeat is dropped.
+    offset = np.repeat(start - (np.cumsum(run) - run), run)
+    key = np.sort((np.arange(offset.size, dtype=np.int64) + offset) * len(nodes) + np.repeat(held, run))
+    key = key[np.diff(key, prepend=-1) != 0]
+    indptr = np.zeros(len(entries) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // len(nodes), minlength=len(entries)), out=indptr[1:])
+    f = SetValuedFunction.from_csr(tuple(entries), nodes, indptr, (key % len(nodes)).astype(np.int32))
 
-    coloring = EntryColoring({e: (pos % window) + 1 for pos, e in enumerate(entries)}, window)
-
-    domain = sorted(r.id for r in records)
-    clique = materialize(f, coloring, domain)
+    colors = (np.arange(len(entries)) % window + 1).tolist()
+    coloring = EntryColoring(dict(zip(entries, colors)), window)
+    clique = materialize(f, coloring, nodes)
     return EndpointSchema(records, tuple(entries), f, coloring, clique, window, 0)
 
 

@@ -11,11 +11,14 @@ function (strings, ints, or tuples -- not mixed): the graph numbers the
 entries by their sorted order, and greedy coloring breaks ties by lowest
 identifier to stay deterministic.  Mixed types raise TypeError.
 
-Layout and cost.  The graph is CSR over positions, a position being an
-entry's rank in sorted order: row p lists p's neighbour positions,
-ascending.  The builder gives each node a Python-int mask of the entries
-holding it and ORs an entry's node masks into its row, which costs
-Theta(sum_e |F(e)| * n/64) machine words plus one O(n) decode per row,
+Layout and cost.  A set-valued function is CSR over node positions: row i
+lists the positions of entry i's nodes in its ordered node domain,
+ascending, and `image` decodes a row to a frozenset only when read.  The
+graph is CSR over entry positions, a position being an entry's rank in
+sorted order: row p lists p's neighbour positions, ascending.  The builder
+gives each node position a Python-int mask of the entries holding it and
+ORs an entry's node masks into its row, which costs
+Theta(sum_e |F(e)| * n/64) machine words plus one n/8-byte decode per row,
 instead of one pair per shared node.  Smallest-last is n argmin steps over
 an int64 degree array (O(n^2) in numpy, O(n + m) decrements); largest-first
 is one stable sort; first-fit reads each vertex's neighbour colors
@@ -31,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -45,49 +49,94 @@ GREEDY_ORDERS = ("input", "largest-first", "smallest-last")
 DEFAULT_CHROMATIC_CAP = 20
 
 
-@dataclass(frozen=True)
 class SetValuedFunction:
     """Ordered data entries plus the node set each one points at.
 
+    Stored as CSR over node positions: `nodes` is the ordered node domain
+    (distinct; a node may sit in no image), and entry i's image is
+    indices[indptr[i]:indptr[i + 1]], the int32 positions of its nodes in
+    ascending order; `indptr` holds the len(entries) + 1 int64 offsets.
     Empty images are permitted; such entries are isolated in the
-    intersection graph.
+    intersection graph.  SetValuedFunction(entries, image), from_pairs and
+    from_images convert hashable node sets once; builders call from_csr.
+    `image` decodes one entry to a frozenset when read.  Immutable: both
+    arrays are read-only.
     """
 
-    entries: tuple[Entry, ...]
-    image: dict[Entry, frozenset[Node]]
+    def __init__(self, entries: Iterable[Entry], image: Mapping[Entry, Iterable[Node]]):
+        entries = tuple(entries)
+        if len(set(entries)) != len(entries):
+            raise ValueError("entry identifiers must be distinct")
+        missing = [e for e in entries if e not in image]
+        if missing:
+            raise ValueError(f"entries without an image: {missing[:3]}")
+        position: dict[Node, int] = {}  # first-seen node order
+        rows = [sorted(position.setdefault(u, len(position)) for u in frozenset(image[e])) for e in entries]
+        self._init(entries, tuple(position), *_csr(rows))
+
+    @classmethod
+    def from_csr(
+        cls, entries: tuple[Entry, ...], nodes: tuple[Node, ...], indptr: np.ndarray, indices: np.ndarray
+    ) -> "SetValuedFunction":
+        f = cls.__new__(cls)
+        f._init(entries, nodes, indptr, indices)
+        return f
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Entry, Node]]) -> "SetValuedFunction":
         """Build from (entry, node) membership pairs, preserving first-seen entry order."""
-        order: list[Entry] = []
         image: dict[Entry, set[Node]] = {}
         for entry, node in pairs:
-            if entry not in image:
-                order.append(entry)
-                image[entry] = set()
-            image[entry].add(node)
-        return cls(tuple(order), {e: frozenset(s) for e, s in image.items()})
+            image.setdefault(entry, set()).add(node)
+        return cls(image.keys(), image)
 
     @classmethod
     def from_images(cls, image: Mapping[Entry, Iterable[Node]]) -> "SetValuedFunction":
-        return cls(tuple(image.keys()), {e: frozenset(s) for e, s in image.items()})
+        return cls(image.keys(), image)
 
-    def __post_init__(self):
-        if len(set(self.entries)) != len(self.entries):
-            raise ValueError("entry identifiers must be distinct")
-        missing = [e for e in self.entries if e not in self.image]
-        if missing:
-            raise ValueError(f"entries without an image: {missing[:3]}")
+    def _init(self, entries, nodes, indptr, indices) -> None:
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.entries, self.nodes, self.indptr, self.indices = entries, nodes, indptr, indices
+
+    @cached_property
+    def entry_index(self) -> dict[Entry, int]:
+        """Entry -> its index in `entries`, built on first use."""
+        return dict(zip(self.entries, range(len(self.entries))))
+
+    @property
+    def image(self) -> Mapping[Entry, frozenset[Node]]:
+        """Read-only entry -> node set; each image is decoded when read."""
+        return _Images(self)
+
+    def row(self, i: int) -> np.ndarray:
+        """Node positions of entry index i, ascending."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def node_domain(self) -> frozenset[Node]:
         """Union of all images."""
-        out: set[Node] = set()
-        for e in self.entries:
-            out |= self.image[e]
-        return frozenset(out)
+        held = np.bincount(self.indices, minlength=len(self.nodes)) > 0
+        return frozenset(compress(self.nodes, held.tolist()))
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class _Images(Mapping):
+    """The image view of a SetValuedFunction."""
+
+    def __init__(self, f: SetValuedFunction):
+        self._f = f
+
+    def __getitem__(self, e: Entry) -> frozenset[Node]:
+        f = self._f
+        return frozenset(map(f.nodes.__getitem__, f.row(f.entry_index[e]).tolist()))
+
+    def __iter__(self):
+        return iter(self._f.entries)
+
+    def __len__(self) -> int:
+        return len(self._f.entries)
 
 
 class IntersectionGraph:
@@ -187,10 +236,10 @@ class _Adjacency(Mapping):
         return len(self._g.vertices)
 
 
-def _csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """int64 offsets and int32 positions of the concatenated rows."""
+def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 offsets and int32 positions of the concatenated rows (arrays or lists)."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
     indices = np.concatenate([np.empty(0, dtype=np.int32), *rows]).astype(np.int32)
     return indptr, indices
 
@@ -209,32 +258,43 @@ class EntryColoring:
 
 
 def mask_positions(mask: int) -> np.ndarray:
-    """Ascending positions of the set bits of a non-negative Python int."""
+    """Ascending positions of the set bits of a non-negative Python int.
+
+    A sparse mask unpacks only its non-zero bytes, so it costs one byte scan
+    plus eight bits per non-zero byte; a mask with over a quarter of its
+    bytes set is unpacked whole, which is cheaper there."""
     data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+    nonzero = np.flatnonzero(data)
+    if 4 * nonzero.size > data.size:
+        return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+    hit = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
+    return (nonzero[hit >> 3] << 3) | (hit & 7)
 
 
 def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
     """Construct the intersection graph from per-node entry masks.
 
-    One pass over the images gives each node the Python-int mask of the
-    entries holding it (bit = position); an entry's row is the OR of its
-    nodes' masks without its own bit, decoded one row at a time.  The
-    all-pairs route lives in the oracle module for verification.
+    One pass over the images gives each node position the Python-int mask
+    of the entries holding it (bit = graph position); an entry's row is the
+    OR of its nodes' masks without its own bit, decoded one row at a time.
+    The all-pairs route lives in the oracle module for verification.
     """
-    order = tuple(sorted(f.entries))
-    holders: dict[Node, int] = {}
-    for p, e in enumerate(order):
+    by_rank = sorted(range(len(f.entries)), key=f.entries.__getitem__)
+    bounds = f.indptr.tolist()
+    members = [f.indices[bounds[i]:bounds[i + 1]].tolist() for i in by_rank]
+    holders = [0] * len(f.nodes)
+    for p, row in enumerate(members):
         bit = 1 << p
-        for node in f.image[e]:
-            holders[node] = holders.get(node, 0) | bit
+        for u in row:
+            holders[u] |= bit
     rows = []
-    for p, e in enumerate(order):
+    for p, row in enumerate(members):
         mask = 0
-        for node in f.image[e]:
-            mask |= holders[node]
+        for u in row:
+            mask |= holders[u]
         rows.append(mask_positions(mask & ~(1 << p)))
-    return IntersectionGraph.from_csr(tuple(f.entries), order, *_csr(rows))
+    order = tuple(f.entries[i] for i in by_rank)
+    return IntersectionGraph.from_csr(f.entries, order, *_csr(rows))
 
 
 def _smallest_last_positions(g: IntersectionGraph) -> np.ndarray:
@@ -295,11 +355,7 @@ def greedy_color(g: IntersectionGraph, order: str = "smallest-last") -> EntryCol
 def clique_lower_bound(f: SetValuedFunction) -> int:
     """Entries sharing one node are pairwise adjacent, so the heaviest node
     gives a clique in the intersection graph and a floor on any schema width."""
-    counts: dict[Node, int] = {}
-    for e in f.entries:
-        for node in f.image[e]:
-            counts[node] = counts.get(node, 0) + 1
-    return max(counts.values(), default=0)
+    return int(np.bincount(f.indices).max(initial=0))
 
 
 def exact_chromatic(g: IntersectionGraph, cap: int = DEFAULT_CHROMATIC_CAP) -> int:

@@ -24,10 +24,11 @@ def oracle_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
     if n > ORACLE_PAIRWISE_CAP:
         raise TooLargeForExact(n, ORACLE_PAIRWISE_CAP, what="entry list")
     adj: dict = {e: [] for e in f.entries}
+    images = list(f.image.values())
     for i in range(n):
         for j in range(i + 1, n):
             a, b = f.entries[i], f.entries[j]
-            if f.image[a] & f.image[b]:
+            if images[i] & images[j]:
                 adj[a].append(b)
                 adj[b].append(a)
     for e in adj:

@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from array import array
 from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -192,9 +191,9 @@ def _first_conflict(f: SetValuedFunction, c: EntryColoring, position: dict) -> E
     """The error a cell-by-cell fill in entry order meets first: a node
     outside the domain, or a cell claimed by two entries of one color."""
     owner: dict = {}
-    for e in f.entries:
+    for e, image in f.image.items():
         i = c.assignment[e]
-        for u in f.image[e]:
+        for u in image:
             if u not in position:
                 return UnknownNode(u)
             prev = owner.setdefault((u, i), e)
@@ -214,30 +213,32 @@ def materialize(
     domain may add nodes no entry references (their rows are all NULL).
     An image node outside the domain raises UnknownNode.  A node claimed
     by two entries of one color means the coloring was not proper on the
-    intersection graph: ColorCollision.  One Python pass gathers the image
-    positions and one scatter writes the codes; reading the cells back
-    finds collisions, since only one of two writes to a cell survives.
+    intersection graph: ColorCollision.  One lookup per node of f's domain
+    maps f's node positions to rows, and one scatter from f's CSR writes
+    the codes; reading the cells back finds collisions, since only one of
+    two writes to a cell survives.
     """
     order = _sorted_ids(f.node_domain()) if domain is None else list(dict.fromkeys(domain))
     position = dict(zip(order, range(len(order))))
     entries: list[list] = [[] for _ in range(c.k)]
-    writes = []  # (column, code, image size) per entry with a non-empty image
-    flat = array("i")  # image positions, entry after entry; -1 outside the domain
-    for e in f.entries:
-        image = f.image[e]
-        if image:
-            i = c.assignment[e] - 1
-            writes.append((i, len(entries[i]), len(image)))
-            entries[i].append(e)
-            flat.extend(map(position.get, image, repeat(-1)))
-    col, code, size = np.array(writes, dtype=np.intp).reshape(-1, 3).T
-    col, code = np.repeat(col, size), np.repeat(code, size)
-    pos = np.frombuffer(flat, dtype=np.int32)
-    codes = np.full((c.k, len(order)), -1, dtype=np.int32)
-    if (pos < 0).any():
+    writes = []  # (column, code) per entry with a non-empty image
+    sizes = np.diff(f.indptr)
+    filled = np.flatnonzero(sizes)
+    for i in filled.tolist():
+        e = f.entries[i]
+        column = c.assignment[e] - 1
+        writes.append((column, len(entries[column])))
+        entries[column].append(e)
+    col, code = np.array(writes, dtype=np.intp).reshape(-1, 2).T
+    row_of = np.fromiter(map(position.get, f.nodes, repeat(-1)), dtype=np.int64, count=len(f.nodes))
+    cells = row_of[f.indices]  # image rows, then flat offsets into codes
+    if (cells < 0).any():
         raise _first_conflict(f, c, position)
-    codes[col, pos] = code
-    if not np.array_equal(codes[col, pos], code):
+    cells += np.repeat(col * len(order), sizes[filled])
+    code = np.repeat(code, sizes[filled])
+    codes = np.full((c.k, len(order)), -1, dtype=np.int32)
+    np.put(codes, cells, code)  # flat put/take beat 2-D fancy indexing
+    if not np.array_equal(codes.take(cells), code):
         raise _first_conflict(f, c, position)
     return CliqueTable.from_columns(c.k, order, entries, codes)
 
@@ -261,11 +262,17 @@ def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> Ver
     For every entry e, the preimage of e in column c(e) (its posting) must
     equal the image F(e) exactly; any entry a column holds that is not of
     that column's color is also a failure, reported at its first node.
+    Postings are compared with f's rows as table positions; only a
+    mismatching entry is decoded to node sets.
     """
-    for e in f.entries:
-        recovered = t.column_preimage(c.assignment[e], e)
-        expected = f.image[e]
-        if recovered != expected:
+    row_of = np.fromiter(map(t.position.get, f.nodes, repeat(-1)), dtype=np.int64, count=len(f.nodes))
+    none = np.empty(0, dtype=np.int32)
+    for i, e in enumerate(f.entries):
+        posting = t.index.postings.get((c.assignment[e], e))
+        got = none if posting is None else posting.ids
+        if not np.array_equal(got, np.sort(row_of[f.row(i)])):
+            recovered = t.column_preimage(c.assignment[e], e)
+            expected = f.image[e]
             return VerifyResult(False, e, frozenset(expected - recovered), frozenset(recovered - expected))
     by_color: dict[int, set] = {}
     for e in f.entries:

@@ -141,15 +141,22 @@ def _tree_cells(ids: np.ndarray, n: int, variant: str) -> np.ndarray:
     return ids >> np.maximum(levels - q, 0)
 
 
-def iter_tree_rows(n: int, variant: str = "table") -> Iterator[tuple[int, tuple]]:
-    """Stream (id, cells) pairs in id order without materializing the table."""
+def iter_tree_blocks(n: int, variant: str = "table") -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream (ids, cells) blocks of up to 4096 ids in id order: cells is
+    the (n, len(ids)) int array of their rows, 0 for NULL."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_levels(n)
     for start in range(1, 1 << n, 4096):
         ids = np.arange(start, min(start + 4096, 1 << n))
-        for k, cells in zip(ids.tolist(), _tree_cells(ids, n, variant).T.tolist()):
-            yield k, tuple(c or NULL for c in cells)
+        yield ids, _tree_cells(ids, n, variant)
+
+
+def iter_tree_rows(n: int, variant: str = "table") -> Iterator[tuple[int, tuple]]:
+    """Stream (id, cells) pairs in id order without materializing the table."""
+    for ids, cells in iter_tree_blocks(n, variant):
+        for k, row in zip(ids.tolist(), cells.T.tolist()):
+            yield k, tuple(c or NULL for c in row)
 
 
 def build_tree_schema(n: int, cap: int = DEFAULT_TREE_CAP, variant: str = "table") -> CliqueTable:

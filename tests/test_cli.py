@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from cliqueindex.cli import main
 from cliqueindex.schema import import_table
+from cliqueindex.tree import iter_tree_rows
 
 from conftest import GOLDEN_TREE_4, PAIR_EDGES
 
@@ -38,6 +40,24 @@ def test_build_tree_golden(tmp_path, capsys):
     assert rows[0] == ["node", "c1", "c2", "c3", "c4"]
     got = {int(r[0]): tuple(int(c) for c in r[1:]) for r in rows[1:]}
     assert got == GOLDEN_TREE_4
+
+
+def reference_tree_csv(n, variant):
+    """The per-row writer the block writer replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["node"] + [f"c{i}" for i in range(1, n + 1)])
+    for k, cells in iter_tree_rows(n, variant):
+        writer.writerow([k] + ["" if c is None else c for c in cells])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("variant", ["table", "literal"])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 13])
+def test_build_tree_csv_matches_the_per_row_writer(tmp_path, n, variant):
+    out = tmp_path / "t.csv"
+    assert main(["build", "tree", "--levels", str(n), "--variant", variant, "--out", str(out)]) == 0
+    assert out.read_bytes() == reference_tree_csv(n, variant).encode()
 
 
 def test_build_dag_reports_summary(pair_edges_tsv, capsys):

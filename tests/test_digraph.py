@@ -1,12 +1,15 @@
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_dag, random_out_tree
 from cliqueindex.digraph import (
+    ancestor_set_function,
     build_digraph,
+    descendant_set_function,
     down_chromatic_bounds,
     down_conflict_graph,
     down_hypergraph,
@@ -135,6 +138,28 @@ def test_closures_match_bfs_on_fixed_digraphs(edges, isolated):
     assert_closures_match_bfs(build_digraph(edges, isolated=isolated))
 
 
+def assert_set_functions_match_bfs(g):
+    """The CSR closure functions against the frozensets a BFS gives."""
+    for build, forward in ((descendant_set_function, True), (ancestor_set_function, False)):
+        f = build(g)
+        assert f.entries == f.nodes == g.nodes
+        assert f.indices.dtype == np.int32
+        assert all((np.diff(f.row(i)) > 0).all() for i in range(len(g.nodes)))
+        assert f.image == {u: frozenset(bfs_closure(g.edges, u, forward)) for u in g.nodes}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_set_functions_match_bfs_on_random_dags(seed):
+    assert_set_functions_match_bfs(random_dag(random.Random(seed), max_nodes=20))
+
+
+def test_set_functions_match_bfs_on_fixed_digraphs():
+    assert_set_functions_match_bfs(build_digraph([(i, i + 1) for i in range(69)]))
+    assert_set_functions_match_bfs(build_digraph([("a", "b"), ("b", "c")], isolated=["x", "y"]))
+    assert_set_functions_match_bfs(build_digraph([], isolated=["x"]))
+
+
 def test_single_node_query_on_fresh_digraph():
     g = build_digraph([(i, i + 1) for i in range(69)])
     assert g.ancestors_and_self(69) == set(range(70))
@@ -162,6 +187,20 @@ def test_down_hypergraph_keeps_only_maximal_sets():
     h = down_hypergraph(g)
     # D[b] and D[c] are nested inside D[a], so only one hyperedge survives
     assert set(h.hyperedges) == {frozenset({"a", "b", "c"})}
+
+
+def reference_down_hyperedges(g):
+    """Inclusion-maximal distinct closures by the all-pairs scan, first
+    occurrence in node order."""
+    closures = list(dict.fromkeys(g.descendants_and_self(u) for u in g.nodes))
+    return tuple(c for c in closures if not any(c < other for other in closures))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_down_hypergraph_is_the_maximal_closures_in_order(seed):
+    g = random_dag(random.Random(seed), max_nodes=14)
+    assert down_hypergraph(g).hyperedges == reference_down_hyperedges(g)
 
 
 def test_down_hypergraph_rejects_nested_edges():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,22 @@ def fn(**images):
 def test_mask_positions_lists_set_bits_ascending(mask):
     want = [b for b in range(mask.bit_length()) if (mask >> b) & 1]
     assert mask_positions(mask).tolist() == want
+
+
+def full_unpack_positions(mask):
+    """The decoder before zero bytes were skipped: unpack every byte."""
+    data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+
+
+@given(st.one_of(
+    st.sets(st.integers(min_value=0, max_value=70_000), max_size=12).map(lambda bits: sum(1 << b for b in bits)),
+    st.integers(min_value=0, max_value=(1 << 300) - 1),
+))
+@settings(max_examples=200, deadline=None)
+def test_mask_positions_matches_the_full_unpack(mask):
+    # sparse masks with high bits set take the zero-byte skip, dense ones do not
+    assert mask_positions(mask).tolist() == full_unpack_positions(mask).tolist()
 
 
 def test_from_pairs_groups_by_entry():
