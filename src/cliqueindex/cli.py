@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -140,13 +141,18 @@ def _load_digraph(path: str):
     return build_digraph(edges, isolated=isolated)
 
 
+def _csv_records(fh, kind: str, required: tuple[str, ...]) -> csv.DictReader:
+    reader = csv.DictReader(fh)
+    fields = reader.fieldnames or []
+    for name in required:
+        if name not in fields:
+            raise CliqueIndexError(f"{kind} CSV is missing column {name!r}")
+    return reader
+
+
 def _load_intervals(path: str) -> list[IntervalRecord]:
     with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in ("id", "x", "y"):
-            if required not in fields:
-                raise CliqueIndexError(f"interval CSV is missing column {required!r}")
+        reader = _csv_records(fh, "interval", ("id", "x", "y"))
         records = []
         for rec in reader:
             try:
@@ -162,11 +168,7 @@ def _load_intervals(path: str) -> list[IntervalRecord]:
 def _load_function(path: str) -> SetValuedFunction:
     """Set-valued function CSV: header entry,node then one membership per line."""
     with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in ("entry", "node"):
-            if required not in fields:
-                raise CliqueIndexError(f"function CSV is missing column {required!r}")
+        reader = _csv_records(fh, "function", ("entry", "node"))
         return SetValuedFunction.from_pairs(
             (rec["entry"], rec["node"]) for rec in reader
         )
@@ -187,8 +189,18 @@ def _sidecar_path(args):
     return args.sidecar or (args.out + ".sidecar.json" if args.out else None)
 
 
-def _function_for_dag(g, map_kind: str) -> SetValuedFunction:
-    return descendant_set_function(g) if map_kind == "descendants" else ancestor_set_function(g)
+def _load_source(args):
+    """Check that exactly one of --edges or --function is given; return the base
+    provenance, the digraph (None for --function) and a builder of the set-valued
+    function, which `color --map ancestors` does not call (greedy_down_coloring
+    builds the ancestor sets itself)."""
+    if bool(args.edges) == bool(args.function):
+        raise CliqueIndexError("pass exactly one of --edges or --function")
+    if args.function:
+        return {"source": args.function, "order": args.order}, None, partial(_load_function, args.function)
+    g = _load_digraph(args.edges)
+    closure = descendant_set_function if args.map == "descendants" else ancestor_set_function
+    return {"source": args.edges, "order": args.order, "map": args.map}, g, partial(closure, g)
 
 
 # -- build ----------------------------------------------------------------------
@@ -259,73 +271,44 @@ def cmd_build_tree(args) -> int:
 
 
 def cmd_color(args) -> int:
-    if bool(args.edges) == bool(args.function):
-        raise CliqueIndexError("pass exactly one of --edges or --function")
-    if args.edges:
-        g = _load_digraph(args.edges)
-        if args.map == "ancestors":
-            # entries are ancestor sets; their proper colorings are exactly
-            # the colorings where nodes under a common ancestor all differ
-            coloring_obj = greedy_down_coloring(g, args.order)
-            coloring = EntryColoring(coloring_obj.assignment, coloring_obj.k)
-            bounds = down_chromatic_bounds(
-                g, degeneracy_cap=_env_cap("CLIQUEINDEX_DEGENERACY_CAP", 16)
-            )
-            provenance = {
-                "source": args.edges,
-                "kind": "digraph-down-coloring",
-                "map": args.map,
-                "order": args.order,
-                "bounds": {
-                    "lower": bounds.lower,
-                    "upper": bounds.upper,
-                    "degeneracy": bounds.degeneracy,
-                    "degeneracy_exact": bounds.degeneracy_exact,
-                    "part": bounds.part,
-                },
-                "within_bound": coloring.k <= bounds.upper,
-            }
-            _note(
-                f"down-coloring with k={coloring.k}, bounds [{bounds.lower}, {bounds.upper}]"
-                + ("" if bounds.degeneracy_exact else " (degeneracy estimated)")
-            )
-        else:
-            f = _function_for_dag(g, args.map)
-            graph = build_intersection_graph(f)
-            coloring = greedy_color(graph, args.order)
-            provenance = {
-                "source": args.edges,
-                "kind": "digraph-map-coloring",
-                "map": args.map,
-                "order": args.order,
-                "clique_lower_bound": clique_lower_bound(f),
-            }
-            _note(f"colored {len(f)} {args.map} sets with k={coloring.k}")
+    provenance, g, function = _load_source(args)
+    if args.edges and args.map == "ancestors":
+        # entries are ancestor sets; their proper colorings are exactly
+        # the colorings where nodes under a common ancestor all differ
+        coloring = greedy_down_coloring(g, args.order)
+        bounds = down_chromatic_bounds(
+            g, degeneracy_cap=_env_cap("CLIQUEINDEX_DEGENERACY_CAP", 16)
+        )
+        provenance.update(
+            kind="digraph-down-coloring",
+            bounds={
+                "lower": bounds.lower,
+                "upper": bounds.upper,
+                "degeneracy": bounds.degeneracy,
+                "degeneracy_exact": bounds.degeneracy_exact,
+                "part": bounds.part,
+            },
+            within_bound=coloring.k <= bounds.upper,
+        )
+        _note(
+            f"down-coloring with k={coloring.k}, bounds [{bounds.lower}, {bounds.upper}]"
+            + ("" if bounds.degeneracy_exact else " (degeneracy estimated)")
+        )
     else:
-        f = _load_function(args.function)
-        graph = build_intersection_graph(f)
-        coloring = greedy_color(graph, args.order)
-        provenance = {
-            "source": args.function,
-            "kind": "set-valued-function",
-            "order": args.order,
-            "clique_lower_bound": clique_lower_bound(f),
-        }
-        _note(f"colored {len(f)} entries with k={coloring.k}")
+        f = function()
+        coloring = greedy_color(build_intersection_graph(f), args.order)
+        provenance.update(
+            kind="digraph-map-coloring" if args.edges else "set-valued-function",
+            clique_lower_bound=clique_lower_bound(f),
+        )
+        _note(f"colored {len(f)} {f'{args.map} sets' if args.edges else 'entries'} with k={coloring.k}")
     write_sidecar(args.out, coloring, provenance)
     return EXIT_OK
 
 
 def cmd_materialize(args) -> int:
-    if bool(args.edges) == bool(args.function):
-        raise CliqueIndexError("pass exactly one of --edges or --function")
-    if args.edges:
-        g = _load_digraph(args.edges)
-        f = _function_for_dag(g, args.map)
-        source = args.edges
-    else:
-        f = _load_function(args.function)
-        source = args.function
+    provenance, _, function = _load_source(args)
+    f = function()
     if args.coloring:
         coloring, meta = read_sidecar(args.coloring)
         sidecar_map = meta.get("map")
@@ -356,10 +339,7 @@ def cmd_materialize(args) -> int:
         export_table(table, fh)
     sidecar = _sidecar_path(args)
     if sidecar:
-        provenance = {"source": source, "order": args.order, "verified": True,
-                      "clique_lower_bound": clique_lower_bound(f)}
-        if args.edges:
-            provenance["map"] = args.map
+        provenance.update(verified=True, clique_lower_bound=clique_lower_bound(f))
         write_sidecar(sidecar, coloring, provenance)
     _note(
         f"materialized {len(table)} rows x {table.k} columns, verified, "

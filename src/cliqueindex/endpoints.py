@@ -53,7 +53,7 @@ class EndpointSchema:
     coloring: EntryColoring
     clique: CliqueTable
     window: int  # longest straddled-entry run, which is k
-    escalations: int  # always 0; kept for the sidecar and CLI report
+    escalations: int  # always 0; the sidecar, the CLI report and perfbench's set-up check read it
 
     def __post_init__(self):
         ys = [r.y for r in self.intervals]

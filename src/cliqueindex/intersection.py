@@ -35,7 +35,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,24 @@ Node = Hashable
 GREEDY_ORDERS = ("input", "largest-first", "smallest-last")
 
 DEFAULT_CHROMATIC_CAP = 20
+
+
+class RowView(Mapping):
+    """Read-only mapping over the owner's `keys` whose row `decode(key)` computes
+    on each read, raising KeyError for an unknown key.  Owners make a fresh
+    view per access (f.image, g.adj, t.rows), so none holds a reference cycle."""
+
+    def __init__(self, keys: Sequence, decode: Callable):
+        self._keys, self._decode = keys, decode
+
+    def __getitem__(self, key):
+        return self._decode(key)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 class SetValuedFunction:
@@ -107,7 +125,10 @@ class SetValuedFunction:
     @property
     def image(self) -> Mapping[Entry, frozenset[Node]]:
         """Read-only entry -> node set; each image is decoded when read."""
-        return _Images(self)
+        return RowView(self.entries, self._image_of)
+
+    def _image_of(self, e: Entry) -> frozenset[Node]:
+        return frozenset(map(self.nodes.__getitem__, self.row(self.entry_index[e]).tolist()))
 
     def row(self, i: int) -> np.ndarray:
         """Node positions of entry index i, ascending."""
@@ -120,23 +141,6 @@ class SetValuedFunction:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-class _Images(Mapping):
-    """The image view of a SetValuedFunction."""
-
-    def __init__(self, f: SetValuedFunction):
-        self._f = f
-
-    def __getitem__(self, e: Entry) -> frozenset[Node]:
-        f = self._f
-        return frozenset(map(f.nodes.__getitem__, f.row(f.entry_index[e]).tolist()))
-
-    def __iter__(self):
-        return iter(self._f.entries)
-
-    def __len__(self) -> int:
-        return len(self._f.entries)
 
 
 class IntersectionGraph:
@@ -180,7 +184,10 @@ class IntersectionGraph:
     @property
     def adj(self) -> Mapping[Entry, list[Entry]]:
         """Read-only entry -> sorted neighbour list; each row is decoded when read."""
-        return _Adjacency(self)
+        return RowView(self.vertices, self._neighbours_of)
+
+    def _neighbours_of(self, e: Entry) -> list[Entry]:
+        return [self.order[q] for q in self.row(self.position[e]).tolist()]
 
     def row(self, p: int) -> np.ndarray:
         """Neighbour positions of position p, ascending."""
@@ -219,23 +226,6 @@ class IntersectionGraph:
             yield order[a], order[b]
 
 
-class _Adjacency(Mapping):
-    """The adj view of an IntersectionGraph."""
-
-    def __init__(self, g: IntersectionGraph):
-        self._g = g
-
-    def __getitem__(self, e: Entry) -> list[Entry]:
-        g = self._g
-        return [g.order[q] for q in g.row(g.position[e]).tolist()]
-
-    def __iter__(self):
-        return iter(self._g.vertices)
-
-    def __len__(self) -> int:
-        return len(self._g.vertices)
-
-
 def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """int64 offsets and int32 positions of the concatenated rows (arrays or lists)."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -261,14 +251,15 @@ def mask_positions(mask: int) -> np.ndarray:
     """Ascending positions of the set bits of a non-negative Python int.
 
     A sparse mask unpacks only its non-zero bytes, so it costs one byte scan
-    plus eight bits per non-zero byte; a mask with over a quarter of its
-    bytes set is unpacked whole, which is cheaper there."""
+    plus eight bits per non-zero byte; a mask of at most 8 bytes, or with over
+    a quarter of its bytes set, is unpacked whole, which is cheaper there."""
     data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    nonzero = np.flatnonzero(data)
-    if 4 * nonzero.size > data.size:
-        return np.flatnonzero(np.unpackbits(data, bitorder="little"))
-    hit = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
-    return (nonzero[hit >> 3] << 3) | (hit & 7)
+    if data.size > 8:
+        nonzero = np.flatnonzero(data)
+        if 4 * nonzero.size <= data.size:
+            hit = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
+            return (nonzero[hit >> 3] << 3) | (hit & 7)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
 
 
 def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:

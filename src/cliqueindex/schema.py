@@ -28,7 +28,7 @@ import numpy as np
 
 from .bitset import CompressedBitset
 from .errors import ColorCollision, InconsistentArity, MalformedCsv, UnknownNode
-from .intersection import EntryColoring, SetValuedFunction
+from .intersection import EntryColoring, RowView, SetValuedFunction
 
 Entry = Hashable
 Node = Hashable
@@ -92,9 +92,6 @@ class PostingIndex:
     postings: Postings
     unresolved: int
 
-    def cardinalities(self) -> dict[tuple[int, Hashable], int]:
-        return {key: b.cardinality() for key, b in self.postings.items()}
-
     def byte_size(self) -> int:
         """Bytes of the posting id arrays."""
         return sum(ids.nbytes for _, _, ids in self.postings.columns)
@@ -140,7 +137,11 @@ class CliqueTable:
     @property
     def rows(self) -> Mapping[Node, tuple]:
         """Read-only node -> tuple of cells; each row is decoded when read."""
-        return _Rows(self)
+        return RowView(self._nodes, self._cells_of)
+
+    def _cells_of(self, u: Node) -> tuple:
+        codes = self.codes[:, self.position[u]].tolist()
+        return tuple(NULL if c < 0 else column[c] for column, c in zip(self.entries, codes))
 
     def cell(self, u: Node, i: int):
         """Cell in column i (1-based) of node u's row."""
@@ -167,24 +168,6 @@ class CliqueTable:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-
-class _Rows(Mapping):
-    """The rows view of a CliqueTable."""
-
-    def __init__(self, table: CliqueTable):
-        self._table = table
-
-    def __getitem__(self, u: Node) -> tuple:
-        t = self._table
-        codes = t.codes[:, t.position[u]].tolist()
-        return tuple(NULL if c < 0 else column[c] for column, c in zip(t.entries, codes))
-
-    def __iter__(self):
-        return iter(self._table.nodes())
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 def _first_conflict(f: SetValuedFunction, c: EntryColoring, position: dict) -> Exception:
@@ -385,7 +368,7 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
 
 def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
     """JSON sidecar giving k, the entry -> color map, and provenance notes;
-    written to stdout when no path is given."""
+    written to stdout when no path is given.  Reads only c.k and c.assignment."""
     payload = {
         "k": c.k,
         "coloring": {str(e): i for e, i in c.assignment.items()},

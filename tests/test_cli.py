@@ -130,6 +130,84 @@ def test_color_stdout_matches_the_out_file(pair_edges_tsv, tmp_path, capsys, sou
     assert out.read_text(encoding="utf-8") == stdout
 
 
+def sidecar_text(k, coloring, **provenance):
+    return json.dumps({"coloring": coloring, "k": k, "provenance": provenance}, indent=2, sort_keys=True) + "\n"
+
+
+DESC_COLORING = {"a": 1, "b": 3, "c": 2, "x": 2, "y": 1}
+ANC_COLORING = {"a": 2, "b": 3, "c": 2, "x": 1, "y": 1}
+FN_COLORING = {"g1": 2, "g2": 1, "g3": 1}
+SMALLEST_LAST = {"order": "smallest-last"}
+ONE_SOURCE = "error: pass exactly one of --edges or --function\n"
+
+
+PINNED = [
+    (["color", "--edges", "EDGES"], 0,
+     sidecar_text(3, DESC_COLORING, clique_lower_bound=3, kind="digraph-map-coloring", map="descendants",
+                  source="EDGES", **SMALLEST_LAST),
+     "colored 5 descendants sets with k=3\n", None),
+    (["color", "--edges", "EDGES", "--map", "ancestors"], 0,
+     sidecar_text(3, ANC_COLORING, kind="digraph-down-coloring", map="ancestors", source="EDGES", within_bound=True,
+                  bounds={"degeneracy": 1, "degeneracy_exact": True, "lower": 3, "part": 1, "upper": 3},
+                  **SMALLEST_LAST),
+     "down-coloring with k=3, bounds [3, 3]\n", None),
+    (["color", "--function", "FUNCTION"], 0,
+     sidecar_text(2, FN_COLORING, clique_lower_bound=2, kind="set-valued-function", source="FUNCTION",
+                  **SMALLEST_LAST),
+     "colored 3 entries with k=2\n", None),
+    (["materialize", "--edges", "EDGES"], 0,
+     "node,c1,c2,c3\na,a,x,\nb,y,x,b\nc,y,c,\nx,,x,\ny,y,,\n",
+     "materialized 5 rows x 3 columns, verified, k=3 >= lower bound 3\n",
+     sidecar_text(3, DESC_COLORING, clique_lower_bound=3, map="descendants", source="EDGES", verified=True,
+                  **SMALLEST_LAST)),
+    (["materialize", "--edges", "EDGES", "--map", "ancestors"], 0,
+     "node,c1,c2,c3\na,,a,\nb,,,b\nc,,c,\nx,x,a,b\ny,y,c,b\n",
+     "materialized 5 rows x 3 columns, verified, k=3 >= lower bound 3\n",
+     sidecar_text(3, ANC_COLORING, clique_lower_bound=3, map="ancestors", source="EDGES", verified=True,
+                  **SMALLEST_LAST)),
+    (["materialize", "--function", "FUNCTION"], 0,
+     "node,c1,c2\na,,g1\nb,g2,g1\nc,g3,\n",
+     "materialized 3 rows x 2 columns, verified, k=2 >= lower bound 2\n",
+     sidecar_text(2, FN_COLORING, clique_lower_bound=2, source="FUNCTION", verified=True, **SMALLEST_LAST)),
+    (["color", "--edges", "EDGES", "--function", "FUNCTION"], 1, "", ONE_SOURCE, None),
+    (["color"], 1, "", ONE_SOURCE, None),
+    (["materialize", "--edges", "EDGES", "--function", "FUNCTION"], 1, "", ONE_SOURCE, None),
+    (["materialize"], 1, "", ONE_SOURCE, None),
+    (["color", "--edges", "EMPTY"], 0,
+     sidecar_text(0, {}, clique_lower_bound=0, kind="digraph-map-coloring", map="descendants", source="EMPTY",
+                  **SMALLEST_LAST),
+     "colored 0 descendants sets with k=0\n", None),
+    (["color", "--edges", "EMPTY", "--map", "ancestors"], 1, "", "error: cannot color an empty digraph\n", None),
+    (["materialize", "--edges", "EMPTY"], 0, "node\n",
+     "materialized 0 rows x 0 columns, verified, k=0 >= lower bound 0\n",
+     sidecar_text(0, {}, clique_lower_bound=0, map="descendants", source="EMPTY", verified=True, **SMALLEST_LAST)),
+    (["materialize", "--edges", "EMPTY", "--map", "ancestors"], 0, "node\n",
+     "materialized 0 rows x 0 columns, verified, k=0 >= lower bound 0\n",
+     sidecar_text(0, {}, clique_lower_bound=0, map="ancestors", source="EMPTY", verified=True, **SMALLEST_LAST)),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err, sidecar", PINNED, ids=[" ".join(case[0]) for case in PINNED])
+def test_color_and_materialize_output_is_pinned(tmp_path, capsys, argv, code, out, err, sidecar):
+    """Exit code, stdout, stderr and the materialize sidecar, byte for byte,
+    for each source (an edge list under either --map, or a function CSV),
+    the one-source check, and a comment-only edge list."""
+    paths = {
+        "EDGES": write(tmp_path / "edges.tsv", "# toy\nx\ta\nx\tb\ny\tb\ny\tc\n"),
+        "FUNCTION": write(tmp_path / "f.csv", "entry,node\ng1,a\ng1,b\ng2,b\ng3,c\n"),
+        "EMPTY": write(tmp_path / "empty.tsv", "# no edges\n"),
+    }
+    sidecar_path = tmp_path / "c.json"
+    extra = ["--sidecar", str(sidecar_path)] if argv[0] == "materialize" else []
+    assert main([paths.get(a, a) for a in argv] + extra) == code
+    captured = capsys.readouterr()
+    written = sidecar_path.read_text(encoding="utf-8") if sidecar_path.exists() else None
+    got = [captured.out, captured.err, written]
+    for name, path in paths.items():
+        got = [None if text is None else text.replace(path, name) for text in got]
+    assert got == [out, err, sidecar]
+
+
 def test_color_ancestor_map_reports_bounds(pair_edges_tsv, tmp_path):
     sidecar = tmp_path / "anc.json"
     assert main([

@@ -1,6 +1,7 @@
 """Differential tests for the CSR set-valued function: the converting
 constructors and the endpoint builder against the frozenset constructions
-they replaced, and the image view's read-only contract."""
+they replaced, and the read-only contract of the view behind `image`,
+`adj` and `rows`."""
 
 import bisect
 import random
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from cliqueindex.corpus import random_function, random_intervals
 from cliqueindex.endpoints import IntervalRecord, build_endpoint_schema
 from cliqueindex.errors import EmptyInput
-from cliqueindex.intersection import SetValuedFunction, clique_lower_bound
-from cliqueindex.schema import materialize, verify_schema
+from cliqueindex.intersection import IntersectionGraph, SetValuedFunction, clique_lower_bound
+from cliqueindex.schema import NULL, CliqueTable, materialize, verify_schema
 
 
 def assert_csr(f):
@@ -92,18 +93,29 @@ def test_constructor_rejects_repeated_or_imageless_entries():
 
 
 def test_image_is_a_read_only_view():
-    f = SetValuedFunction.from_images({"a": {1, 2}, "b": set(), "c": {2, 3}})
-    assert f.image == {"a": frozenset({1, 2}), "b": frozenset(), "c": frozenset({2, 3})}
-    assert list(f.image) == ["a", "b", "c"] and len(f.image) == 3
-    with pytest.raises(TypeError):
-        f.image["a"] = frozenset()
-    with pytest.raises(KeyError):
-        f.image["missing"]
-    with pytest.raises(ValueError):
-        f.indices[0] = 5
-    with pytest.raises(ValueError):
-        f.indptr[1] = 0
-    assert f.image["a"] == {1, 2}
+    """f.image, g.adj and t.rows share one view contract: read-only, KeyError
+    on an unknown key, the owner's key order, len, `in` and dict equality."""
+    f = SetValuedFunction.from_images({"c": {2, 3}, "a": {1, 2}, "b": set()})
+    g = IntersectionGraph(("c", "a", "b"), {"c": ["a"], "a": ["c"], "b": []})
+    t = CliqueTable(2, {3: ("x", NULL), 1: (NULL, "y"), 2: ("x", "y")})
+    cases = [
+        (f.image, {"c": frozenset({2, 3}), "a": frozenset({1, 2}), "b": frozenset()}, (f.indices, f.indptr)),
+        (g.adj, {"c": ["a"], "a": ["c"], "b": []}, (g.indices, g.indptr)),
+        (t.rows, {3: ("x", NULL), 1: (NULL, "y"), 2: ("x", "y")}, ()),
+    ]
+    for view, want, arrays in cases:
+        assert view == want and want == view
+        assert list(view) == list(want) and len(view) == len(want)
+        first = next(iter(want))
+        assert first in view and "missing" not in view
+        assert view[first] == want[first]
+        with pytest.raises(TypeError):
+            view[first] = want[first]
+        with pytest.raises(KeyError):
+            view["missing"]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 5
 
 
 def test_empty_function():

@@ -359,7 +359,6 @@ def test_stats_count_atom_postings(tree_setup):
 def test_index_byte_size_positive(tree_setup):
     _, _, idx = tree_setup
     assert idx.byte_size() > 0
-    assert len(idx.cardinalities()) == len(idx.postings)
 
 
 # -- bench ---------------------------------------------------------------------

@@ -25,7 +25,8 @@ def fn(**images):
 
 @pytest.mark.parametrize(
     "mask",
-    [0, 1, 1 << 7, 1 << 8, 1 << 63, 1 << 64] + [(1 << n) - 1 for n in (1, 8, 9, 64, 65)],
+    [0, 1, 1 << 7, 1 << 8, 1 << 55, 1 << 63, 1 | 1 << 63, 1 << 64]
+    + [(1 << n) - 1 for n in (1, 8, 9, 56, 64, 65)],
 )
 def test_mask_positions_lists_set_bits_ascending(mask):
     want = [b for b in range(mask.bit_length()) if (mask >> b) & 1]
