@@ -15,7 +15,6 @@ import os
 import random
 import sys
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .engine import (
     format_query,
     parse_query,
 )
-from .errors import CliqueIndexError, MalformedCsv
+from .errors import CliqueIndexError, EmptyDigraph, MalformedCsv
 from .intersection import (
     GREEDY_ORDERS,
     EntryColoring,
@@ -191,16 +190,14 @@ def _sidecar_path(args):
 
 def _load_source(args):
     """Check that exactly one of --edges or --function is given; return the base
-    provenance, the digraph (None for --function) and a builder of the set-valued
-    function, which `color --map ancestors` does not call (greedy_down_coloring
-    builds the ancestor sets itself)."""
+    provenance, the digraph (None for --function) and the set-valued function."""
     if bool(args.edges) == bool(args.function):
         raise CliqueIndexError("pass exactly one of --edges or --function")
     if args.function:
-        return {"source": args.function, "order": args.order}, None, partial(_load_function, args.function)
+        return {"source": args.function, "order": args.order}, None, _load_function(args.function)
     g = _load_digraph(args.edges)
     closure = descendant_set_function if args.map == "descendants" else ancestor_set_function
-    return {"source": args.edges, "order": args.order, "map": args.map}, g, partial(closure, g)
+    return {"source": args.edges, "order": args.order, "map": args.map}, g, closure(g)
 
 
 # -- build ----------------------------------------------------------------------
@@ -271,11 +268,14 @@ def cmd_build_tree(args) -> int:
 
 
 def cmd_color(args) -> int:
-    provenance, g, function = _load_source(args)
-    if args.edges and args.map == "ancestors":
+    provenance, g, f = _load_source(args)
+    down = args.edges and args.map == "ancestors"
+    if down and not g.nodes:
+        raise EmptyDigraph("cannot color an empty digraph")
+    coloring = greedy_color(build_intersection_graph(f), args.order)
+    if down:
         # entries are ancestor sets; their proper colorings are exactly
         # the colorings where nodes under a common ancestor all differ
-        coloring = greedy_down_coloring(g, args.order)
         bounds = down_chromatic_bounds(
             g, degeneracy_cap=_env_cap("CLIQUEINDEX_DEGENERACY_CAP", 16)
         )
@@ -295,8 +295,6 @@ def cmd_color(args) -> int:
             + ("" if bounds.degeneracy_exact else " (degeneracy estimated)")
         )
     else:
-        f = function()
-        coloring = greedy_color(build_intersection_graph(f), args.order)
         provenance.update(
             kind="digraph-map-coloring" if args.edges else "set-valued-function",
             clique_lower_bound=clique_lower_bound(f),
@@ -307,8 +305,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_materialize(args) -> int:
-    provenance, _, function = _load_source(args)
-    f = function()
+    provenance, _, f = _load_source(args)
     if args.coloring:
         coloring, meta = read_sidecar(args.coloring)
         sidecar_map = meta.get("map")

@@ -251,15 +251,14 @@ def mask_positions(mask: int) -> np.ndarray:
     """Ascending positions of the set bits of a non-negative Python int.
 
     A sparse mask unpacks only its non-zero bytes, so it costs one byte scan
-    plus eight bits per non-zero byte; a mask of at most 8 bytes, or with over
-    a quarter of its bytes set, is unpacked whole, which is cheaper there."""
+    plus eight bits per non-zero byte; a mask with over a quarter of its
+    bytes set is unpacked whole, which is cheaper there."""
     data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    if data.size > 8:
-        nonzero = np.flatnonzero(data)
-        if 4 * nonzero.size <= data.size:
-            hit = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
-            return (nonzero[hit >> 3] << 3) | (hit & 7)
-    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+    nonzero = np.flatnonzero(data)
+    if 4 * nonzero.size > data.size:
+        return np.flatnonzero(np.unpackbits(data, bitorder="little"))
+    hit = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
+    return (nonzero[hit >> 3] << 3) | (hit & 7)
 
 
 def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:

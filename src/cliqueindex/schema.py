@@ -368,7 +368,7 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
 
 def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
     """JSON sidecar giving k, the entry -> color map, and provenance notes;
-    written to stdout when no path is given.  Reads only c.k and c.assignment."""
+    written to stdout when no path is given."""
     payload = {
         "k": c.k,
         "coloring": {str(e): i for e, i in c.assignment.items()},
