@@ -16,8 +16,6 @@ import random
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import corpus
 from .digraph import (
     ancestor_set_function,
@@ -69,7 +67,6 @@ from .oracle import (
     oracle_tree_overlap,
 )
 from .schema import (
-    NULL,
     CliqueTable,
     compact_colors,
     export_table,
@@ -79,6 +76,7 @@ from .schema import (
     recover_coloring,
     verify_schema,
     write_sidecar,
+    write_table_csv,
 )
 from .tree import (
     DEFAULT_TREE_CAP,
@@ -222,8 +220,7 @@ def cmd_build_dag(args) -> int:
 def cmd_build_intervals(args) -> int:
     records = _load_intervals(args.data)
     s = build_endpoint_schema(records)
-    with _out_stream(args.out) as fh:
-        export_table(s.clique, fh)
+    export_table(s.clique, args.out or sys.stdout)
     sidecar = _sidecar_path(args)
     if sidecar:
         write_sidecar(
@@ -244,23 +241,10 @@ def cmd_build_intervals(args) -> int:
 
 
 def cmd_build_tree(args) -> int:
-    cap = _env_cap("CLIQUEINDEX_TREE_CAP", DEFAULT_TREE_CAP)
-    n = args.levels
-    if n > cap:
-        raise CliqueIndexError(f"level count {n} exceeds the cap {cap} (env CLIQUEINDEX_TREE_CAP)")
-    line = ",".join(["%s"] * (n + 1)) + "\n"
-    rows = 0
+    blocks = iter_tree_blocks(args.levels, args.variant, _env_cap("CLIQUEINDEX_TREE_CAP", DEFAULT_TREE_CAP))
     with _out_stream(args.out) as fh:
-        fh.write(",".join(["node"] + [f"c{i}" for i in range(1, n + 1)]) + "\n")
-        # One block of text per chunk: the id column, then the cells, with
-        # 0 (NULL) written as an empty field.
-        for ids, cells in iter_tree_blocks(n, args.variant):
-            block = np.vstack([ids, cells]).T
-            fields = block.astype(object)
-            fields[block == 0] = ""
-            fh.write(line * len(ids) % tuple(fields.ravel().tolist()))
-            rows += len(ids)
-    _note(f"wrote {rows} rows x {n} columns ({args.variant} variant)")
+        write_table_csv(fh, args.levels, blocks)
+    _note(f"wrote {(1 << args.levels) - 1} rows x {args.levels} columns ({args.variant} variant)")
     return EXIT_OK
 
 
@@ -332,8 +316,7 @@ def cmd_materialize(args) -> int:
     if not verdict:
         _note(f"verification FAILED at entry {verdict.entry!r}")
         return EXIT_VERIFY
-    with _out_stream(args.out) as fh:
-        export_table(table, fh)
+    export_table(table, args.out or sys.stdout)
     sidecar = _sidecar_path(args)
     if sidecar:
         provenance.update(verified=True, clique_lower_bound=clique_lower_bound(f))
@@ -409,8 +392,6 @@ def cmd_query_intervals(args) -> int:
 
 def cmd_query_tree(args) -> int:
     cap = _env_cap("CLIQUEINDEX_TREE_CAP", DEFAULT_TREE_CAP)
-    if args.levels > cap:
-        raise CliqueIndexError(f"level count {args.levels} exceeds the cap {cap}")
     schema = build_tree_schema(args.levels, cap=cap, variant=args.variant)
     if args.fact:
         # schema nodes are ints, so acc values must be cast to match
@@ -487,21 +468,13 @@ def _verify_schema_duality(rng: random.Random, scale: float):
             _record(out, bool(verify_schema(f, table, coloring)), f"function #{i} {order}")
             recovered = recover_coloring(table)
             _record(out, recovered.is_proper(graph), f"function #{i} {order} recover")
-        nonnull = [
-            (u, ci) for u, cells in table.rows.items()
-            for ci, v in enumerate(cells) if v is not NULL
-        ]
-        if nonnull:
-            u, ci = nonnull[rng.randrange(len(nonnull))]
-            broken = dict(table.rows)
-            cells = list(broken[u])
-            cells[ci] = NULL
-            broken[u] = tuple(cells)
-            _record(
-                out,
-                not verify_schema(f, CliqueTable(table.k, broken), coloring),
-                f"function #{i} blanked cell not caught",
-            )
+        positions, columns = (table.codes.T >= 0).nonzero()  # non-NULL cells in row order
+        if len(positions):
+            pick = rng.randrange(len(positions))
+            codes = table.codes.copy()
+            codes[columns[pick], positions[pick]] = -1
+            broken = CliqueTable.from_columns(table.k, table.nodes(), table.entries, codes)
+            _record(out, not verify_schema(f, broken, coloring), f"function #{i} blanked cell not caught")
     return out
 
 
@@ -632,8 +605,7 @@ def cmd_export(args) -> int:
     table = _load_table(args.table)
     if args.compact_colors:
         table, _ = compact_colors(table)
-    with _out_stream(args.out) as fh:
-        export_table(table, fh)
+    export_table(table, args.out or sys.stdout)
     _note(f"{len(table)} rows x {table.k} columns")
     return EXIT_OK
 

@@ -21,7 +21,8 @@ from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from types import SimpleNamespace
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ Entry = Hashable
 Node = Hashable
 
 NULL = None
+BLOCK_ROWS = 4096  # rows per `%`-formatted block of table CSV
 
 
 def _sorted_ids(values: Iterable) -> list:
@@ -97,6 +99,20 @@ class PostingIndex:
         return sum(ids.nbytes for _, _, ids in self.postings.columns)
 
 
+def _code_columns(n: int, columns: Sequence[Sequence], null=NULL, cast=None) -> tuple[list[list], np.ndarray]:
+    """Code the columns' n cells in first-seen order: per column, an entry
+    list in code order and int32 codes, -1 at null.  A cast applies to the
+    distinct cells, and cells that cast equal share one code."""
+    entries, codes = [], np.empty((len(columns), n), dtype=np.int32)
+    for column, out in zip(columns, codes):
+        code: dict = {}
+        index = {v: code.setdefault(cast(v) if cast else v, len(code)) for v in dict.fromkeys(column) if v != null}
+        index[null] = -1
+        out[:] = np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=n)
+        entries.append(list(code))
+    return entries, codes
+
+
 class CliqueTable:
     """k color columns over an ordered node domain, stored by column.
 
@@ -108,14 +124,10 @@ class CliqueTable:
     """
 
     def __init__(self, k: int, rows: Mapping[Node, tuple]):
-        entry_codes: list[dict] = [{} for _ in range(k)]
-        codes = []
         for u, cells in rows.items():
             if len(cells) != k:
                 raise InconsistentArity(f"row {u!r} has {len(cells)} cells, table width is {k}")
-            codes.append([-1 if v is NULL else ec.setdefault(v, len(ec)) for ec, v in zip(entry_codes, cells)])
-        by_row = np.array(codes, dtype=np.int32).reshape(len(codes), k)
-        self._init(k, rows, [list(ec) for ec in entry_codes], by_row.T.copy())
+        self._init(k, rows, *_code_columns(len(rows), list(zip(*rows.values())) or [()] * k))
 
     @classmethod
     def from_columns(cls, k: int, nodes: Iterable[Node], entries: list[list], codes: np.ndarray) -> "CliqueTable":
@@ -301,26 +313,43 @@ def compact_colors(t: CliqueTable) -> tuple[CliqueTable, dict[int, int]]:
     return table, remap
 
 
-def export_table(t: CliqueTable, dest=None) -> str | None:
-    """Write the table as CSV: header `node,c1,...,ck`, empty field = NULL.
+def write_table_csv(fh, k: int, blocks: Iterable[np.ndarray], texts: Sequence[str] | None = None) -> None:
+    """Write the table CSV: header `node,c1,...,ck`, then each block, a
+    (k + 1, rows) int array with the node column first, as one `%`-formatted
+    string.  A 0 cell is NULL, written as an empty field; with texts, any
+    other cell v is written as texts[v - 1], else as the int itself."""
+    line = ",".join(["%s"] * (k + 1)) + "\n"
+    fh.write(",".join(["node"] + [f"c{i}" for i in range(1, k + 1)]) + "\n")
+    lookup = None if texts is None else np.array(["", *texts], dtype=object)
+    for cells in (np.ascontiguousarray(block.T) for block in blocks):  # rows in memory order
+        fields = cells.astype(object) if lookup is None else lookup.take(cells)
+        fields[cells == 0] = ""
+        fh.write(line * len(cells) % tuple(fields.ravel().tolist()))
 
-    With dest None, returns the CSV text; otherwise writes to the given
-    path or file object.
+
+def export_table(t: CliqueTable, dest=None) -> str | None:
+    """Write the table through write_table_csv, each distinct node and entry
+    escaped once by csv.writer.  With dest None, returns the CSV text;
+    otherwise writes to the given path or file object.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node"] + [f"c{i}" for i in range(1, t.k + 1)])
-    for u, row in t.rows.items():
-        writer.writerow([u] + ["" if v is NULL else v for v in row])
-    text = buf.getvalue()
-    if dest is None:
-        return text
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return None
+    # One row per node, then per entry, padded to two fields unless k is 0:
+    # csv.writer quotes an empty field only when it is a row's only field.
+    rows: list[str] = []
+    pad = [repeat("")] * min(t.k, 1)
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
+    writer.writerows(zip(chain(t._nodes.tolist(), *t.entries), *pad))
+    texts = [row[: -1 - len(pad)] for row in rows]
+    # Block cell v stands for texts[v - 1]: node position j is j + 1, code c of column i is offsets[i] + c.
+    offsets = len(t) + 1 + np.cumsum([0] + [len(column) for column in t.entries])[:-1, None]
+    starts = range(0, len(t), BLOCK_ROWS)
+    blocks = (
+        np.vstack([np.arange(start + 1, start + 1 + codes.shape[1]), np.where(codes < 0, 0, codes + offsets)])
+        for start, codes in zip(starts, np.array_split(t.codes, starts[1:], axis=1))
+    )
+    out = io.StringIO() if dest is None else dest
+    with nullcontext(out) if hasattr(out, "write") else open(out, "w", encoding="utf-8") as fh:
+        write_table_csv(fh, t.k, blocks, texts)
+    return out.getvalue() if dest is None else None
 
 
 def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
@@ -347,7 +376,8 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
     k = len(header) - 1
     if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
         raise MalformedCsv(f"bad header {header!r}: color columns must be c1..c{k}")
-    rows: dict[Node, tuple] = {}
+    nodes: dict[Node, None] = {}
+    records = []
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
@@ -356,14 +386,12 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
                 f"line {lineno}: expected {k + 1} fields, got {len(record)}"
             )
         node = node_cast(record[0]) if node_cast else record[0]
-        if node in rows:
+        if node in nodes:
             raise MalformedCsv(f"line {lineno}: duplicate node {node!r}")
-        cells = tuple(
-            NULL if v == "" else (entry_cast(v) if entry_cast else v)
-            for v in record[1:]
-        )
-        rows[node] = cells
-    return CliqueTable(k, rows)
+        nodes[node] = None
+        records.append(record)
+    columns = list(zip(*records))[1:] or [()] * k
+    return CliqueTable.from_columns(k, nodes, *_code_columns(len(nodes), columns, "", entry_cast))
 
 
 def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from . import engine
 from .errors import OutOfRange
 from .intersection import EntryColoring, SetValuedFunction
-from .schema import NULL, CliqueTable, VerifyResult
+from .schema import BLOCK_ROWS, NULL, CliqueTable, VerifyResult
 
 DEFAULT_TREE_CAP = 24
 
@@ -141,21 +141,21 @@ def _tree_cells(ids: np.ndarray, n: int, variant: str) -> np.ndarray:
     return ids >> np.maximum(levels - q, 0)
 
 
-def iter_tree_blocks(n: int, variant: str = "table") -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream (ids, cells) blocks of up to 4096 ids in id order: cells is
-    the (n, len(ids)) int array of their rows, 0 for NULL."""
+def iter_tree_blocks(n: int, variant: str = "table", cap: int = DEFAULT_TREE_CAP) -> Iterator[np.ndarray]:
+    """Stream the table as (n + 1, rows) int blocks of up to BLOCK_ROWS ids in
+    id order, the ids then their cells, 0 for NULL, as write_table_csv takes
+    them.  Arguments are checked at the call, before a caller opens output."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_levels(n)
-    for start in range(1, 1 << n, 4096):
-        ids = np.arange(start, min(start + 4096, 1 << n))
-        yield ids, _tree_cells(ids, n, variant)
+    _check_levels(n, cap)
+    blocks = (np.arange(start, min(start + BLOCK_ROWS, 1 << n)) for start in range(1, 1 << n, BLOCK_ROWS))
+    return (np.vstack([ids, _tree_cells(ids, n, variant)]) for ids in blocks)
 
 
 def iter_tree_rows(n: int, variant: str = "table") -> Iterator[tuple[int, tuple]]:
     """Stream (id, cells) pairs in id order without materializing the table."""
-    for ids, cells in iter_tree_blocks(n, variant):
-        for k, row in zip(ids.tolist(), cells.T.tolist()):
+    for block in iter_tree_blocks(n, variant):
+        for k, *row in block.T.tolist():
             yield k, tuple(c or NULL for c in row)
 
 

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from cliqueindex import cli
 from cliqueindex.cli import main
-from cliqueindex.schema import import_table
-from cliqueindex.tree import iter_tree_rows
+from cliqueindex.schema import export_table, import_table
+from cliqueindex.tree import build_tree_schema, iter_tree_rows
 
 from conftest import GOLDEN_TREE_4, PAIR_EDGES
 
@@ -58,6 +59,14 @@ def test_build_tree_csv_matches_the_per_row_writer(tmp_path, n, variant):
     out = tmp_path / "t.csv"
     assert main(["build", "tree", "--levels", str(n), "--variant", variant, "--out", str(out)]) == 0
     assert out.read_bytes() == reference_tree_csv(n, variant).encode()
+
+
+@pytest.mark.parametrize("variant", ["table", "literal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_build_tree_csv_matches_the_exported_table(tmp_path, n, variant):
+    out = tmp_path / "t.csv"
+    assert main(["build", "tree", "--levels", str(n), "--variant", variant, "--out", str(out)]) == 0
+    assert out.read_bytes() == export_table(build_tree_schema(n, variant=variant)).encode()
 
 
 def test_build_dag_reports_summary(pair_edges_tsv, capsys):
@@ -394,6 +403,19 @@ def test_tree_cap_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "3")
     assert main(["build", "tree", "--levels", "4"]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_tree_cap_env_reaches_the_library(monkeypatch, capsys):
+    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "3")
+    assert main(["query-tree", "--k", "5", "--levels", "4"]) == 1
+    assert "level count 4 exceeds the cap 3" in capsys.readouterr().err
+    # A raised cap lets build tree stream past the default cap of 24; the
+    # writer is replaced so that only the first block is made.
+    first = []
+    monkeypatch.setattr(cli, "write_table_csv", lambda fh, k, blocks: first.append((k, next(blocks).shape)))
+    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "30")
+    assert main(["build", "tree", "--levels", "25"]) == 0
+    assert first == [(25, (26, 4096))]
 
 
 def _no_traceback(capsys):

@@ -1,17 +1,20 @@
 """Differential tests for the columnar clique table: materialize against the
-cell-by-cell fill it replaced, the fact index against the table's rows, and
-the vectorized tree cells against the per-cell formula they replaced."""
+cell-by-cell fill it replaced, the fact index against the table's rows, the
+vectorized tree cells against the per-cell formula they replaced, and the
+column coder, table CSV writer and reader against the row-wise code they
+replaced."""
 
 import csv
 import io
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliqueindex.corpus import random_function
 from cliqueindex.engine import Atom, FactTable, ScanOracle, build_index
-from cliqueindex.errors import ColorCollision, UnknownNode
+from cliqueindex.errors import ColorCollision, InconsistentArity, MalformedCsv, UnknownNode
 from cliqueindex.intersection import (
     GREEDY_ORDERS,
     EntryColoring,
@@ -23,6 +26,7 @@ from cliqueindex.schema import (
     CliqueTable,
     compact_colors,
     export_table,
+    import_table,
     materialize,
     recover_coloring,
 )
@@ -174,3 +178,86 @@ def test_tree_table_exports_the_row_generators_csv():
     for k, cells in iter_tree_rows(12):
         writer.writerow([k, *cells])
     assert export_table(build_tree_schema(12)) == buf.getvalue()
+
+
+def reference_coding(k, rows):
+    """The row-major coder the column coder replaced: per column, first-seen
+    codes assigned row by row, -1 for NULL."""
+    entry_codes = [{} for _ in range(k)]
+    codes = [
+        [-1 if v is NULL else ec.setdefault(v, len(ec)) for ec, v in zip(entry_codes, cells)]
+        for cells in rows.values()
+    ]
+    return [list(ec) for ec in entry_codes], np.array(codes, dtype=np.int32).reshape(len(rows), k).T
+
+
+def reference_csv(t):
+    """The per-row csv.writer export the shared block writer replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["node"] + [f"c{i}" for i in range(1, t.k + 1)])
+    for u, row in t.rows.items():
+        writer.writerow([u] + ["" if v is NULL else v for v in row])
+    return buf.getvalue()
+
+
+def reference_import(text):
+    """import_table as it was, for a well-formed header: a node -> tuple of
+    cells dict, then the row-major coder."""
+    reader = csv.reader(io.StringIO(text))
+    k = len(next(reader)) - 1
+    rows = {}
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != k + 1:
+            raise InconsistentArity(f"line {lineno}: expected {k + 1} fields, got {len(record)}")
+        if record[0] in rows:
+            raise MalformedCsv(f"line {lineno}: duplicate node {record[0]!r}")
+        rows[record[0]] = tuple(NULL if v == "" else v for v in record[1:])
+    return list(rows), *reference_coding(k, rows)
+
+
+def _imported(build):
+    try:
+        nodes, entries, codes = build()
+    except (InconsistentArity, MalformedCsv, csv.Error) as exc:
+        return type(exc), str(exc)
+    return nodes, entries, codes.tolist()
+
+
+# Text with the characters csv quoting turns on (a lone "\r" is not quoted
+# under lineterminator="\n"), spaces, non-ASCII, and the empty string.
+csv_texts = st.text(alphabet=st.sampled_from(list(',"\n\r aé€π')), max_size=5)
+tables = st.integers(0, 4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.dictionaries(
+            st.one_of(csv_texts, st.integers(-3, 3)),
+            st.tuples(*[st.one_of(st.none(), csv_texts, st.integers(-3, 3), st.floats(allow_nan=False))] * k),
+            max_size=8,
+        ),
+    )
+)
+
+
+@given(tables)
+@example((0, {"": (), "a,b": ()}))
+@example((1, {"": ("x\ry",), 'q"': (None,), "é\n": ("",)}))
+@example((3, {}))
+@example((3, {1: (1.5, -2, None), " s ": ("a,b", 1.0, 'q"')}))
+@settings(max_examples=300, deadline=None)
+def test_table_csv_matches_the_row_wise_coder_writer_and_reader(table):
+    k, rows = table
+    t = CliqueTable(k, rows)
+    entries, codes = reference_coding(k, rows)
+    assert [list(map(repr, column)) for column in t.entries] == [list(map(repr, column)) for column in entries]
+    assert np.array_equal(t.codes, codes)
+    text = export_table(t)
+    assert text == reference_csv(t)
+
+    def imported():
+        back = import_table(text)
+        return list(back.rows), back.entries, back.codes
+
+    assert _imported(imported) == _imported(lambda: reference_import(text))

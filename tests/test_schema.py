@@ -199,6 +199,39 @@ def test_import_rejects_short_row():
         import_table("node,c1,c2\nu,a\n")
 
 
+@pytest.mark.parametrize(
+    "text, node_cast, error, message",
+    [
+        ("", None, MalformedCsv, "empty input: missing header"),
+        ("id,c1\nu,a\n", None, MalformedCsv, "bad header ['id', 'c1']: first column must be 'node'"),
+        (
+            "node,c1,c3\nu,a,b\n", None, MalformedCsv,
+            "bad header ['node', 'c1', 'c3']: color columns must be c1..c2",
+        ),
+        ("node,c1,c2\nu,a\n", None, InconsistentArity, "line 2: expected 3 fields, got 2"),
+        ("node,c1\nu,a\n\nv,b,c\n", None, InconsistentArity, "line 4: expected 2 fields, got 3"),
+        ("node,c1\nu,a\nu,b\n", None, MalformedCsv, "line 3: duplicate node 'u'"),
+        ("node,c1\n1,a\n01,b\n", int, MalformedCsv, "line 3: duplicate node 1"),
+        ("node,c1\nu,a\nu,b\nv\n", None, MalformedCsv, "line 3: duplicate node 'u'"),
+        ("node,c1\nu\nv,a\nv,b\n", None, InconsistentArity, "line 2: expected 2 fields, got 1"),
+    ],
+)
+def test_import_errors_and_their_order_are_pinned(text, node_cast, error, message):
+    with pytest.raises(error) as exc:
+        import_table(text, node_cast=node_cast)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_import_skips_blank_lines_and_codes_cast_entries_once():
+    t = import_table("node,c1,c2\n\nu,a,\n\n\nv,,b\n\n")
+    assert t.rows == {"u": ("a", NULL), "v": (NULL, "b")}
+    t = import_table("node,c1\nu,01\nv,1\nw,\n", entry_cast=int)
+    assert t.entries == [[1]]
+    assert len(t.index.postings) == 1
+    assert t.column_preimage(1, 1) == {"u", "v"}
+
+
 def test_empty_table_exports_header_only():
     t = CliqueTable(2, {})
     assert export_table(t).strip() == "node,c1,c2"

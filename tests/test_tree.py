@@ -12,6 +12,7 @@ from cliqueindex.tree import (
     build_tree_schema,
     entry_members,
     extent,
+    iter_tree_blocks,
     iter_tree_rows,
     level,
     map_point_to_leaf,
@@ -124,6 +125,17 @@ def test_schema_cap():
         build_tree_schema(25)
     with pytest.raises(OutOfRange):
         build_tree_schema(5, cap=4)
+
+
+def test_tree_blocks_take_the_cap():
+    with pytest.raises(OutOfRange, match="exceeds the cap 24"):
+        iter_tree_blocks(25)
+    with pytest.raises(OutOfRange, match="exceeds the cap 4"):
+        iter_tree_blocks(5, cap=4)
+    block = next(iter_tree_blocks(25, cap=30))
+    assert block.shape == (26, 4096)
+    assert block[0].tolist() == list(range(1, 4097))
+    assert block[:, 4].tolist() == [5] + [1, 2, 5] + [5] * 22
 
 
 def test_cells_are_level_q_ancestors():
