@@ -10,7 +10,6 @@ from .bitset import CompressedBitset
 from .digraph import (
     AcyclicDigraph,
     ChromaticBounds,
-    DownColoring,
     DownHypergraph,
     ancestor_set_function,
     build_digraph,
@@ -21,7 +20,9 @@ from .digraph import (
     exact_down_chromatic,
     greedy_down_coloring,
     hypergraph_degeneracy,
+    is_down_coloring,
     max_down_set_size,
+    peel_degeneracy,
     read_edge_list,
 )
 from .endpoints import (

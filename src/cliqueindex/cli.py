@@ -26,7 +26,9 @@ from .digraph import (
     greedy_down_coloring,
     hypergraph_degeneracy,
     down_hypergraph,
+    is_down_coloring,
     max_down_set_size,
+    peel_degeneracy,
     read_edge_list,
 )
 from .endpoints import (
@@ -177,7 +179,7 @@ def _load_fact(path: str, acc_cast=None) -> FactTable:
 
 
 def _load_table(path: str) -> CliqueTable:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return import_table(fh)
 
 
@@ -410,76 +412,58 @@ def cmd_query_tree(args) -> int:
 
 
 # -- verify -------------------------------------------------------------------------
-
-def _section(name: str):
-    return {"section": name, "comparisons": 0, "mismatches": 0, "first_failure": None}
-
-
-def _record(section, ok: bool, detail: str) -> None:
-    section["comparisons"] += 1
-    if not ok:
-        section["mismatches"] += 1
-        if section["first_failure"] is None:
-            section["first_failure"] = detail
+#
+# Each suite yields one (ok, detail) pair per oracle comparison.
 
 
 def _verify_intersection(rng: random.Random, scale: float):
-    out = _section("intersection-graph-vs-all-pairs")
     for i in range(max(1, int(120 * scale))):
         f = corpus.random_function(rng, max_entries=20, max_nodes=25)
         fast = build_intersection_graph(f)
         slow = oracle_intersection_graph(f)
-        _record(out, fast.adj == slow.adj, f"function #{i}")
-    return out
+        yield fast.adj == slow.adj, f"function #{i}"
 
 
 def _verify_degeneracy(rng: random.Random, scale: float):
-    out = _section("hypergraph-degeneracy-vs-subset-enumeration")
     for i in range(max(1, int(60 * scale))):
         g = corpus.random_dag(rng, max_nodes=10)
         h = down_hypergraph(g)
-        exact = hypergraph_degeneracy(h, "exact")
-        _record(out, exact == oracle_degeneracy(h), f"dag #{i} exact")
-        _record(out, hypergraph_degeneracy(h, "peel") <= exact, f"dag #{i} peel")
-    return out
+        exact = hypergraph_degeneracy(h)
+        yield exact == oracle_degeneracy(h), f"dag #{i} exact"
+        yield peel_degeneracy(h) <= exact, f"dag #{i} peel"
 
 
 def _verify_bounds(rng: random.Random, scale: float):
-    out = _section("chromatic-bounds-and-greedy")
     for i in range(max(1, int(60 * scale))):
         g = corpus.random_dag(rng, max_nodes=10)
         bounds = down_chromatic_bounds(g)
         chi = exact_down_chromatic(g)
         coloring = greedy_down_coloring(g)
-        _record(out, bounds.lower <= chi <= bounds.upper, f"dag #{i} exact in bounds")
-        _record(out, coloring.is_valid(g), f"dag #{i} greedy validity")
-        _record(out, coloring.k <= bounds.upper, f"dag #{i} greedy under bound")
-    return out
+        yield bounds.lower <= chi <= bounds.upper, f"dag #{i} exact in bounds"
+        yield is_down_coloring(g, coloring), f"dag #{i} greedy validity"
+        yield coloring.k <= bounds.upper, f"dag #{i} greedy under bound"
 
 
 def _verify_schema_duality(rng: random.Random, scale: float):
-    out = _section("schema-materialize-verify-roundtrip")
     for i in range(max(1, int(40 * scale))):
         f = corpus.random_function(rng, max_entries=15, max_nodes=20)
         graph = build_intersection_graph(f)
         for order in GREEDY_ORDERS:
             coloring = greedy_color(graph, order)
             table = materialize(f, coloring)
-            _record(out, bool(verify_schema(f, table, coloring)), f"function #{i} {order}")
+            yield bool(verify_schema(f, table, coloring)), f"function #{i} {order}"
             recovered = recover_coloring(table)
-            _record(out, recovered.is_proper(graph), f"function #{i} {order} recover")
+            yield recovered.is_proper(graph), f"function #{i} {order} recover"
         positions, columns = (table.codes.T >= 0).nonzero()  # non-NULL cells in row order
         if len(positions):
             pick = rng.randrange(len(positions))
             codes = table.codes.copy()
             codes[columns[pick], positions[pick]] = -1
             broken = CliqueTable.from_columns(table.k, table.nodes(), table.entries, codes)
-            _record(out, not verify_schema(f, broken, coloring), f"function #{i} blanked cell not caught")
-    return out
+            yield not verify_schema(f, broken, coloring), f"function #{i} blanked cell not caught"
 
 
 def _verify_intervals(rng: random.Random, scale: float):
-    out = _section("interval-queries-vs-scan")
     for i in range(max(1, int(25 * scale))):
         records = corpus.random_intervals(rng, rng.randint(1, 60))
         s = build_endpoint_schema(records)
@@ -490,33 +474,21 @@ def _verify_intervals(rng: random.Random, scale: float):
             b = a + abs(rng.gauss(0, span / 6))
             want = oracle_interval_intersections(records, a, b)
             first, second = interval_query_branches(s, a, b)
-            _record(out, first | second == want, f"corpus #{i} query [{a},{b}]")
-            _record(out, not (first & second), f"corpus #{i} branch overlap [{a},{b}]")
-            _record(
-                out,
-                bucketed_interval_query(schemas, a, b) == want,
-                f"corpus #{i} bucketed [{a},{b}]",
-            )
-    return out
+            yield first | second == want, f"corpus #{i} query [{a},{b}]"
+            yield not (first & second), f"corpus #{i} branch overlap [{a},{b}]"
+            yield bucketed_interval_query(schemas, a, b) == want, f"corpus #{i} bucketed [{a},{b}]"
 
 
 def _verify_tree(rng: random.Random, scale: float):
-    out = _section("tree-overlap-vs-extent-arithmetic")
     top = 5 if scale < 1 else 7
     for n in range(1, top + 1):
         schema = build_tree_schema(n)
-        _record(out, bool(verify_tree_schema(schema, n)), f"n={n} schema verify")
+        yield bool(verify_tree_schema(schema, n)), f"n={n} schema verify"
         for k in range(1, (1 << n)):
-            _record(
-                out,
-                overlap_query(k, schema) == oracle_tree_overlap(k, n),
-                f"n={n} k={k}",
-            )
-    return out
+            yield overlap_query(k, schema) == oracle_tree_overlap(k, n), f"n={n} k={k}"
 
 
 def _verify_engine(rng: random.Random, scale: float):
-    out = _section("posting-evaluation-vs-full-scan")
     n_levels = 5
     clique = build_tree_schema(n_levels)
     rows = max(64, int(1500 * scale))
@@ -531,31 +503,37 @@ def _verify_engine(rng: random.Random, scale: float):
         expr = corpus.random_expr(rng, clique)
         got = set(evaluate(expr, idx).to_ids())
         want = scan.rids(expr)
-        _record(out, got == want, f"expr #{i}: {format_query(expr)}")
-        _record(
-            out,
-            aggregate_sum(expr, idx, fact) == sum(measures[r] for r in want),
-            f"expr #{i} sum",
-        )
+        yield got == want, f"expr #{i}: {format_query(expr)}"
+        yield aggregate_sum(expr, idx, fact) == sum(measures[r] for r in want), f"expr #{i} sum"
         if isinstance(expr, And) and len(expr.items) == 2:
             lhs = evaluate(Not(expr), idx)
             rhs = evaluate(Or((Not(expr.items[0]), Not(expr.items[1]))), idx)
-            _record(out, lhs == rhs, f"expr #{i} De Morgan")
-    return out
+            yield lhs == rhs, f"expr #{i} De Morgan"
 
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     scale = 0.25 if args.quick else 1.0
-    sections = [
-        _verify_intersection(rng, scale),
-        _verify_degeneracy(rng, scale),
-        _verify_bounds(rng, scale),
-        _verify_schema_duality(rng, scale),
-        _verify_intervals(rng, scale),
-        _verify_tree(rng, scale),
-        _verify_engine(rng, scale),
-    ]
+    suites = (
+        ("intersection-graph-vs-all-pairs", _verify_intersection),
+        ("hypergraph-degeneracy-vs-subset-enumeration", _verify_degeneracy),
+        ("chromatic-bounds-and-greedy", _verify_bounds),
+        ("schema-materialize-verify-roundtrip", _verify_schema_duality),
+        ("interval-queries-vs-scan", _verify_intervals),
+        ("tree-overlap-vs-extent-arithmetic", _verify_tree),
+        ("posting-evaluation-vs-full-scan", _verify_engine),
+    )
+    sections = []
+    # each suite is drained before the next starts, so the rng draws keep their order
+    for name, suite in suites:
+        section = {"section": name, "comparisons": 0, "mismatches": 0, "first_failure": None}
+        for ok, detail in suite(rng, scale):
+            section["comparisons"] += 1
+            if not ok:
+                section["mismatches"] += 1
+                if section["first_failure"] is None:
+                    section["first_failure"] = detail
+        sections.append(section)
     total = sum(s["comparisons"] for s in sections)
     bad = sum(s["mismatches"] for s in sections)
     payload = {
@@ -724,7 +702,7 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except BrokenPipeError:
         return EXIT_DOMAIN
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         _note(f"error: {exc}")
         return EXIT_DOMAIN
 

@@ -1,4 +1,4 @@
-"""Acyclic digraphs and their down-coloring machinery.
+"""Acyclic digraphs, their reachability closures and down-coloring bounds.
 
 The central objects are reachability closures: the descendants-and-self set
 of a node, and its mirror on the reversed digraph.  The inclusion-maximal
@@ -6,7 +6,9 @@ descendant sets form a hypergraph whose degeneracy, together with the
 largest closure size, bounds how many colors a down-coloring needs (a
 down-coloring gives any two nodes sharing an ancestor different colors).
 That color count is the width of the dimension table extracted from the
-digraph, which is why the bounds matter here.
+digraph, which is why the bounds matter here.  A down-coloring is an
+ordinary EntryColoring: a proper coloring of the intersection graph of
+ancestor_set_function.
 
 Node identifiers are opaque hashables externally; internally everything
 runs on dense integer handles and bitmask sets.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ from .errors import (
     UnknownNode,
 )
 from .intersection import (
+    EntryColoring,
     IntersectionGraph,
     SetValuedFunction,
     build_intersection_graph,
@@ -40,8 +44,6 @@ NodeId = Hashable
 
 DEFAULT_DEGENERACY_CAP = 16
 DEFAULT_DOWN_CHROMATIC_CAP = 20
-
-DEGENERACY_MODES = ("exact", "peel")
 
 
 class AcyclicDigraph:
@@ -163,22 +165,8 @@ def build_digraph(
     Duplicate edges are dropped silently; a cycle raises CycleDetected with
     one witness cycle.  Node order is first appearance.
     """
-    nodes: list[NodeId] = []
-    seen_nodes: set[NodeId] = set()
-    edges: list[tuple[NodeId, NodeId]] = []
-    seen_edges: set[tuple[NodeId, NodeId]] = set()
-    for s, t in edge_list:
-        for u in (s, t):
-            if u not in seen_nodes:
-                seen_nodes.add(u)
-                nodes.append(u)
-        if (s, t) not in seen_edges:
-            seen_edges.add((s, t))
-            edges.append((s, t))
-    for u in isolated:
-        if u not in seen_nodes:
-            seen_nodes.add(u)
-            nodes.append(u)
+    edges = tuple(dict.fromkeys((s, t) for s, t in edge_list))
+    nodes = tuple(dict.fromkeys(chain(chain.from_iterable(edges), isolated)))
     return AcyclicDigraph(nodes, edges)
 
 
@@ -303,25 +291,20 @@ def _peel_degeneracy(edge_masks: list[int], width: int) -> int:
     return best
 
 
-def hypergraph_degeneracy(
-    h: DownHypergraph, mode: str = "exact", cap: int = DEFAULT_DEGENERACY_CAP
-) -> int:
-    """Degeneracy of the down-hypergraph.
-
-    Exact mode enumerates every vertex subset and requires at most `cap`
-    vertices; peel mode runs a min-degree removal chain and is only a lower
-    bound (restriction-and-dedup can break the monotonicity the graph
-    argument relies on, so the chain value is never reported as exact).
-    """
-    if mode not in DEGENERACY_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {DEGENERACY_MODES}")
+def hypergraph_degeneracy(h: DownHypergraph, cap: int = DEFAULT_DEGENERACY_CAP) -> int:
+    """Exact degeneracy of the down-hypergraph, by enumerating every vertex
+    subset; raises TooLargeForExact past `cap` vertices."""
     width = len(h.vertices)
-    masks = _edge_masks(h)
-    if mode == "exact":
-        if width > cap:
-            raise TooLargeForExact(width, cap, what="down-hypergraph vertex set")
-        return _exact_degeneracy(masks, width)
-    return _peel_degeneracy(masks, width)
+    if width > cap:
+        raise TooLargeForExact(width, cap, what="down-hypergraph vertex set")
+    return _exact_degeneracy(_edge_masks(h), width)
+
+
+def peel_degeneracy(h: DownHypergraph) -> int:
+    """Lower bound on the degeneracy from one min-degree removal chain, with
+    no vertex cap.  Restriction-and-dedup can break the monotonicity the
+    graph argument relies on, so the chain value is never reported as exact."""
+    return _peel_degeneracy(_edge_masks(h), len(h.vertices))
 
 
 @dataclass(frozen=True)
@@ -329,66 +312,46 @@ class ChromaticBounds:
     """Lower/upper bounds on the down-chromatic number.
 
     `degeneracy_exact` is False when the hypergraph exceeded the exact cap
-    and the peel estimate fed the upper bound; `clamped` marks the defensive
-    upper = max(lower, formula) adjustment.
+    and the peel estimate fed the upper bound.
     """
 
     lower: int
     upper: int
-    max_down_set: int
     degeneracy: int
     degeneracy_exact: bool
     part: int
-    clamped: bool
 
 
-def down_chromatic_bounds(
-    g: AcyclicDigraph,
-    degeneracy_cap: int = DEFAULT_DEGENERACY_CAP,
-    require_exact: bool = False,
-) -> ChromaticBounds:
+def down_chromatic_bounds(g: AcyclicDigraph, degeneracy_cap: int = DEFAULT_DEGENERACY_CAP) -> ChromaticBounds:
     """Bound the down-chromatic number from the closure structure.
 
     Lower bound: the largest descendants-and-self set is pairwise
     conflicting.  Upper bound: equals the lower bound when the hypergraph
     degeneracy is 1 or the largest set has 2 nodes; otherwise
-    degeneracy * (largest - 2) + 1.  Both are greedy-achievable.
+    degeneracy * (largest - 2) + 1.  Both are greedy-achievable.  The
+    degeneracy is exact up to `degeneracy_cap` vertices, else the peel
+    estimate.
     """
     if not g.nodes:
         raise EmptyDigraph("chromatic bounds are undefined on an empty digraph")
     if not g.edges:
-        return ChromaticBounds(1, 1, 1, 0, True, 0, False)
+        return ChromaticBounds(1, 1, 0, True, 0)
     largest = max_down_set_size(g)
     h = down_hypergraph(g)
-    if len(h.vertices) <= degeneracy_cap:
-        ind = hypergraph_degeneracy(h, "exact", cap=degeneracy_cap)
-        exact = True
-    elif require_exact:
-        raise TooLargeForExact(len(h.vertices), degeneracy_cap, what="down-hypergraph vertex set")
-    else:
-        ind = hypergraph_degeneracy(h, "peel")
-        exact = False
+    exact = len(h.vertices) <= degeneracy_cap
+    ind = hypergraph_degeneracy(h, degeneracy_cap) if exact else peel_degeneracy(h)
     if ind == 1 or largest == 2:
-        return ChromaticBounds(largest, largest, largest, ind, exact, 1, False)
-    formula = ind * (largest - 2) + 1
-    return ChromaticBounds(largest, max(largest, formula), largest, ind, exact, 2, formula < largest)
+        return ChromaticBounds(largest, largest, ind, exact, 1)
+    return ChromaticBounds(largest, max(largest, ind * (largest - 2) + 1), ind, exact, 2)
 
 
-@dataclass(frozen=True)
-class DownColoring:
-    """Node -> color in 1..k, with all of each closure set colored distinctly."""
-
-    assignment: dict[NodeId, int]
-    k: int
-
-    def is_valid(self, g: AcyclicDigraph) -> bool:
-        """Direct enumeration: every descendants-and-self set is rainbow."""
-        for u in g.nodes:
-            closure = g.descendants_and_self(u)
-            colors = {self.assignment[v] for v in closure}
-            if len(colors) != len(closure):
-                return False
-        return True
+def is_down_coloring(g: AcyclicDigraph, coloring: EntryColoring) -> bool:
+    """Direct enumeration: every descendants-and-self set is rainbow."""
+    for u in g.nodes:
+        closure = g.descendants_and_self(u)
+        if len({coloring.assignment[v] for v in closure}) != len(closure):
+            return False
+    return True
 
 
 def down_conflict_graph(g: AcyclicDigraph) -> IntersectionGraph:
@@ -397,13 +360,12 @@ def down_conflict_graph(g: AcyclicDigraph) -> IntersectionGraph:
     return build_intersection_graph(ancestor_set_function(g))
 
 
-def greedy_down_coloring(g: AcyclicDigraph, order: str = "smallest-last") -> DownColoring:
+def greedy_down_coloring(g: AcyclicDigraph, order: str = "smallest-last") -> EntryColoring:
     """Greedy proper coloring of the conflict graph; always valid, and on
     instances covered by the bounds it should not exceed the upper bound."""
     if not g.nodes:
         raise EmptyDigraph("cannot color an empty digraph")
-    coloring = greedy_color(down_conflict_graph(g), order)
-    return DownColoring(dict(coloring.assignment), coloring.k)
+    return greedy_color(down_conflict_graph(g), order)
 
 
 def exact_down_chromatic(g: AcyclicDigraph, cap: int = DEFAULT_DOWN_CHROMATIC_CAP) -> int:

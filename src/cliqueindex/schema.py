@@ -334,11 +334,12 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
     """
     # One row per node, then per entry, padded to two fields unless k is 0:
     # csv.writer quotes an empty field only when it is a row's only field.
+    # The "\r\n" terminator makes it quote a lone "\r" as well as "\n".
     rows: list[str] = []
     pad = [repeat("")] * min(t.k, 1)
-    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerows(zip(chain(t._nodes.tolist(), *t.entries), *pad))
-    texts = [row[: -1 - len(pad)] for row in rows]
+    texts = [row[: -2 - len(pad)] for row in rows]
     # Block cell v stands for texts[v - 1]: node position j is j + 1, code c of column i is offsets[i] + c.
     offsets = len(t) + 1 + np.cumsum([0] + [len(column) for column in t.entries])[:-1, None]
     starts = range(0, len(t), BLOCK_ROWS)
@@ -362,11 +363,11 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, os.PathLike):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8", newline="") as fh:
             text = fh.read()
     else:
         text = source
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

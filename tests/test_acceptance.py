@@ -30,6 +30,7 @@ from cliqueindex.digraph import (
     down_hypergraph,
     exact_down_chromatic,
     greedy_down_coloring,
+    is_down_coloring,
     max_down_set_size,
 )
 from cliqueindex.endpoints import (
@@ -153,7 +154,7 @@ def test_criterion_04_pair_digraph_fixture():
         assert (bounds.lower, bounds.upper) == (3, 4)
         coloring = greedy_down_coloring(g)
         assert coloring.k == 4
-        assert coloring.is_valid(g)
+        assert is_down_coloring(g, coloring)
     report(4, "10-node fixture: sizes 3/3, exact 4, bounds (3,4), greedy 4 valid", b)
 
 

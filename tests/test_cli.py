@@ -7,7 +7,7 @@ import pytest
 
 from cliqueindex import cli
 from cliqueindex.cli import main
-from cliqueindex.schema import export_table, import_table
+from cliqueindex.schema import CliqueTable, export_table, import_table
 from cliqueindex.tree import build_tree_schema, iter_tree_rows
 
 from conftest import GOLDEN_TREE_4, PAIR_EDGES
@@ -477,6 +477,38 @@ def test_query_missing_clique_file_is_an_os_error(fact_csv, tmp_path, capsys):
     assert main(["query", "--fact", fact_csv, "--clique", missing, "--expr", "c1='1'"]) == 1
     err = _no_traceback(capsys)
     assert "No such file" in err and "header" not in err
+
+
+@pytest.mark.parametrize("argv, header", [
+    ("export --table {}", "node,c1"),
+    ("index --fact {} --clique {}", "rid,acc,m"),
+    ("build intervals --data {}", "id,x,y"),
+    ("materialize --function {}", "entry,node"),
+], ids=["export", "index", "build-intervals", "materialize"])
+def test_csv_field_over_the_csv_limit_exits_one(tmp_path, capsys, argv, header):
+    field = "x" * (csv.field_size_limit() + 1)
+    data = write(tmp_path / "big.csv", f"{header}\n{field}" + ",1" * header.count(",") + "\n")
+    assert main([arg.format(data) for arg in argv.split()]) == 1
+    err = _no_traceback(capsys)
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_export_of_a_table_holding_carriage_returns_is_byte_stable(tmp_path):
+    table = CliqueTable(2, {"a\rb": ("x\r\ny", None), "c\nd": (None, "z\r"), "plain": ("\r", "q")})
+    first, second, third = (tmp_path / f"{name}.csv" for name in ("first", "second", "third"))
+    export_table(table, first)
+    assert main(["export", "--table", str(first), "--out", str(second)]) == 0
+    assert main(["export", "--table", str(second), "--out", str(third)]) == 0
+    data = first.read_bytes()
+    assert second.read_bytes() == data == third.read_bytes()
+    assert dict(import_table(data.decode()).rows) == dict(table.rows)
+
+
+def test_export_reads_lone_carriage_return_line_endings(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"node,c1\ra,x\rb,\r")
+    assert main(["export", "--table", str(table)]) == 0
+    assert capsys.readouterr().out == "node,c1\na,x\nb,\n"
 
 
 @pytest.mark.parametrize("command", ["build-intervals", "export", "query", "materialize"])

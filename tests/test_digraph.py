@@ -13,12 +13,13 @@ from cliqueindex.digraph import (
     down_chromatic_bounds,
     down_conflict_graph,
     down_hypergraph,
-    DownColoring,
     DownHypergraph,
     exact_down_chromatic,
     greedy_down_coloring,
     hypergraph_degeneracy,
+    is_down_coloring,
     max_down_set_size,
+    peel_degeneracy,
     read_edge_list,
 )
 from cliqueindex.errors import (
@@ -28,6 +29,7 @@ from cliqueindex.errors import (
     TooLargeForExact,
     UnknownNode,
 )
+from cliqueindex.intersection import EntryColoring
 from cliqueindex.oracle import oracle_degeneracy
 
 from conftest import PAIR_EDGES, PAIR_NODES
@@ -48,6 +50,37 @@ def test_isolated_nodes_are_kept():
 def test_duplicate_edges_are_deduplicated():
     g = build_digraph([("a", "b"), ("a", "b")])
     assert len(g.edges) == 1
+
+
+def reference_build_order(edge_list, isolated=()):
+    """Node and edge order of the seen-set loop build_digraph replaced."""
+    nodes, seen_nodes, edges, seen_edges = [], set(), [], set()
+    for s, t in edge_list:
+        for u in (s, t):
+            if u not in seen_nodes:
+                seen_nodes.add(u)
+                nodes.append(u)
+        if (s, t) not in seen_edges:
+            seen_edges.add((s, t))
+            edges.append((s, t))
+    for u in isolated:
+        if u not in seen_nodes:
+            seen_nodes.add(u)
+            nodes.append(u)
+    return tuple(nodes), tuple(edges)
+
+
+@pytest.mark.parametrize("edge_list, isolated", [
+    ([("c", "a"), ("a", "b"), ("c", "a"), ("b", "d"), ("a", "b")], ()),
+    ([("c", "a"), ("a", "b")], ["b", "z", "c", "y"]),
+    ([("c", "a")], ["z", "y", "z", "a", "y"]),
+    ([], ["z", "y", "z"]),
+    ([(f"n{i % 7}", f"n{i % 7 + 1 + i % 3}") for i in range(40)], ["n20", "n3", "n21"]),
+], ids=["duplicate-edges", "isolated-in-edges", "repeated-isolated", "isolated-only", "repeating-pattern"])
+def test_build_digraph_keeps_first_appearance_order(edge_list, isolated):
+    """Edges and isolated nodes arrive as one-shot generators."""
+    g = build_digraph((e for e in edge_list), isolated=(u for u in isolated))
+    assert (g.nodes, g.edges) == reference_build_order(edge_list, isolated)
 
 
 def test_two_cycle_is_rejected_with_witness():
@@ -213,29 +246,29 @@ def test_down_hypergraph_rejects_nested_edges():
 
 def test_degeneracy_on_pair_digraph(pair_dag):
     h = down_hypergraph(pair_dag)
-    assert hypergraph_degeneracy(h, mode="exact") == 3
+    assert hypergraph_degeneracy(h) == 3
     assert oracle_degeneracy(h) == 3
 
 
 def test_degeneracy_single_edge_is_one():
     g = build_digraph([("a", "b"), ("a", "c")])
     h = down_hypergraph(g)
-    assert hypergraph_degeneracy(h, mode="exact") == 1
+    assert hypergraph_degeneracy(h) == 1
 
 
 def test_degeneracy_edgeless_is_zero():
     g = build_digraph([], isolated=["a", "b"])
     h = down_hypergraph(g)
     # singleton hyperedges never count, so the minimum degree is 0
-    assert hypergraph_degeneracy(h, mode="exact") == 0
+    assert hypergraph_degeneracy(h) == 0
 
 
 def test_peel_never_exceeds_exact(rng):
     for _ in range(40):
         g = random_dag(rng)
         h = down_hypergraph(g)
-        exact = hypergraph_degeneracy(h, mode="exact")
-        peel = hypergraph_degeneracy(h, mode="peel")
+        exact = hypergraph_degeneracy(h)
+        peel = peel_degeneracy(h)
         assert peel <= exact
         assert exact == oracle_degeneracy(h)
 
@@ -244,9 +277,9 @@ def test_degeneracy_cap_is_enforced():
     nodes = [f"x{i}" for i in range(17)]
     h = down_hypergraph(build_digraph([], isolated=nodes))
     with pytest.raises(TooLargeForExact):
-        hypergraph_degeneracy(h, mode="exact", cap=16)
+        hypergraph_degeneracy(h, cap=16)
     # the peel estimate has no cap
-    assert hypergraph_degeneracy(h, mode="peel", cap=16) == 0
+    assert peel_degeneracy(h) == 0
 
 
 def test_bounds_on_pair_digraph(pair_dag):
@@ -283,11 +316,9 @@ def test_bounds_never_cross(rng):
         assert b.lower <= b.upper
 
 
-def test_bounds_require_exact_raises_past_cap():
+def test_bounds_estimate_degeneracy_past_cap():
     chain = [(f"n{i}", f"n{i + 1}") for i in range(17)]
     g = build_digraph(chain)
-    with pytest.raises(TooLargeForExact):
-        down_chromatic_bounds(g, degeneracy_cap=4, require_exact=True)
     b = down_chromatic_bounds(g, degeneracy_cap=4)
     assert not b.degeneracy_exact
     assert b.lower <= b.upper
@@ -296,17 +327,17 @@ def test_bounds_require_exact_raises_past_cap():
 def test_greedy_down_coloring_pair_digraph(pair_dag):
     c = greedy_down_coloring(pair_dag)
     assert c.k == 4
-    assert c.is_valid(pair_dag)
+    assert is_down_coloring(pair_dag, c)
 
 
 def test_greedy_down_coloring_all_orders_valid(pair_dag, rng):
     for order in ("input", "largest-first", "smallest-last"):
         c = greedy_down_coloring(pair_dag, order=order)
-        assert c.is_valid(pair_dag)
+        assert is_down_coloring(pair_dag, c)
     for _ in range(15):
         g = random_dag(rng)
         for order in ("input", "largest-first", "smallest-last"):
-            assert greedy_down_coloring(g, order=order).is_valid(g)
+            assert is_down_coloring(g, greedy_down_coloring(g, order=order))
 
 
 def reference_conflict_adj(g):
@@ -336,8 +367,8 @@ def test_down_conflict_graph_on_pair_digraph(pair_dag):
 
 
 def test_down_coloring_validity_detects_clash(pair_dag):
-    bad = DownColoring({u: 1 for u in pair_dag.nodes}, 1)
-    assert not bad.is_valid(pair_dag)
+    bad = EntryColoring({u: 1 for u in pair_dag.nodes}, 1)
+    assert not is_down_coloring(pair_dag, bad)
 
 
 def test_exact_down_chromatic_pair_digraph(pair_dag):

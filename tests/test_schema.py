@@ -176,6 +176,26 @@ def test_csv_round_trip_via_file(tmp_path):
         assert import_table(fh).cell("u", 1) == "a"
 
 
+def test_csv_round_trip_keeps_carriage_returns_and_newlines(tmp_path):
+    for t in (
+        CliqueTable(2, {"a\rb": ("x\r\ny", NULL), "c\nd": (NULL, "z\r"), "\r\n": ("\n", "\r")}),
+        CliqueTable(0, {"a\rb": (), "\r": (), "": ()}),
+    ):
+        text = export_table(t)
+        assert dict(import_table(text).rows) == dict(t.rows)
+        dest = tmp_path / "t.csv"
+        export_table(t, dest)
+        assert dict(import_table(dest).rows) == dict(t.rows)
+
+
+def test_import_reads_lone_carriage_return_line_endings(tmp_path):
+    text = "node,c1\ra,x\rb,\r"
+    dest = tmp_path / "t.csv"
+    dest.write_bytes(text.encode())
+    for source in (text, dest):
+        assert dict(import_table(source).rows) == {"a": ("x",), "b": (NULL,)}
+
+
 def test_import_casts_nodes_and_entries():
     text = "node,c1\n10,7\n11,7\n"
     t = import_table(text, node_cast=int, entry_cast=int)
