@@ -69,6 +69,7 @@ from .oracle import (
     oracle_tree_overlap,
 )
 from .schema import (
+    NULL,
     CliqueTable,
     compact_colors,
     export_table,
@@ -454,12 +455,12 @@ def _verify_schema_duality(rng: random.Random, scale: float):
             yield bool(verify_schema(f, table, coloring)), f"function #{i} {order}"
             recovered = recover_coloring(table)
             yield recovered.is_proper(graph), f"function #{i} {order} recover"
-        positions, columns = (table.codes.T >= 0).nonzero()  # non-NULL cells in row order
-        if len(positions):
-            pick = rng.randrange(len(positions))
-            codes = table.codes.copy()
-            codes[columns[pick], positions[pick]] = -1
-            broken = CliqueTable.from_columns(table.k, table.nodes(), table.entries, codes)
+        rows = {u: list(row) for u, row in table.rows.items()}
+        filled = [(u, col) for u, row in rows.items() for col, v in enumerate(row) if v is not NULL]
+        if filled:
+            u, col = filled[rng.randrange(len(filled))]
+            rows[u][col] = NULL
+            broken = CliqueTable(table.k, {u: tuple(row) for u, row in rows.items()})
             yield not verify_schema(f, broken, coloring), f"function #{i} blanked cell not caught"
 
 

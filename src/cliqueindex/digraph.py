@@ -44,6 +44,7 @@ NodeId = Hashable
 
 DEFAULT_DEGENERACY_CAP = 16
 DEFAULT_DOWN_CHROMATIC_CAP = 20
+DEGENERACY_CHUNK_CELLS = 1 << 20  # subset x hyperedge cells per chunk of _exact_degeneracy
 
 
 class AcyclicDigraph:
@@ -240,38 +241,36 @@ def _edge_masks(h: DownHypergraph) -> list[int]:
     return masks
 
 
-def _exact_degeneracy(edge_masks: list[int], width: int) -> int:
+def _exact_degeneracy(edge_masks: list[int], width: int, cells: int = DEGENERACY_CHUNK_CELLS) -> int:
     """Max over vertex subsets of the minimum edge-membership degree.
 
-    Vectorized over all 2^width subsets: restrict every hyperedge, drop
-    restrictions under two vertices, deduplicate per subset, then take the
-    min degree per subset and the max over subsets.
+    Vectorized over chunks of consecutive subsets, about `cells` subset x
+    hyperedge cells each, so memory stays bounded however many subsets
+    there are: restrict every hyperedge, drop restrictions under two
+    vertices, deduplicate per subset, then take the min degree per subset
+    and the max over subsets.
     """
     if not edge_masks:
         return 0
-    total = 1 << width
-    subsets = np.arange(total, dtype=np.int64)
-    popcount = np.zeros(total, dtype=np.int8)
-    for bit in range(width):
-        popcount += ((subsets >> bit) & 1).astype(np.int8)
+    total, masks = 1 << width, np.array(edge_masks, dtype=np.int64)
+    step, best = max(1, cells // len(edge_masks)), 0
+    for start in range(0, total, step):
+        subsets = np.arange(start, min(start + step, total), dtype=np.int64)
+        restricted = subsets[:, None] & masks
+        restricted[(restricted & (restricted - 1)) == 0] = 0  # fewer than two vertices
+        restricted.sort(axis=1)
+        distinct = np.empty(restricted.shape, dtype=bool)
+        distinct[:, 0] = restricted[:, 0] != 0
+        distinct[:, 1:] = (restricted[:, 1:] != restricted[:, :-1]) & (restricted[:, 1:] != 0)
 
-    restricted = np.empty((total, len(edge_masks)), dtype=np.int64)
-    for j, em in enumerate(edge_masks):
-        r = subsets & em
-        r[popcount[r] < 2] = 0
-        restricted[:, j] = r
-    restricted.sort(axis=1)
-    distinct = np.empty(restricted.shape, dtype=bool)
-    distinct[:, 0] = restricted[:, 0] != 0
-    distinct[:, 1:] = (restricted[:, 1:] != restricted[:, :-1]) & (restricted[:, 1:] != 0)
-
-    min_degree = np.full(total, np.iinfo(np.int64).max, dtype=np.int64)
-    for u in range(width):
-        degree_u = (((restricted >> u) & 1) * distinct).sum(axis=1)
-        member = ((subsets >> u) & 1) == 1
-        np.minimum(min_degree, degree_u, where=member, out=min_degree)
-    min_degree[0] = 0
-    return int(min_degree.max(initial=0))
+        min_degree = np.full(len(subsets), np.iinfo(np.int64).max, dtype=np.int64)
+        for u in range(width):
+            degree_u = (((restricted >> u) & 1) * distinct).sum(axis=1)
+            member = ((subsets >> u) & 1) == 1
+            np.minimum(min_degree, degree_u, where=member, out=min_degree)
+        min_degree[subsets == 0] = 0
+        best = max(best, int(min_degree.max()))
+    return best
 
 
 def _peel_degeneracy(edge_masks: list[int], width: int) -> int:

@@ -62,6 +62,24 @@ class EndpointSchema:
         self._y_ids = [self.intervals[i].id for i in order]
 
 
+def _straddle_csr(start, run, held, n_entries: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the pairs (start[r] + j, held[r]) for j < run[r], grouped by
+    entry: one sort of entry-major int64 keys, built in place so that one
+    pair-sized temporary exists at a time.  When intervals share an id
+    (fewer nodes than intervals), a pair the shared id repeats is dropped."""
+    key = np.repeat(start - (np.cumsum(run) - run), run)
+    key += np.arange(key.size)
+    key *= n_nodes
+    key += np.repeat(held, run)
+    key.sort()
+    if n_nodes < len(held):
+        key = key[np.diff(key, prepend=-1) != 0]
+    indptr = np.zeros(n_entries + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n_nodes, minlength=n_entries), out=indptr[1:])
+    key %= n_nodes
+    return indptr, key.astype(np.int32)
+
+
 def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema:
     """Entries, cyclic coloring, and materialized table for the collection.
 
@@ -88,14 +106,8 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     held = np.fromiter(map(node_pos.__getitem__, ids), dtype=np.int64, count=len(ids))
     window = max(1, int(run.max()))
 
-    # Pair j of interval r is (start[r] + j, held[r]); keyed entry-major,
-    # one sort groups the pairs, and a node that repeated ids repeat is dropped.
-    offset = np.repeat(start - (np.cumsum(run) - run), run)
-    key = np.sort((np.arange(offset.size, dtype=np.int64) + offset) * len(nodes) + np.repeat(held, run))
-    key = key[np.diff(key, prepend=-1) != 0]
-    indptr = np.zeros(len(entries) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // len(nodes), minlength=len(entries)), out=indptr[1:])
-    f = SetValuedFunction.from_csr(tuple(entries), nodes, indptr, (key % len(nodes)).astype(np.int32))
+    indptr, indices = _straddle_csr(start, run, held, len(entries), len(nodes))
+    f = SetValuedFunction.from_csr(tuple(entries), nodes, indptr, indices)
 
     colors = (np.arange(len(entries)) % window + 1).tolist()
     coloring = EntryColoring(dict(zip(entries, colors)), window)

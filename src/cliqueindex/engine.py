@@ -3,11 +3,11 @@
 One posting per (color column, entry) holds the row ids whose referenced
 node carries that entry in that column, emulating a bitmap join index.
 A column's postings are CSR slices of one id array (`schema.Postings`,
-as for the clique table's own nodes), built by one gather of the table's
-codes and one argsort per column.  Boolean predicates run as set algebra
-on sorted rid arrays and bool masks (`bitset`), with a full scan over
-per-column codes as the reference path and a bench harness that reports
-index-vs-scan work.
+as for the clique table's own nodes), built per column by one gather of
+the table column's codes, decoded from its postings, and one argsort.
+Boolean predicates run as set algebra on sorted rid arrays and bool masks
+(`bitset`), with a full scan over per-column codes as the reference path
+and a bench harness that reports index-vs-scan work.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ def _resolve_codes(fact: FactTable, clique: CliqueTable):
     def columns():
         # One slot past the nodes stays -1: acc position -1 (unresolved) reads it.
         padded = np.full(len(clique) + 1, -1, dtype=np.int32)
-        for codes in clique.codes:
-            padded[:-1] = codes
+        for i in range(1, clique.k + 1):
+            clique.column_codes(i, out=padded[:-1])
             yield padded.take(acc_pos)
 
     return int(np.count_nonzero(acc_pos < 0)), columns()
@@ -281,7 +281,8 @@ def build_index(fact: FactTable, clique: CliqueTable) -> PostingIndex:
     posting (they still occupy rids, so NOT can return them).
     """
     unresolved, columns = _resolve_codes(fact, clique)
-    return PostingIndex(fact.n, clique.k, Postings(fact.n, clique.entry_codes, columns), unresolved)
+    postings = Postings.from_codes(fact.n, zip(clique.entry_codes, columns))
+    return PostingIndex(fact.n, clique.k, postings, unresolved)
 
 
 @dataclass

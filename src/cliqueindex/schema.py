@@ -5,9 +5,10 @@ graph, the table has one row per node and one column per color; cell
 (u, i) holds the unique entry of color i whose image contains u, or NULL.
 Column i is then an index on the data: the rows holding e* in column
 c(e*) are exactly the image of e*, which is what verify_schema checks.
-The table is stored as such an index, by column (O'Neil & Quass's bitmap
-join index): int32 entry codes over node positions and CSR postings over
-them, built by the same `Postings` that indexes fact rows in `engine`.
+The table is stored as that index and nothing else (O'Neil & Quass's
+bitmap join index): per column, CSR postings of node positions, the same
+`Postings` that indexes fact rows in `engine`.  Rows and cells are read
+from a node -> cells transpose built on first use.
 """
 
 from __future__ import annotations
@@ -17,18 +18,19 @@ import io
 import json
 import os
 import sys
+from bisect import bisect_right
 from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from types import SimpleNamespace
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bitset import CompressedBitset
-from .errors import ColorCollision, InconsistentArity, MalformedCsv, UnknownNode
+from .errors import ColorCollision, InconsistentArity, MalformedCsv, OutOfRange, UnknownNode
 from .intersection import EntryColoring, RowView, SetValuedFunction
 
 Entry = Hashable
@@ -47,25 +49,34 @@ def _sorted_ids(values: Iterable) -> list:
 
 
 class Postings(Mapping):
-    """(column, entry) -> id set over positions 0..n-1, built from one int32
-    code array per column (-1 for NULL) by one stable argsort each.
+    """(column, entry) -> id set over positions 0..n-1, stored by column.
 
-    Per column, `ids` holds the positions of the non-NULL codes grouped by
-    code (read-only int32, ascending within a code), and code c's posting
-    is the zero-copy view ids[offsets[c]:offsets[c + 1]]; entry_code maps
-    an entry to its code.
+    Each column is a tuple (entry_code, offsets, ids): entry_code maps an
+    entry to its code, ids holds the column's positions grouped by code
+    (read-only int32, ascending within a code), and code c's posting is
+    the zero-copy view ids[offsets[c]:offsets[c + 1]].  from_codes builds
+    the columns from int32 code arrays over the positions.
     """
 
-    def __init__(self, n: int, entry_codes: Sequence[dict], code_columns: Iterable[np.ndarray]):
+    def __init__(self, n: int, columns: Iterable[tuple[dict, np.ndarray, np.ndarray]]):
         self.n = n
-        self.columns: list[tuple[dict, np.ndarray, np.ndarray]] = []
-        for entry_code, codes in zip(entry_codes, code_columns):
+        self.columns = list(columns)
+        for _, _, ids in self.columns:
+            ids.flags.writeable = False
+
+    @classmethod
+    def from_codes(cls, n: int, columns: Iterable[tuple[dict, np.ndarray]]) -> "Postings":
+        """Columns from (entry_code, codes) pairs, codes holding each
+        position's int32 code (-1 for NULL), by one stable argsort each;
+        a column is turned into its posting before the next is read."""
+        out = []
+        for entry_code, codes in columns:
             rows = np.flatnonzero(codes >= 0)
             codes = codes[rows]
             ids = rows[np.argsort(codes, kind="stable")].astype(np.int32)
-            ids.flags.writeable = False
             counts = np.bincount(codes, minlength=len(entry_code))
-            self.columns.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
+            out.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
+        return cls(n, out)
 
     def __getitem__(self, key) -> CompressedBitset:
         col, entry = key
@@ -99,52 +110,77 @@ class PostingIndex:
         return sum(ids.nbytes for _, _, ids in self.postings.columns)
 
 
-def _code_columns(n: int, columns: Sequence[Sequence], null=NULL, cast=None) -> tuple[list[list], np.ndarray]:
-    """Code the columns' n cells in first-seen order: per column, an entry
-    list in code order and int32 codes, -1 at null.  A cast applies to the
-    distinct cells, and cells that cast equal share one code."""
-    entries, codes = [], np.empty((len(columns), n), dtype=np.int32)
-    for column, out in zip(columns, codes):
+def _code_columns(n: int, columns: Iterable[Sequence], null=NULL, cast=None) -> Iterator[tuple[dict, np.ndarray]]:
+    """Code the columns' n cells in first-seen order, one column at a time:
+    per column, its entry -> code map and int32 codes, -1 at null.  A cast
+    applies to the distinct cells, and cells that cast equal share one
+    code."""
+    for column in columns:
         code: dict = {}
         index = {v: code.setdefault(cast(v) if cast else v, len(code)) for v in dict.fromkeys(column) if v != null}
         index[null] = -1
-        out[:] = np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=n)
-        entries.append(list(code))
-    return entries, codes
+        yield code, np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=n)
 
 
 class CliqueTable:
-    """k color columns over an ordered node domain, stored by column.
+    """k color columns over an ordered node domain, stored as their postings.
 
     entries[i] lists column i + 1's entries in code order, each held by
-    some node; codes[i, j] is that column's code at node position j, -1 for
-    NULL; index holds the column postings over node positions.
-    CliqueTable(k, rows) converts node -> k cells, for small tables;
-    builders of large ones call from_columns.  Immutable by convention.
+    some node, and entry_codes[i] maps them back to codes; index holds the
+    column postings over node positions, the table's only cell storage,
+    and rows, cell and export read a node -> cells transpose built from it
+    on first use.  CliqueTable(k, rows) converts node -> k cells, for small
+    tables; builders pass from_postings the stored form, converting code
+    columns one at a time with Postings.from_codes.  Immutable by
+    convention.
     """
 
     def __init__(self, k: int, rows: Mapping[Node, tuple]):
         for u, cells in rows.items():
             if len(cells) != k:
                 raise InconsistentArity(f"row {u!r} has {len(cells)} cells, table width is {k}")
-        self._init(k, rows, *_code_columns(len(rows), list(zip(*rows.values())) or [()] * k))
+        columns = zip(*rows.values()) if rows else [()] * k
+        self._init(rows, Postings.from_codes(len(rows), _code_columns(len(rows), columns)))
 
     @classmethod
-    def from_columns(cls, k: int, nodes: Iterable[Node], entries: list[list], codes: np.ndarray) -> "CliqueTable":
+    def from_postings(cls, nodes: Iterable[Node], postings: Postings) -> "CliqueTable":
         table = cls.__new__(cls)
-        table._init(k, nodes, entries, codes)
+        table._init(nodes, postings)
         return table
 
-    def _init(self, k: int, nodes: Iterable[Node], entries: list[list], codes: np.ndarray) -> None:
-        self.k, self.entries, self.codes = k, entries, codes
-        self._nodes = np.fromiter(nodes, dtype=object, count=codes.shape[1])
-        self.entry_codes = [{e: code for code, e in enumerate(column)} for column in entries]
-        self.index = PostingIndex(len(self._nodes), k, Postings(len(self._nodes), self.entry_codes, codes), 0)
+    def _init(self, nodes: Iterable[Node], postings: Postings) -> None:
+        self._nodes = np.fromiter(nodes, dtype=object, count=postings.n)
+        self.k = len(postings.columns)
+        self.entry_codes = [entry_code for entry_code, _, _ in postings.columns]
+        self.entries = [list(entry_code) for entry_code in self.entry_codes]
+        self.index = PostingIndex(postings.n, self.k, postings, 0)
 
     @cached_property
     def position(self) -> dict:
         """Node -> position, built on first use."""
         return dict(zip(self._nodes.tolist(), range(len(self._nodes))))
+
+    @cached_property
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Node -> cells, built on first use: node position j's non-NULL
+        cells are cells[indptr[j]:indptr[j + 1]] in column order, each the
+        number of its entry when the columns' entries are numbered in order:
+        column i (0-based) holds numbers starts[i] to starts[i + 1] - 1, its
+        code c as starts[i] + c.  A column holds a node at most once, so the
+        columns are placed one after another by counting sort, with no
+        temporary as large as the table."""
+        columns = self.index.postings.columns
+        counts = np.zeros(len(self), dtype=np.intp)
+        for _, _, ids in columns:
+            counts[ids] += 1
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        starts = np.cumsum([0] + [len(column) for column in self.entries]).tolist()
+        cells, fill = np.empty(indptr[-1], dtype=np.int32), indptr[:-1].copy()
+        for start, (_, offsets, ids) in zip(starts, columns):
+            codes = np.arange(start, start + len(offsets) - 1, dtype=np.int32)
+            cells[fill[ids]] = np.repeat(codes, np.diff(offsets))
+            fill[ids] += 1
+        return indptr, cells, starts
 
     @property
     def rows(self) -> Mapping[Node, tuple]:
@@ -152,8 +188,13 @@ class CliqueTable:
         return RowView(self._nodes, self._cells_of)
 
     def _cells_of(self, u: Node) -> tuple:
-        codes = self.codes[:, self.position[u]].tolist()
-        return tuple(NULL if c < 0 else column[c] for column, c in zip(self.entries, codes))
+        indptr, cells, starts = self._transpose
+        j = self.position[u]
+        row = [NULL] * self.k
+        for g in cells[indptr[j]:indptr[j + 1]].tolist():
+            i = bisect_right(starts, g) - 1
+            row[i] = self.entries[i][g - starts[i]]
+        return tuple(row)
 
     def cell(self, u: Node, i: int):
         """Cell in column i (1-based) of node u's row."""
@@ -161,8 +202,15 @@ class CliqueTable:
             raise UnknownNode(u)
         if not 1 <= i <= self.k:
             raise IndexError(f"column {i} outside 1..{self.k}")
-        code = self.codes[i - 1, self.position[u]]
-        return NULL if code < 0 else self.entries[i - 1][code]
+        return self._cells_of(u)[i - 1]
+
+    def column_codes(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Column i's (1-based) int32 code at each node position, -1 for
+        NULL, written from its postings into out (N long int32)."""
+        _, offsets, ids = self.index.postings.columns[i - 1]
+        out.fill(-1)
+        out[ids] = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
+        return out
 
     def nodes(self) -> tuple:
         return tuple(self._nodes.tolist())
@@ -171,7 +219,7 @@ class CliqueTable:
         return set(self._nodes.take(positions).tolist())
 
     def null_count(self) -> int:
-        return int(np.count_nonzero(self.codes < 0))
+        return len(self) * self.k - sum(len(ids) for _, _, ids in self.index.postings.columns)
 
     def column_preimage(self, i: int, e: Entry) -> set:
         """Nodes whose column i holds entry e: its posting."""
@@ -202,40 +250,49 @@ def materialize(
     c: EntryColoring,
     domain: Sequence[Node] | None = None,
 ) -> CliqueTable:
-    """Write each entry's code into its column at its image's node positions.
+    """Write each column's postings straight from f's CSR.
 
     The row set defaults to the sorted union of all images; an explicit
     domain may add nodes no entry references (their rows are all NULL).
-    An image node outside the domain raises UnknownNode.  A node claimed
-    by two entries of one color means the coloring was not proper on the
-    intersection graph: ColorCollision.  One lookup per node of f's domain
-    maps f's node positions to rows, and one scatter from f's CSR writes
-    the codes; reading the cells back finds collisions, since only one of
-    two writes to a cell survives.
+    An image node outside the domain raises UnknownNode, and a color
+    outside 1..k raises OutOfRange.  A node claimed by two entries of one
+    color means the coloring was not proper on the intersection graph:
+    ColorCollision.  One lookup per node of f's domain maps f's node
+    positions to rows; the entries with a non-empty image, grouped by color
+    in f's order, are the columns' codes, and their rows, gathered in that
+    order, the columns' ids.  A row twice in one column is a collision.
     """
     order = _sorted_ids(f.node_domain()) if domain is None else list(dict.fromkeys(domain))
     position = dict(zip(order, range(len(order))))
-    entries: list[list] = [[] for _ in range(c.k)]
-    writes = []  # (column, code) per entry with a non-empty image
     sizes = np.diff(f.indptr)
     filled = np.flatnonzero(sizes)
-    for i in filled.tolist():
-        e = f.entries[i]
-        column = c.assignment[e] - 1
-        writes.append((column, len(entries[column])))
-        entries[column].append(e)
-    col, code = np.array(writes, dtype=np.intp).reshape(-1, 2).T
-    row_of = np.fromiter(map(position.get, f.nodes, repeat(-1)), dtype=np.int64, count=len(f.nodes))
-    cells = row_of[f.indices]  # image rows, then flat offsets into codes
-    if (cells < 0).any():
+    colors = np.fromiter((c.assignment[f.entries[i]] for i in filled.tolist()), dtype=np.intp, count=len(filled))
+    bad = np.flatnonzero((colors < 1) | (colors > c.k))
+    if len(bad):
+        raise OutOfRange(f"entry {f.entries[filled[bad[0]]]!r} has color {colors[bad[0]]}, outside 1..{c.k}")
+    row_of = np.fromiter(map(position.get, f.nodes, repeat(-1)), dtype=np.int32, count=len(f.nodes))
+    rows = row_of[f.indices]
+    if (rows < 0).any():
         raise _first_conflict(f, c, position)
-    cells += np.repeat(col * len(order), sizes[filled])
-    code = np.repeat(code, sizes[filled])
-    codes = np.full((c.k, len(order)), -1, dtype=np.int32)
-    np.put(codes, cells, code)  # flat put/take beat 2-D fancy indexing
-    if not np.array_equal(codes.take(cells), code):
-        raise _first_conflict(f, c, position)
-    return CliqueTable.from_columns(c.k, order, entries, codes)
+    known = row_of[row_of >= 0]
+    if (known[1:] < known[:-1]).any():  # rows of an entry no longer ascend: sort within entries
+        base = np.repeat(np.arange(len(sizes)) * len(order), sizes)
+        rows = (np.sort(rows + base) - base).astype(np.int32)
+    by_color = filled[np.argsort(colors, kind="stable")]
+    ends = np.concatenate(([0], np.cumsum(np.bincount(colors, minlength=c.k + 1)[1:])))
+    last = np.empty(len(order), dtype=np.intp)
+    columns = []
+    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        held = by_color[a:b]  # the column's entries, in code order
+        offsets = np.concatenate(([0], np.cumsum(sizes[held])))
+        gather = np.repeat(f.indptr[held] - offsets[:-1], sizes[held])
+        gather += np.arange(offsets[-1])  # each membership's offset in f.indices
+        column, seq = rows[gather], np.arange(offsets[-1])
+        last[column] = seq  # a row twice in the column keeps one of its writes
+        if not np.array_equal(last[column], seq):
+            raise _first_conflict(f, c, position)
+        columns.append((dict(zip([f.entries[i] for i in held.tolist()], range(b - a))), offsets, column))
+    return CliqueTable.from_postings(order, Postings(len(order), columns))
 
 
 @dataclass(frozen=True)
@@ -308,9 +365,8 @@ def compact_colors(t: CliqueTable) -> tuple[CliqueTable, dict[int, int]]:
     """
     used = [i for i in range(1, t.k + 1) if t.entries[i - 1]]
     remap = {old: new for new, old in enumerate(used, start=1)}
-    keep = [i - 1 for i in used]
-    table = CliqueTable.from_columns(len(used), t.nodes(), [t.entries[i] for i in keep], t.codes[keep])
-    return table, remap
+    columns = t.index.postings.columns
+    return CliqueTable.from_postings(t._nodes, Postings(len(t), [columns[i - 1] for i in used])), remap
 
 
 def write_table_csv(fh, k: int, blocks: Iterable[np.ndarray], texts: Sequence[str] | None = None) -> None:
@@ -340,13 +396,20 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
     writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerows(zip(chain(t._nodes.tolist(), *t.entries), *pad))
     texts = [row[: -2 - len(pad)] for row in rows]
-    # Block cell v stands for texts[v - 1]: node position j is j + 1, code c of column i is offsets[i] + c.
-    offsets = len(t) + 1 + np.cumsum([0] + [len(column) for column in t.entries])[:-1, None]
-    starts = range(0, len(t), BLOCK_ROWS)
-    blocks = (
-        np.vstack([np.arange(start + 1, start + 1 + codes.shape[1]), np.where(codes < 0, 0, codes + offsets)])
-        for start, codes in zip(starts, np.array_split(t.codes, starts[1:], axis=1))
-    )
+    # Block cell v stands for texts[v - 1]: node position j is j + 1, and
+    # the transpose's entry number g is len(t) + 1 + g.
+    indptr, cells, starts = t._transpose
+
+    def block(start: int) -> np.ndarray:
+        stop = min(start + BLOCK_ROWS, len(t))
+        ints = np.zeros((t.k + 1, stop - start), dtype=np.int64)
+        ints[0] = np.arange(start + 1, stop + 1)
+        g = cells[indptr[start]:indptr[stop]]
+        column = np.searchsorted(starts, g, side="right")  # 1 + the 0-based column
+        ints[column, np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))] = g + len(t) + 1
+        return ints
+
+    blocks = map(block, range(0, len(t), BLOCK_ROWS))
     out = io.StringIO() if dest is None else dest
     with nullcontext(out) if hasattr(out, "write") else open(out, "w", encoding="utf-8") as fh:
         write_table_csv(fh, t.k, blocks, texts)
@@ -392,7 +455,8 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
         nodes[node] = None
         records.append(record)
     columns = list(zip(*records))[1:] or [()] * k
-    return CliqueTable.from_columns(k, nodes, *_code_columns(len(nodes), columns, "", entry_cast))
+    postings = Postings.from_codes(len(nodes), _code_columns(len(nodes), columns, "", entry_cast))
+    return CliqueTable.from_postings(nodes, postings)
 
 
 def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:

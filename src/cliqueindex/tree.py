@@ -24,7 +24,7 @@ import numpy as np
 from . import engine
 from .errors import OutOfRange
 from .intersection import EntryColoring, SetValuedFunction
-from .schema import BLOCK_ROWS, NULL, CliqueTable, VerifyResult
+from .schema import BLOCK_ROWS, NULL, CliqueTable, Postings, VerifyResult
 
 DEFAULT_TREE_CAP = 24
 
@@ -125,8 +125,9 @@ def tree_coloring(n: int, canonical: bool = True) -> EntryColoring:
     return EntryColoring(assignment, n)
 
 
-def _tree_cells(ids: np.ndarray, n: int, variant: str) -> np.ndarray:
-    """Cells of the given ids as an (n, len(ids)) array, 0 for NULL.
+def _tree_cells(ids: np.ndarray, n: int, variant: str, q=None) -> np.ndarray:
+    """Cells of the given ids in column q (1-based), 0 for NULL; by default
+    in all n columns, as an (n, len(ids)) array.
 
     Table variant: column q holds k's level-q ancestor k >> (L(k) - q) up
     to k's level and k itself below.  Literal variant: k from its level
@@ -134,7 +135,7 @@ def _tree_cells(ids: np.ndarray, n: int, variant: str) -> np.ndarray:
     2^q <= 2p <= k, else NULL.
     """
     levels = np.frexp(ids)[1]  # L(k) = bit_length(k), exact below 2^53
-    q = np.arange(1, n + 1)[:, None]
+    q = np.arange(1, n + 1)[:, None] if q is None else q
     if variant == "literal":
         p = (ids << q) >> n
         return np.where(q >= levels, ids, np.where(((1 << q) <= 2 * p) & (2 * p <= ids), p, 0))
@@ -165,19 +166,21 @@ def build_tree_schema(n: int, cap: int = DEFAULT_TREE_CAP, variant: str = "table
     Column q of row k holds the id truncated to level q (its level-q
     ancestor) for q up to k's level, and k itself below; storing the bare
     p is enough because the column fixes q.  Each column's codes come from
-    one np.unique of its cells.
+    one np.unique of its cells, computed and turned into its postings one
+    column at a time.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_levels(n, cap)
-    cells = _tree_cells(np.arange(1, 1 << n), n, variant)
-    entries, codes = [], np.empty(cells.shape, dtype=np.int32)
-    for q, column in enumerate(cells):
-        values, inverse = np.unique(column, return_inverse=True)
-        null = int(values[0] == 0)  # NULL cells of the literal variant
-        codes[q] = inverse - null
-        entries.append(values[null:].tolist())
-    return CliqueTable.from_columns(n, range(1, 1 << n), entries, codes)
+    ids = np.arange(1, 1 << n)
+
+    def columns():
+        for q in range(1, n + 1):
+            values, inverse = np.unique(_tree_cells(ids, n, variant, q), return_inverse=True)
+            null = int(values[0] == 0)  # NULL cells of the literal variant
+            yield dict(zip(values[null:].tolist(), range(len(values) - null))), (inverse - null).astype(np.int32)
+
+    return CliqueTable.from_postings(range(1, 1 << n), Postings.from_codes(len(ids), columns()))
 
 
 def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> VerifyResult:

@@ -452,6 +452,14 @@ def test_materialize_rejects_malformed_sidecar(tmp_path, capsys, payload):
     assert "sidecar" in _no_traceback(capsys)
 
 
+@pytest.mark.parametrize("color", [0, 3, -1])
+def test_materialize_rejects_a_sidecar_color_outside_1_to_k(tmp_path, capsys, color):
+    fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\ng1,b\ng2,b\n")
+    sidecar = write(tmp_path / "c.json", json.dumps({"k": 2, "coloring": {"g1": 1, "g2": color}}))
+    assert main(["materialize", "--function", fn_csv, "--coloring", sidecar]) == 1
+    assert f"entry 'g2' has color {color}, outside 1..2" in _no_traceback(capsys)
+
+
 def test_bench_rejects_fewer_than_two_levels(capsys):
     assert main(["bench", "--seed", "1", "--rows", "100", "--levels", "1"]) == 1
     assert "2 tree levels" in _no_traceback(capsys)

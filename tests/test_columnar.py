@@ -1,8 +1,9 @@
 """Differential tests for the columnar clique table: materialize against the
 cell-by-cell fill it replaced, the fact index against the table's rows, the
-vectorized tree cells against the per-cell formula they replaced, and the
+vectorized tree cells against the per-cell formula they replaced, the
 column coder, table CSV writer and reader against the row-wise code they
-replaced."""
+replaced, and the table stored as postings alone against the dense k x N
+code matrix it used to keep."""
 
 import csv
 import io
@@ -19,6 +20,7 @@ from cliqueindex.errors import ColorCollision, InconsistentArity, MalformedCsv, 
 from cliqueindex.intersection import (
     GREEDY_ORDERS,
     EntryColoring,
+    SetValuedFunction,
     build_intersection_graph,
     greedy_color,
 )
@@ -192,6 +194,13 @@ def reference_coding(k, rows):
     return [list(ec) for ec in entry_codes], np.array(codes, dtype=np.int32).reshape(len(rows), k).T
 
 
+def table_codes(t):
+    """Each node's per-column code, rebuilt from the decoded rows and the
+    table's entry codes, as a (k, N) array, -1 for NULL."""
+    codes = [[-1 if v is NULL else ec[v] for ec, v in zip(t.entry_codes, row)] for row in t.rows.values()]
+    return np.array(codes, dtype=np.int32).reshape(len(t), t.k).T
+
+
 def reference_csv(t):
     """The per-row csv.writer export the shared block writer replaced, with
     fields quoted as under lineterminator="\r\n" (so a lone "\r" is quoted)
@@ -255,12 +264,152 @@ def test_table_csv_matches_the_row_wise_coder_writer_and_reader(table):
     t = CliqueTable(k, rows)
     entries, codes = reference_coding(k, rows)
     assert [list(map(repr, column)) for column in t.entries] == [list(map(repr, column)) for column in entries]
-    assert np.array_equal(t.codes, codes)
+    assert np.array_equal(table_codes(t), codes)
     text = export_table(t)
     assert text == reference_csv(t)
 
     def imported():
         back = import_table(text)
-        return list(back.rows), back.entries, back.codes
+        return list(back.rows), back.entries, table_codes(back)
 
     assert _imported(imported) == _imported(lambda: reference_import(text))
+
+
+# -- the stored postings against the dense k x N code matrix they replaced --
+
+
+def _sorted_nodes(nodes):
+    try:
+        return sorted(nodes)
+    except TypeError:
+        return sorted(nodes, key=repr)
+
+
+def dense_codes(f, c, order):
+    """The (k, N) int32 code matrix the table stored before, -1 for NULL,
+    filled one cell at a time in f's entry order.  A column's codes number
+    its entries with a non-empty image in that order.  Raises as the fill
+    meets an unknown node or a cell claimed twice."""
+    position = {u: j for j, u in enumerate(order)}
+    entries = [[] for _ in range(c.k)]
+    codes = np.full((c.k, len(order)), -1, dtype=np.int32)
+    for e in f.entries:
+        column, image = c.assignment[e] - 1, f.image[e]
+        if image:
+            entries[column].append(e)
+        for u in image:
+            if u not in position:
+                raise UnknownNode(u)
+            j = position[u]
+            if codes[column, j] >= 0:
+                raise ColorCollision(u, column + 1, entries[column][codes[column, j]], e)
+            codes[column, j] = len(entries[column]) - 1
+    return entries, codes
+
+
+def dense_postings(entries, codes):
+    """Per column, (offsets, ids): each code's positions, ascending."""
+    out = []
+    for column, row in zip(entries, codes):
+        groups = [np.flatnonzero(row == code).astype(np.int32) for code in range(len(column))]
+        sizes = [len(g) for g in groups]
+        offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        out.append((offsets, np.concatenate([np.empty(0, np.int32), *groups])))
+    return out
+
+
+def assert_same_postings(postings, entries, want):
+    assert len(postings.columns) == len(want)
+    for column, (entry_code, offsets, ids), (want_offsets, want_ids) in zip(entries, postings.columns, want):
+        assert list(entry_code) == column
+        assert offsets.dtype == np.int64 and ids.dtype == np.int32
+        assert offsets.tolist() == want_offsets.tolist()
+        assert ids.tolist() == want_ids.tolist()
+
+
+def dense_rows(entries, codes, order):
+    return {
+        u: tuple(NULL if code < 0 else column[code] for column, code in zip(entries, codes[:, j].tolist()))
+        for j, u in enumerate(order)
+    }
+
+
+int_nodes, str_nodes = st.integers(-30, 30), st.text("ab1", max_size=3)
+node_values = st.sampled_from([int_nodes, str_nodes, st.one_of(int_nodes, str_nodes)]).flatmap(
+    lambda nodes: st.lists(nodes, min_size=1, max_size=12, unique=True)
+)
+
+
+@st.composite
+def colored_functions(draw):
+    """(f, coloring, domain): images over int, str or mixed nodes; f built
+    by the converting constructor (first-seen node order) or as CSR over
+    sorted nodes; a greedy proper coloring or a random, often improper,
+    one; no domain, or an explicit one with extra nodes, reordered, and
+    sometimes missing a node an image holds."""
+    nodes = draw(node_values)
+    images = draw(st.lists(st.sets(st.sampled_from(nodes), max_size=6), min_size=1, max_size=10))
+    entries = tuple(f"e{i}" for i in range(len(images)))
+    if draw(st.booleans()):
+        f = SetValuedFunction(entries, dict(zip(entries, images)))
+    else:
+        held = _sorted_nodes(set(nodes))
+        pos = {u: j for j, u in enumerate(held)}
+        rows = [sorted(pos[u] for u in image) for image in images]
+        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+        indices = np.array([j for r in rows for j in r], dtype=np.int32)
+        f = SetValuedFunction.from_csr(entries, tuple(held), indptr, indices)
+    if draw(st.booleans()):
+        c = greedy_color(build_intersection_graph(f), draw(st.sampled_from(GREEDY_ORDERS)))
+    else:
+        k = draw(st.integers(1, 4))
+        c = EntryColoring({e: draw(st.integers(1, k)) for e in entries}, k)
+    domain = None
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.one_of(st.integers(100, 110), st.just("spare")), max_size=3))
+        domain = draw(st.permutations(list(nodes) + extra))
+        if draw(st.booleans()) and domain:
+            domain = domain[1:]
+    return f, c, domain
+
+
+@given(colored_functions(), seeds)
+@example(
+    (SetValuedFunction(("a", "b"), {"a": {"n10", "n9"}, "b": {"n9"}}), EntryColoring({"a": 1, "b": 2}, 2), None), 0
+)
+@settings(max_examples=300, deadline=None)
+def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
+    f, c, domain = case
+    order = _sorted_nodes(f.node_domain()) if domain is None else list(dict.fromkeys(domain))
+    try:
+        entries, codes = dense_codes(f, c, order)
+    except (UnknownNode, ColorCollision) as exc:
+        with pytest.raises(type(exc)) as raised:
+            materialize(f, c, domain)
+        assert str(raised.value) == str(exc)
+        return
+    t = materialize(f, c, domain)
+    assert_same_postings(t.index.postings, entries, dense_postings(entries, codes))
+    want = dense_rows(entries, codes, order)
+    assert list(t.rows) == order
+    assert dict(t.rows.items()) == want
+    for u, row in want.items():
+        assert [t.cell(u, i) for i in range(1, t.k + 1)] == list(row)
+    assert t.null_count() == int(np.count_nonzero(codes < 0))
+    assert export_table(t) == reference_csv(SimpleNamespace(k=t.k, rows=want))
+
+    used = [i for i, column in enumerate(entries) if column]
+    squeezed, _ = compact_colors(t)
+    kept = [entries[i] for i in used]
+    assert_same_postings(squeezed.index.postings, kept, dense_postings(kept, codes[used]))
+    squeezed_rows = dense_rows(kept, codes[used], order)
+    assert dict(squeezed.rows.items()) == squeezed_rows
+    assert export_table(squeezed) == reference_csv(SimpleNamespace(k=len(used), rows=squeezed_rows))
+
+    rng = random.Random(seed)
+    accs = [rng.choice(order + ["absent"]) for _ in range(rng.randint(0, 40))]
+    acc_pos = np.array([order.index(a) if a in order else -1 for a in accs], dtype=np.intp)
+    fact_codes = np.hstack([codes, np.full((c.k, 1), -1, dtype=np.int32)])[:, acc_pos]  # -1 reads the pad
+    idx = build_index(FactTable(accs, [1] * len(accs)), t)
+    assert_same_postings(idx.postings, entries, dense_postings(entries, fact_codes))
+    assert idx.unresolved == accs.count("absent")

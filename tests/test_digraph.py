@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_dag, random_out_tree
 from cliqueindex.digraph import (
+    _edge_masks,
+    _exact_degeneracy,
     ancestor_set_function,
     build_digraph,
     descendant_set_function,
@@ -271,6 +273,15 @@ def test_peel_never_exceeds_exact(rng):
         peel = peel_degeneracy(h)
         assert peel <= exact
         assert exact == oracle_degeneracy(h)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64])
+def test_exact_degeneracy_chunks_agree_with_one_chunk(rng, cells):
+    for _ in range(30):
+        h = down_hypergraph(random_dag(rng, max_nodes=10))
+        masks, width = _edge_masks(h), len(h.vertices)
+        whole = _exact_degeneracy(masks, width, cells=len(masks) << width)
+        assert _exact_degeneracy(masks, width, cells=cells) == whole == oracle_degeneracy(h)
 
 
 def test_degeneracy_cap_is_enforced():
