@@ -191,12 +191,15 @@ def _sidecar_path(args):
 
 def _load_source(args):
     """Check that exactly one of --edges or --function is given; return the base
-    provenance, the digraph (None for --function) and the set-valued function."""
+    provenance, the digraph (None for --function) and the set-valued function.
+    An edge list with no nodes raises EmptyDigraph under either map."""
     if bool(args.edges) == bool(args.function):
         raise CliqueIndexError("pass exactly one of --edges or --function")
     if args.function:
         return {"source": args.function, "order": args.order}, None, _load_function(args.function)
     g = _load_digraph(args.edges)
+    if not g.nodes:
+        raise EmptyDigraph("cannot color an empty digraph")
     closure = descendant_set_function if args.map == "descendants" else ancestor_set_function
     return {"source": args.edges, "order": args.order, "map": args.map}, g, closure(g)
 
@@ -257,15 +260,11 @@ def cmd_build_tree(args) -> int:
 def cmd_color(args) -> int:
     provenance, g, f = _load_source(args)
     down = args.edges and args.map == "ancestors"
-    if down and not g.nodes:
-        raise EmptyDigraph("cannot color an empty digraph")
     coloring = greedy_color(build_intersection_graph(f), args.order)
     if down:
         # entries are ancestor sets; their proper colorings are exactly
         # the colorings where nodes under a common ancestor all differ
-        bounds = down_chromatic_bounds(
-            g, degeneracy_cap=_env_cap("CLIQUEINDEX_DEGENERACY_CAP", 16)
-        )
+        bounds = down_chromatic_bounds(g)
         provenance.update(
             kind="digraph-down-coloring",
             bounds={

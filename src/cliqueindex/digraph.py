@@ -31,6 +31,7 @@ from .errors import (
     UnknownNode,
 )
 from .intersection import (
+    DEFAULT_CHROMATIC_CAP,
     EntryColoring,
     IntersectionGraph,
     SetValuedFunction,
@@ -42,9 +43,7 @@ from .intersection import (
 
 NodeId = Hashable
 
-DEFAULT_DEGENERACY_CAP = 16
-DEFAULT_DOWN_CHROMATIC_CAP = 20
-DEGENERACY_CHUNK_CELLS = 1 << 20  # subset x hyperedge cells per chunk of _exact_degeneracy
+EXACT_DEGENERACY_CELLS = 1 << 20  # most subset x hyperedge cells hypergraph_degeneracy enumerates
 
 
 class AcyclicDigraph:
@@ -241,41 +240,44 @@ def _edge_masks(h: DownHypergraph) -> list[int]:
     return masks
 
 
-def _exact_degeneracy(edge_masks: list[int], width: int, cells: int = DEGENERACY_CHUNK_CELLS) -> int:
-    """Max over vertex subsets of the minimum edge-membership degree.
+def hypergraph_degeneracy(h: DownHypergraph) -> int:
+    """Exact degeneracy of the down-hypergraph: the max over vertex subsets
+    of the minimum edge-membership degree.
 
-    Vectorized over chunks of consecutive subsets, about `cells` subset x
-    hyperedge cells each, so memory stays bounded however many subsets
-    there are: restrict every hyperedge, drop restrictions under two
-    vertices, deduplicate per subset, then take the min degree per subset
-    and the max over subsets.
+    One vectorized pass over all 2^|V| subsets: restrict every hyperedge,
+    drop restrictions under two vertices, deduplicate per subset, then take
+    the min degree per subset and the max over subsets.  Raises
+    TooLargeForExact when the subset x hyperedge table would exceed
+    EXACT_DEGENERACY_CELLS cells.
     """
-    if not edge_masks:
+    width, cells = len(h.vertices), len(h.hyperedges) << len(h.vertices)
+    if cells > EXACT_DEGENERACY_CELLS:
+        raise TooLargeForExact(cells, EXACT_DEGENERACY_CELLS, what="subset x hyperedge table")
+    if not h.hyperedges:
         return 0
-    total, masks = 1 << width, np.array(edge_masks, dtype=np.int64)
-    step, best = max(1, cells // len(edge_masks)), 0
-    for start in range(0, total, step):
-        subsets = np.arange(start, min(start + step, total), dtype=np.int64)
-        restricted = subsets[:, None] & masks
-        restricted[(restricted & (restricted - 1)) == 0] = 0  # fewer than two vertices
-        restricted.sort(axis=1)
-        distinct = np.empty(restricted.shape, dtype=bool)
-        distinct[:, 0] = restricted[:, 0] != 0
-        distinct[:, 1:] = (restricted[:, 1:] != restricted[:, :-1]) & (restricted[:, 1:] != 0)
+    subsets = np.arange(1 << width, dtype=np.int64)
+    restricted = subsets[:, None] & np.array(_edge_masks(h), dtype=np.int64)
+    restricted[(restricted & (restricted - 1)) == 0] = 0  # fewer than two vertices
+    restricted.sort(axis=1)
+    distinct = np.empty(restricted.shape, dtype=bool)
+    distinct[:, 0] = restricted[:, 0] != 0
+    distinct[:, 1:] = (restricted[:, 1:] != restricted[:, :-1]) & (restricted[:, 1:] != 0)
 
-        min_degree = np.full(len(subsets), np.iinfo(np.int64).max, dtype=np.int64)
-        for u in range(width):
-            degree_u = (((restricted >> u) & 1) * distinct).sum(axis=1)
-            member = ((subsets >> u) & 1) == 1
-            np.minimum(min_degree, degree_u, where=member, out=min_degree)
-        min_degree[subsets == 0] = 0
-        best = max(best, int(min_degree.max()))
-    return best
+    min_degree = np.full(len(subsets), np.iinfo(np.int64).max, dtype=np.int64)
+    for u in range(width):
+        degree_u = (((restricted >> u) & 1) * distinct).sum(axis=1)
+        member = ((subsets >> u) & 1) == 1
+        np.minimum(min_degree, degree_u, where=member, out=min_degree)
+    min_degree[0] = 0  # the empty subset
+    return int(min_degree.max())
 
 
-def _peel_degeneracy(edge_masks: list[int], width: int) -> int:
-    """Lower-bound estimate along one minimum-degree removal chain."""
-    alive = (1 << width) - 1
+def peel_degeneracy(h: DownHypergraph) -> int:
+    """Lower bound on the degeneracy along one min-degree removal chain, with
+    no size limit.  Restriction-and-dedup can break the monotonicity the
+    graph argument relies on, so the chain value is never reported as exact."""
+    edge_masks = _edge_masks(h)
+    alive = (1 << len(h.vertices)) - 1
     best = 0
     while alive:
         restrictions = {em & alive for em in edge_masks}
@@ -290,28 +292,13 @@ def _peel_degeneracy(edge_masks: list[int], width: int) -> int:
     return best
 
 
-def hypergraph_degeneracy(h: DownHypergraph, cap: int = DEFAULT_DEGENERACY_CAP) -> int:
-    """Exact degeneracy of the down-hypergraph, by enumerating every vertex
-    subset; raises TooLargeForExact past `cap` vertices."""
-    width = len(h.vertices)
-    if width > cap:
-        raise TooLargeForExact(width, cap, what="down-hypergraph vertex set")
-    return _exact_degeneracy(_edge_masks(h), width)
-
-
-def peel_degeneracy(h: DownHypergraph) -> int:
-    """Lower bound on the degeneracy from one min-degree removal chain, with
-    no vertex cap.  Restriction-and-dedup can break the monotonicity the
-    graph argument relies on, so the chain value is never reported as exact."""
-    return _peel_degeneracy(_edge_masks(h), len(h.vertices))
-
-
 @dataclass(frozen=True)
 class ChromaticBounds:
     """Lower/upper bounds on the down-chromatic number.
 
-    `degeneracy_exact` is False when the hypergraph exceeded the exact cap
-    and the peel estimate fed the upper bound.
+    `degeneracy_exact` is False when the down-hypergraph's subset x
+    hyperedge table exceeded EXACT_DEGENERACY_CELLS and the peel estimate
+    fed the upper bound.
     """
 
     lower: int
@@ -321,15 +308,16 @@ class ChromaticBounds:
     part: int
 
 
-def down_chromatic_bounds(g: AcyclicDigraph, degeneracy_cap: int = DEFAULT_DEGENERACY_CAP) -> ChromaticBounds:
+def down_chromatic_bounds(g: AcyclicDigraph) -> ChromaticBounds:
     """Bound the down-chromatic number from the closure structure.
 
     Lower bound: the largest descendants-and-self set is pairwise
     conflicting.  Upper bound: equals the lower bound when the hypergraph
     degeneracy is 1 or the largest set has 2 nodes; otherwise
     degeneracy * (largest - 2) + 1.  Both are greedy-achievable.  The
-    degeneracy is exact up to `degeneracy_cap` vertices, else the peel
-    estimate.
+    degeneracy is exact when 2^|V| x sources is at most
+    EXACT_DEGENERACY_CELLS (every digraph of up to 16 nodes), else the
+    peel estimate.
     """
     if not g.nodes:
         raise EmptyDigraph("chromatic bounds are undefined on an empty digraph")
@@ -337,8 +325,10 @@ def down_chromatic_bounds(g: AcyclicDigraph, degeneracy_cap: int = DEFAULT_DEGEN
         return ChromaticBounds(1, 1, 0, True, 0)
     largest = max_down_set_size(g)
     h = down_hypergraph(g)
-    exact = len(h.vertices) <= degeneracy_cap
-    ind = hypergraph_degeneracy(h, degeneracy_cap) if exact else peel_degeneracy(h)
+    try:
+        ind, exact = hypergraph_degeneracy(h), True
+    except TooLargeForExact:
+        ind, exact = peel_degeneracy(h), False
     if ind == 1 or largest == 2:
         return ChromaticBounds(largest, largest, ind, exact, 1)
     return ChromaticBounds(largest, max(largest, ind * (largest - 2) + 1), ind, exact, 2)
@@ -367,13 +357,15 @@ def greedy_down_coloring(g: AcyclicDigraph, order: str = "smallest-last") -> Ent
     return greedy_color(down_conflict_graph(g), order)
 
 
-def exact_down_chromatic(g: AcyclicDigraph, cap: int = DEFAULT_DOWN_CHROMATIC_CAP) -> int:
-    """Exact down-chromatic number via branch-and-bound on the conflict graph."""
+def exact_down_chromatic(g: AcyclicDigraph) -> int:
+    """Exact down-chromatic number via branch-and-bound on the conflict
+    graph; raises TooLargeForExact past DEFAULT_CHROMATIC_CAP nodes before
+    building it."""
     if not g.nodes:
         raise EmptyDigraph("chromatic number is undefined on an empty digraph")
-    if len(g.nodes) > cap:
-        raise TooLargeForExact(len(g.nodes), cap, what="conflict graph")
-    return exact_chromatic(down_conflict_graph(g), cap=len(g.nodes))
+    if len(g.nodes) > DEFAULT_CHROMATIC_CAP:
+        raise TooLargeForExact(len(g.nodes), DEFAULT_CHROMATIC_CAP, what="conflict graph")
+    return exact_chromatic(down_conflict_graph(g))
 
 
 def _closure_function(g: AcyclicDigraph, masks: tuple[int, ...]) -> SetValuedFunction:

@@ -7,14 +7,15 @@ they never sample.  Size caps fail loudly instead of degrading.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import OutOfRange, TooLargeForExact
 from .intersection import IntersectionGraph, SetValuedFunction
 
 ORACLE_PAIRWISE_CAP = 5000
-ORACLE_DEGENERACY_CAP = 16
+ORACLE_HYPERGRAPH_CAP = 16
 ORACLE_TREE_CAP = 16
 
 
@@ -44,8 +45,8 @@ def oracle_degeneracy(h) -> int:
     Full enumeration of all 2^|V| subsets.
     """
     vertices = list(h.vertices)
-    if len(vertices) > ORACLE_DEGENERACY_CAP:
-        raise TooLargeForExact(len(vertices), ORACLE_DEGENERACY_CAP, what="hypergraph vertex set")
+    if len(vertices) > ORACLE_HYPERGRAPH_CAP:
+        raise TooLargeForExact(len(vertices), ORACLE_HYPERGRAPH_CAP, what="hypergraph vertex set")
     edges = [frozenset(e) for e in h.hyperedges]
     best = 0
     subsets = chain.from_iterable(
@@ -72,24 +73,17 @@ def oracle_interval_intersections(intervals, a, b) -> set:
     return out
 
 
-def _extent(k: int, n: int) -> tuple[int, int]:
-    """Half-open extent of tree interval k in units of 2^(1-n)."""
-    level = math.floor(math.log2(k)) + 1
-    width = 1 << (n - level)
-    lo = (k - (1 << (level - 1))) * width
-    return lo, lo + width
-
-
 def oracle_tree_overlap(k: int, n: int) -> set[int]:
-    """All tree interval ids whose half-open dyadic extent meets k's."""
+    """All tree interval ids whose half-open dyadic extent meets k's: every
+    id's extent in units of 2^(1-n), computed from its level, scanned in one
+    vectorized comparison against k's."""
     if n > ORACLE_TREE_CAP:
         raise TooLargeForExact(n, ORACLE_TREE_CAP, what="tree level count")
     if not 1 <= k < (1 << n):
         raise OutOfRange(f"interval id {k} outside 1..{(1 << n) - 1}")
-    lo, hi = _extent(k, n)
-    out = set()
-    for j in range(1, 1 << n):
-        jlo, jhi = _extent(j, n)
-        if jlo < hi and lo < jhi:
-            out.add(j)
-    return out
+    ids = np.arange(1, 1 << n, dtype=np.int64)
+    levels = np.frexp(ids.astype(np.float64))[1]  # frexp's exponent is the bit length
+    widths = np.left_shift(1, n - levels, dtype=np.int64)
+    los = (ids - np.left_shift(1, levels - 1, dtype=np.int64)) * widths
+    lo, hi = los[k - 1], los[k - 1] + widths[k - 1]
+    return set(ids[(los < hi) & (lo < los + widths)].tolist())

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from bisect import bisect_right
 from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -110,15 +109,12 @@ class PostingIndex:
         return sum(ids.nbytes for _, _, ids in self.postings.columns)
 
 
-def _code_columns(n: int, columns: Iterable[Sequence], null=NULL, cast=None) -> Iterator[tuple[dict, np.ndarray]]:
+def _code_columns(n: int, columns: Iterable[Sequence], null=NULL) -> Iterator[tuple[dict, np.ndarray]]:
     """Code the columns' n cells in first-seen order, one column at a time:
-    per column, its entry -> code map and int32 codes, -1 at null.  A cast
-    applies to the distinct cells, and cells that cast equal share one
-    code."""
+    per column, its entry -> code map and int32 codes, -1 at null."""
     for column in columns:
-        code: dict = {}
-        index = {v: code.setdefault(cast(v) if cast else v, len(code)) for v in dict.fromkeys(column) if v != null}
-        index[null] = -1
+        code = {v: i for i, v in enumerate(v for v in dict.fromkeys(column) if v != null)}
+        index = {**code, null: -1}
         yield code, np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=n)
 
 
@@ -161,26 +157,31 @@ class CliqueTable:
         return dict(zip(self._nodes.tolist(), range(len(self._nodes))))
 
     @cached_property
-    def _transpose(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Node -> cells, built on first use: node position j's non-NULL
         cells are cells[indptr[j]:indptr[j + 1]] in column order, each the
-        number of its entry when the columns' entries are numbered in order:
-        column i (0-based) holds numbers starts[i] to starts[i + 1] - 1, its
-        code c as starts[i] + c.  A column holds a node at most once, so the
-        columns are placed one after another by counting sort, with no
-        temporary as large as the table."""
+        number of its entry when the columns' entries are numbered in order
+        (code c of 0-based column i is c plus the entry count of the columns
+        before i), and column[g] is entry number g's 0-based column.  A column holds a node
+        at most once, so the columns are placed one after another by
+        counting sort, with no temporary as large as the table."""
         columns = self.index.postings.columns
         counts = np.zeros(len(self), dtype=np.intp)
         for _, _, ids in columns:
             counts[ids] += 1
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        starts = np.cumsum([0] + [len(column) for column in self.entries]).tolist()
+        starts = np.cumsum([0] + [len(column) for column in self.entries])
         cells, fill = np.empty(indptr[-1], dtype=np.int32), indptr[:-1].copy()
-        for start, (_, offsets, ids) in zip(starts, columns):
+        for start, (_, offsets, ids) in zip(starts.tolist(), columns):
             codes = np.arange(start, start + len(offsets) - 1, dtype=np.int32)
             cells[fill[ids]] = np.repeat(codes, np.diff(offsets))
             fill[ids] += 1
-        return indptr, cells, starts
+        return indptr, cells, np.repeat(np.arange(self.k, dtype=np.int32), np.diff(starts))
+
+    @cached_property
+    def _numbered_entries(self) -> tuple[list, list[int]]:
+        """Every entry in number order, and its 0-based column, as lists."""
+        return list(chain.from_iterable(self.entries)), self._transpose[2].tolist()
 
     @property
     def rows(self) -> Mapping[Node, tuple]:
@@ -188,12 +189,12 @@ class CliqueTable:
         return RowView(self._nodes, self._cells_of)
 
     def _cells_of(self, u: Node) -> tuple:
-        indptr, cells, starts = self._transpose
+        indptr, cells, _ = self._transpose
+        entries, column = self._numbered_entries
         j = self.position[u]
         row = [NULL] * self.k
         for g in cells[indptr[j]:indptr[j + 1]].tolist():
-            i = bisect_right(starts, g) - 1
-            row[i] = self.entries[i][g - starts[i]]
+            row[column[g]] = entries[g]
         return tuple(row)
 
     def cell(self, u: Node, i: int):
@@ -398,15 +399,14 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
     texts = [row[: -2 - len(pad)] for row in rows]
     # Block cell v stands for texts[v - 1]: node position j is j + 1, and
     # the transpose's entry number g is len(t) + 1 + g.
-    indptr, cells, starts = t._transpose
+    indptr, cells, column = t._transpose
 
     def block(start: int) -> np.ndarray:
         stop = min(start + BLOCK_ROWS, len(t))
         ints = np.zeros((t.k + 1, stop - start), dtype=np.int64)
         ints[0] = np.arange(start + 1, stop + 1)
         g = cells[indptr[start]:indptr[stop]]
-        column = np.searchsorted(starts, g, side="right")  # 1 + the 0-based column
-        ints[column, np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))] = g + len(t) + 1
+        ints[column[g] + 1, np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))] = g + len(t) + 1
         return ints
 
     blocks = map(block, range(0, len(t), BLOCK_ROWS))
@@ -416,12 +416,12 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
     return out.getvalue() if dest is None else None
 
 
-def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
+def import_table(source) -> CliqueTable:
     """Read a table back from a file object, an os.PathLike path, or CSV text.
 
-    Values arrive as strings; node_cast/entry_cast convert them (e.g. int
-    for tree tables).  Raises MalformedCsv on a bad header or duplicate
-    node, InconsistentArity on a short or long row.
+    Nodes and entries are the CSV's strings, an empty field is NULL.
+    Raises MalformedCsv on a bad header or duplicate node,
+    InconsistentArity on a short or long row.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -449,13 +449,13 @@ def import_table(source, node_cast=None, entry_cast=None) -> CliqueTable:
             raise InconsistentArity(
                 f"line {lineno}: expected {k + 1} fields, got {len(record)}"
             )
-        node = node_cast(record[0]) if node_cast else record[0]
+        node = record[0]
         if node in nodes:
             raise MalformedCsv(f"line {lineno}: duplicate node {node!r}")
         nodes[node] = None
         records.append(record)
     columns = list(zip(*records))[1:] or [()] * k
-    postings = Postings.from_codes(len(nodes), _code_columns(len(nodes), columns, "", entry_cast))
+    postings = Postings.from_codes(len(nodes), _code_columns(len(nodes), columns, ""))
     return CliqueTable.from_postings(nodes, postings)
 
 
@@ -472,7 +472,7 @@ def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
         fh.write("\n")
 
 
-def read_sidecar(path, entry_cast=None) -> tuple[EntryColoring, dict]:
+def read_sidecar(path) -> tuple[EntryColoring, dict]:
     """Coloring and provenance from a sidecar; MalformedCsv when it is not
     JSON or lacks an integer k and an entry -> color map."""
     with open(path, encoding="utf-8") as fh:
@@ -481,10 +481,7 @@ def read_sidecar(path, entry_cast=None) -> tuple[EntryColoring, dict]:
         except json.JSONDecodeError as exc:
             raise MalformedCsv(f"sidecar {path}: not JSON ({exc})") from None
     try:
-        assignment = {
-            (entry_cast(e) if entry_cast else e): int(i)
-            for e, i in payload["coloring"].items()
-        }
+        assignment = {e: int(i) for e, i in payload["coloring"].items()}
         return EntryColoring(assignment, int(payload["k"])), payload.get("provenance", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedCsv(f"sidecar {path}: needs k and a coloring map ({exc!r})") from None

@@ -97,8 +97,8 @@ def entry_members(p: int, q: int, n: int, variant: str = "table") -> frozenset[i
     return frozenset(members)
 
 
-def tree_entry_function(n: int, canonical: bool = True, variant: str = "table") -> SetValuedFunction:
-    """Entries as (p, q) pairs with their member sets.
+def tree_entry_function(n: int, canonical: bool = True) -> SetValuedFunction:
+    """Entries as (p, q) pairs with their table-variant member sets.
 
     Canonical keeps one entry per node, (p, level(p)); the full variant
     keeps every (p, q) with level(p) <= q <= n, whose extra entries are the
@@ -110,7 +110,7 @@ def tree_entry_function(n: int, canonical: bool = True, variant: str = "table") 
         qs = [level(p)] if canonical else range(level(p), n + 1)
         for q in qs:
             entries.append((p, q))
-    image = {(p, q): entry_members(p, q, n, variant) for p, q in entries}
+    image = {(p, q): entry_members(p, q, n) for p, q in entries}
     return SetValuedFunction(tuple(entries), image)
 
 

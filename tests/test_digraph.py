@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_dag, random_out_tree
 from cliqueindex.digraph import (
-    _edge_masks,
-    _exact_degeneracy,
     ancestor_set_function,
     build_digraph,
     descendant_set_function,
@@ -275,21 +273,22 @@ def test_peel_never_exceeds_exact(rng):
         assert exact == oracle_degeneracy(h)
 
 
-@pytest.mark.parametrize("cells", [1, 5, 64])
-def test_exact_degeneracy_chunks_agree_with_one_chunk(rng, cells):
-    for _ in range(30):
-        h = down_hypergraph(random_dag(rng, max_nodes=10))
-        masks, width = _edge_masks(h), len(h.vertices)
-        whole = _exact_degeneracy(masks, width, cells=len(masks) << width)
-        assert _exact_degeneracy(masks, width, cells=cells) == whole == oracle_degeneracy(h)
+def chain_dag(n):
+    """n nodes in a line: the down-hypergraph is one hyperedge over all of them."""
+    return build_digraph([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
 
 
 def test_degeneracy_cap_is_enforced():
+    assert hypergraph_degeneracy(down_hypergraph(chain_dag(20))) == 1  # 2^20 x 1 cells
+    h = down_hypergraph(chain_dag(21))
+    with pytest.raises(TooLargeForExact):
+        hypergraph_degeneracy(h)
+    # the peel estimate has no cap
+    assert peel_degeneracy(h) == 1
     nodes = [f"x{i}" for i in range(17)]
     h = down_hypergraph(build_digraph([], isolated=nodes))
     with pytest.raises(TooLargeForExact):
-        hypergraph_degeneracy(h, cap=16)
-    # the peel estimate has no cap
+        hypergraph_degeneracy(h)  # 2^17 x 17 cells
     assert peel_degeneracy(h) == 0
 
 
@@ -327,12 +326,19 @@ def test_bounds_never_cross(rng):
         assert b.lower <= b.upper
 
 
-def test_bounds_estimate_degeneracy_past_cap():
-    chain = [(f"n{i}", f"n{i + 1}") for i in range(17)]
-    g = build_digraph(chain)
-    b = down_chromatic_bounds(g, degeneracy_cap=4)
+def test_bounds_estimate_degeneracy_past_cap(rng):
+    b = down_chromatic_bounds(chain_dag(21))
     assert not b.degeneracy_exact
     assert b.lower <= b.upper
+    b = down_chromatic_bounds(chain_dag(18))
+    assert b.degeneracy_exact
+    assert (b.lower, b.upper, b.degeneracy) == (18, 18, 1)
+    # exact exactly when 2^nodes x sources fits in 2^20 cells
+    for _ in range(12):
+        g = random_dag(rng, max_nodes=22)
+        if g.edges:
+            sources = len(down_hypergraph(g).hyperedges)
+            assert down_chromatic_bounds(g).degeneracy_exact == (sources << len(g) <= 1 << 20)
 
 
 def test_greedy_down_coloring_pair_digraph(pair_dag):
@@ -395,7 +401,7 @@ def test_exact_down_chromatic_cap():
     chain = [(f"n{i}", f"n{i + 1}") for i in range(21)]
     g = build_digraph(chain)
     with pytest.raises(TooLargeForExact):
-        exact_down_chromatic(g, cap=20)
+        exact_down_chromatic(g)
 
 
 def test_exact_between_bounds(rng):

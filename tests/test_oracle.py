@@ -1,6 +1,8 @@
 """The oracles are deliberately naive; these tests pin their own behavior on
 tiny hand-checkable inputs so the cross-checks elsewhere rest on something."""
 
+import math
+
 import pytest
 
 from cliqueindex.digraph import DownHypergraph
@@ -76,6 +78,27 @@ def test_tree_overlap_worked_example():
 def test_tree_overlap_siblings_disjoint():
     assert 3 not in oracle_tree_overlap(2, 4)
     assert 9 not in oracle_tree_overlap(5, 4)
+
+
+def reference_tree_overlap(k, n):
+    """The scan as a Python loop over every id, each extent from its level."""
+
+    def extent(j):
+        level = math.floor(math.log2(j)) + 1
+        width = 1 << (n - level)
+        lo = (j - (1 << (level - 1))) * width
+        return lo, lo + width
+
+    lo, hi = extent(k)
+    return {j for j in range(1, 1 << n) if extent(j)[0] < hi and lo < extent(j)[1]}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_overlap_matches_the_loop(n):
+    for k in range(1, 1 << n):
+        got = oracle_tree_overlap(k, n)
+        assert got == reference_tree_overlap(k, n), (k, n)
+        assert all(type(j) is int for j in got)
 
 
 def test_tree_overlap_bad_inputs():
