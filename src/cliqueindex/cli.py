@@ -52,6 +52,7 @@ from .engine import (
     evaluate,
     format_query,
     parse_query,
+    row_count,
 )
 from .errors import CliqueIndexError, EmptyDigraph, MalformedCsv
 from .intersection import (
@@ -353,27 +354,26 @@ def cmd_query(args) -> int:
     clique = _load_table(args.clique)
     expr = parse_query(args.expr)
     idx = build_index(fact, clique)
-    result = evaluate(expr, idx)
     if args.check:
         scanned = ScanOracle(fact, clique).rids(expr)
-        if scanned != set(result.to_ids()):
+        if scanned != set(evaluate(expr, idx).to_ids()):
             _note("MISMATCH: posting evaluation disagrees with the full scan")
             return EXIT_VERIFY
         _note("scan check passed")
     if args.sum:
-        ids = result.to_array()
+        rows = row_count(expr, idx)
         payload = {
             "expr": format_query(expr),
-            "rows": len(ids),
-            "sum": fact.measure_sum(ids),
-            "selectivity": len(ids) / fact.n if fact.n else None,
+            "rows": rows,
+            "sum": aggregate_sum(expr, idx, fact),
+            "selectivity": rows / fact.n if fact.n else None,
         }
         _emit_json(payload, args.out)
     else:
         with _out_stream(args.out) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rid"])
-            writer.writerows([rid] for rid in result)
+            writer.writerows([rid] for rid in evaluate(expr, idx))
     return EXIT_OK
 
 

@@ -1,13 +1,15 @@
 """Posting-list query engine over a fact table joined to a clique table.
 
-One posting per (color column, entry) holds the row ids whose referenced
-node carries that entry in that column, emulating a bitmap join index.
-A column's postings are CSR slices of one id array (`schema.Postings`,
-as for the clique table's own nodes), built per column by one gather of
-the table column's codes, decoded from its postings, and one argsort.
-Boolean predicates run as set algebra on sorted rid arrays and bool masks
-(`bitset`), with a full scan over per-column codes as the reference path
-and a bench harness that reports index-vs-scan work.
+An atom (column, entry) holds exactly the rows whose acc node carries the
+entry in that column, so every predicate depends only on a row's acc node.
+The engine therefore evaluates predicates on the clique table's own node
+postings and expands the matched nodes to fact rows: a semijoin through
+the dimension table (`schema.PostingIndex`).  Node sets live over N + 1
+slots, slot N standing for the rows whose acc is no table node; no
+posting holds it, so only a negation reaches those rows.  Set algebra runs
+on sorted id arrays and bool masks (`bitset`); integer sums read per-node
+sums and never touch rows.  A full scan over per-column row codes is the
+reference path, and a bench harness reports index-vs-scan work.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .bitset import CompressedBitset, union
+from .bitset import DENSE_FRACTION, CompressedBitset, union
 from .errors import EmptyFactTable, MalformedCsv, MalformedExpr, MeasureOverflow, OutOfRange
-from .schema import CliqueTable, PostingIndex, Postings
+from .schema import CliqueTable, PostingIndex
 
 
 def _parse_measure(text: str):
@@ -275,64 +277,116 @@ def _resolve_codes(fact: FactTable, clique: CliqueTable):
 
 
 def build_index(fact: FactTable, clique: CliqueTable) -> PostingIndex:
-    """Group fact rids by each color column's entry, with the clique
-    table's own entry codes (schema.Postings).  Rows whose acc is absent
-    from the clique domain are counted as unresolved and appear in no
-    posting (they still occupy rids, so NOT can return them).
+    """Join the fact rows to the clique table's postings by their acc
+    positions (schema.PostingIndex).  Rows whose acc is absent from the
+    clique domain take slot N and are counted as unresolved: they match no
+    atom but still occupy rids, so NOT can return them.
     """
-    unresolved, columns = _resolve_codes(fact, clique)
-    postings = Postings.from_codes(fact.n, zip(clique.entry_codes, columns))
-    return PostingIndex(fact.n, clique.k, postings, unresolved)
+    get, slot = clique.position.get, len(clique)
+    acc = np.fromiter((get(a, slot) for a in fact.accs), dtype=np.int32, count=fact.n)
+    return PostingIndex(clique.postings, acc)
 
 
 @dataclass
 class QueryStats:
-    """Work done by one evaluation: postings read, ids in them, and the
-    bytes of their id arrays."""
+    """Work done by one evaluation: node postings read and the rows their
+    node set expanded to, as ids touched and the bytes of the arrays read."""
 
     postings_touched: int = 0
     ids_touched: int = 0
     bytes_touched: int = 0
 
 
-def _evaluate(q, idx: PostingIndex, stats: QueryStats | None) -> CompressedBitset:
+def _nodes(q, idx: PostingIndex, stats: QueryStats | None) -> CompressedBitset:
+    """The node slots (0..N) whose rows satisfy q."""
     if isinstance(q, Atom):
         if not 1 <= q.col <= idx.k:
             raise MalformedExpr(f"column c{q.col} outside 1..c{idx.k}")
         posting = idx.postings.get((q.col, q.entry))
         if posting is None:
-            posting = CompressedBitset.empty(idx.n)
+            posting = CompressedBitset.empty(idx.postings.n)
         if stats is not None:
             stats.postings_touched += 1
             stats.ids_touched += posting.cardinality()
             stats.bytes_touched += posting.byte_size()
         return posting
     if isinstance(q, And):
-        out = _evaluate(q.items[0], idx, stats)
+        out = _nodes(q.items[0], idx, stats)
         for item in q.items[1:]:
-            out = out & _evaluate(item, idx, stats)
+            out = out & _nodes(item, idx, stats)
         return out
     if isinstance(q, Or):
-        return union(idx.n, [_evaluate(item, idx, stats) for item in q.items])
+        return union(idx.postings.n, [_nodes(item, idx, stats) for item in q.items])
     if isinstance(q, Not):
-        return _evaluate(q.item, idx, stats).complement()
+        return _nodes(q.item, idx, stats).complement()
     raise MalformedExpr(f"not a query node: {q!r}")
 
 
+def _total(per_slot: np.ndarray, nodes: CompressedBitset) -> int:
+    """Sum of a per-slot array over the slots of a node set."""
+    return int(per_slot[nodes.ids if nodes.ids is not None else nodes.mask].sum())
+
+
+def _expand(nodes: CompressedBitset, idx: PostingIndex, stats: QueryStats | None) -> CompressedBitset:
+    """The rows of a node set.  In an identity index they are the nodes;
+    otherwise, by size, one node's rows are a view of its CSR slice, rows
+    numbering at least n / DENSE_FRACTION are read as a mask through acc,
+    and fewer are gathered from the CSR slices in one index and sorted."""
+    if idx.identity:
+        rows = CompressedBitset(idx.n, ids=nodes.ids, mask=None if nodes.mask is None else nodes.mask[:idx.n])
+        if stats is not None:
+            stats.ids_touched += rows.cardinality()
+        return rows
+    count = _total(idx.counts, nodes)
+    single = nodes.ids is not None and len(nodes.ids) == 1
+    dense = not single and count * DENSE_FRACTION >= idx.n
+    if stats is not None:
+        stats.ids_touched += count
+        stats.bytes_touched += idx.acc.nbytes if dense else idx.rows.itemsize * count
+    if single:
+        j = int(nodes.ids[0])
+        return CompressedBitset(idx.n, ids=idx.rows[idx.indptr[j]:idx.indptr[j + 1]])
+    if dense:
+        mask = nodes.mask
+        if mask is None:
+            mask = np.zeros(idx.postings.n, dtype=bool)
+            mask[nodes.ids] = True
+        return CompressedBitset(idx.n, mask=mask.take(idx.acc))
+    ids = nodes.ids if nodes.ids is not None else np.flatnonzero(nodes.mask)
+    sizes = idx.counts[ids]
+    # Each matched row's position in the CSR: its node's slice start, plus
+    # its rank among the matched rows, less the rows of the slices before.
+    pos = np.repeat(idx.indptr[ids] - (np.cumsum(sizes) - sizes), sizes)
+    pos += np.arange(count)
+    return CompressedBitset(idx.n, ids=np.sort(idx.rows.take(pos)))
+
+
 def evaluate(q, idx: PostingIndex) -> CompressedBitset:
-    """Exact rid set of the predicate, by posting-list algebra."""
-    return _evaluate(q, idx, None)
+    """Exact rid set of the predicate: its node set, by posting-list
+    algebra, expanded to rows."""
+    return _expand(_nodes(q, idx, None), idx, None)
 
 
 def evaluate_with_stats(q, idx: PostingIndex) -> tuple[CompressedBitset, QueryStats]:
     stats = QueryStats()
-    result = _evaluate(q, idx, stats)
+    result = _expand(_nodes(q, idx, stats), idx, stats)
     return result, stats
 
 
+def row_count(q, idx: PostingIndex) -> int:
+    """Number of rows matching the predicate, from its nodes' row counts."""
+    return _total(idx.counts, _nodes(q, idx, None))
+
+
 def aggregate_sum(q, idx: PostingIndex, fact: FactTable):
-    """Sum of the measure column over the matching rows (FactTable.measure_sum)."""
-    return fact.measure_sum(evaluate(q, idx).to_array())
+    """Sum of the measure column over the matching rows.  Exact integer
+    measures sum the matched nodes' per-node sums; other measures sum the
+    matching rows in rid order (FactTable.measure_sum)."""
+    nodes = _nodes(q, idx, None)
+    kind, marr = fact.measure_data()
+    if kind == "int":
+        return _total(idx.slot_sums(marr), nodes)
+    return fact.measure_sum(_expand(nodes, idx, None).to_array())
 
 
 # -- scan path ----------------------------------------------------------------
@@ -393,7 +447,7 @@ def selectivity(q, idx: PostingIndex, fact: FactTable) -> float:
     """Fraction of fact rows the query touches."""
     if fact.n == 0:
         raise EmptyFactTable("selectivity is undefined on an empty fact table")
-    return evaluate(q, idx).cardinality() / fact.n
+    return row_count(q, idx) / fact.n
 
 
 # -- bench --------------------------------------------------------------------

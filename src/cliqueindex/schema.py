@@ -5,10 +5,12 @@ graph, the table has one row per node and one column per color; cell
 (u, i) holds the unique entry of color i whose image contains u, or NULL.
 Column i is then an index on the data: the rows holding e* in column
 c(e*) are exactly the image of e*, which is what verify_schema checks.
-The table is stored as that index and nothing else (O'Neil & Quass's
-bitmap join index): per column, CSR postings of node positions, the same
-`Postings` that indexes fact rows in `engine`.  Rows and cells are read
-from a node -> cells transpose built on first use.
+The table is stored as that index and nothing else: per column, CSR
+postings of node positions (`Postings`).  Rows and cells are read from a
+node -> cells transpose built on first use.  A `PostingIndex` joins rows
+that reference the nodes (fact rows in `engine`, or the table's own rows)
+to those postings through a node -> rows CSR, so a predicate is evaluated
+on the nodes and its node set expanded to rows.
 """
 
 from __future__ import annotations
@@ -94,19 +96,48 @@ class Postings(Mapping):
         return sum(len(entry_code) for entry_code, _, _ in self.columns)
 
 
-@dataclass
 class PostingIndex:
-    """Per-(column, entry) id sets over n positions; `unresolved` counts the
-    positions that reference no table node (they are in no posting)."""
+    """Rows that reference the nodes of a clique table, joined to its
+    postings (a semijoin through the table, in place of a bitmap join
+    index that copies each posting into row space).
 
-    n: int
-    k: int
-    postings: Postings
-    unresolved: int
+    postings holds each (column, entry)'s node positions, the table's
+    column arrays read as sets over the N + 1 node slots.  acc[r] is row
+    r's node position, N for a row that references no node (it is
+    unresolved and in no posting).  Node slot j's rows, ascending, are
+    rows[indptr[j]:indptr[j + 1]] for j in 0..N, from one stable argsort
+    of acc, and counts[j] is their number.  identity notes that row j
+    references node j, as in a table's own index.  acc, rows, indptr and
+    counts are read-only.
+    """
+
+    def __init__(self, postings: Postings, acc: np.ndarray):
+        self.postings = Postings(postings.n + 1, postings.columns)
+        self.n = len(acc)
+        self.k = len(postings.columns)
+        self.acc = acc.astype(np.int32)
+        self.identity = np.array_equal(self.acc, np.arange(postings.n, dtype=np.int32))
+        self.rows = np.argsort(self.acc, kind="stable").astype(np.int32)
+        self.counts = np.bincount(self.acc, minlength=postings.n + 1)
+        self.indptr = np.concatenate(([0], np.cumsum(self.counts)))
+        self.unresolved = int(self.counts[postings.n])
+        for array in (self.acc, self.rows, self.counts, self.indptr):
+            array.flags.writeable = False
+        self._sums = None
+
+    def slot_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per node slot, the int64 sum of values over its rows: prefix
+        sums of values in rows order, differenced at indptr.  The sums of
+        the last values array given are kept."""
+        if self._sums is None or self._sums[0] is not values:
+            prefix = np.concatenate(([0], np.cumsum(values.take(self.rows), dtype=np.int64)))
+            self._sums = (values, prefix[self.indptr[1:]] - prefix[self.indptr[:-1]])
+        return self._sums[1]
 
     def byte_size(self) -> int:
-        """Bytes of the posting id arrays."""
-        return sum(ids.nbytes for _, _, ids in self.postings.columns)
+        """Bytes of the posting id arrays, acc and the node -> rows CSR."""
+        postings = sum(ids.nbytes for _, _, ids in self.postings.columns)
+        return postings + self.acc.nbytes + self.rows.nbytes + self.indptr.nbytes
 
 
 def _code_columns(n: int, columns: Iterable[Sequence], null=NULL) -> Iterator[tuple[dict, np.ndarray]]:
@@ -122,13 +153,14 @@ class CliqueTable:
     """k color columns over an ordered node domain, stored as their postings.
 
     entries[i] lists column i + 1's entries in code order, each held by
-    some node, and entry_codes[i] maps them back to codes; index holds the
-    column postings over node positions, the table's only cell storage,
+    some node, and entry_codes[i] maps them back to codes; postings holds
+    the column postings over node positions, the table's only cell storage,
     and rows, cell and export read a node -> cells transpose built from it
-    on first use.  CliqueTable(k, rows) converts node -> k cells, for small
-    tables; builders pass from_postings the stored form, converting code
-    columns one at a time with Postings.from_codes.  Immutable by
-    convention.
+    on first use, as is index, the table's own rows as a PostingIndex
+    (row j references node j).  CliqueTable(k, rows) converts node -> k
+    cells, for small tables; builders pass from_postings the stored form,
+    converting code columns one at a time with Postings.from_codes.
+    Immutable by convention.
     """
 
     def __init__(self, k: int, rows: Mapping[Node, tuple]):
@@ -149,7 +181,12 @@ class CliqueTable:
         self.k = len(postings.columns)
         self.entry_codes = [entry_code for entry_code, _, _ in postings.columns]
         self.entries = [list(entry_code) for entry_code in self.entry_codes]
-        self.index = PostingIndex(postings.n, self.k, postings, 0)
+        self.postings = postings
+
+    @cached_property
+    def index(self) -> PostingIndex:
+        """The table's own rows as a PostingIndex, built on first use."""
+        return PostingIndex(self.postings, np.arange(len(self), dtype=np.int32))
 
     @cached_property
     def position(self) -> dict:
@@ -165,7 +202,7 @@ class CliqueTable:
         before i), and column[g] is entry number g's 0-based column.  A column holds a node
         at most once, so the columns are placed one after another by
         counting sort, with no temporary as large as the table."""
-        columns = self.index.postings.columns
+        columns = self.postings.columns
         counts = np.zeros(len(self), dtype=np.intp)
         for _, _, ids in columns:
             counts[ids] += 1
@@ -208,7 +245,7 @@ class CliqueTable:
     def column_codes(self, i: int, out: np.ndarray) -> np.ndarray:
         """Column i's (1-based) int32 code at each node position, -1 for
         NULL, written from its postings into out (N long int32)."""
-        _, offsets, ids = self.index.postings.columns[i - 1]
+        _, offsets, ids = self.postings.columns[i - 1]
         out.fill(-1)
         out[ids] = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
         return out
@@ -220,11 +257,11 @@ class CliqueTable:
         return set(self._nodes.take(positions).tolist())
 
     def null_count(self) -> int:
-        return len(self) * self.k - sum(len(ids) for _, _, ids in self.index.postings.columns)
+        return len(self) * self.k - sum(len(ids) for _, _, ids in self.postings.columns)
 
     def column_preimage(self, i: int, e: Entry) -> set:
         """Nodes whose column i holds entry e: its posting."""
-        posting = self.index.postings.get((i, e))
+        posting = self.postings.get((i, e))
         return set() if posting is None else self.nodes_at(posting.ids)
 
     def __len__(self) -> int:
@@ -321,7 +358,7 @@ def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> Ver
     row_of = np.fromiter(map(t.position.get, f.nodes, repeat(-1)), dtype=np.int64, count=len(f.nodes))
     none = np.empty(0, dtype=np.int32)
     for i, e in enumerate(f.entries):
-        posting = t.index.postings.get((c.assignment[e], e))
+        posting = t.postings.get((c.assignment[e], e))
         got = none if posting is None else posting.ids
         if not np.array_equal(got, np.sort(row_of[f.row(i)])):
             recovered = t.column_preimage(c.assignment[e], e)
@@ -331,7 +368,7 @@ def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> Ver
     for e in f.entries:
         by_color.setdefault(c.assignment[e], set()).add(e)
     strays = [
-        (int(t.index.postings[i, value].ids[0]), i, value)
+        (int(t.postings[i, value].ids[0]), i, value)
         for i, column in enumerate(t.entries, start=1)
         for value in column
         if value not in by_color.get(i, ())
@@ -366,7 +403,7 @@ def compact_colors(t: CliqueTable) -> tuple[CliqueTable, dict[int, int]]:
     """
     used = [i for i in range(1, t.k + 1) if t.entries[i - 1]]
     remap = {old: new for new, old in enumerate(used, start=1)}
-    columns = t.index.postings.columns
+    columns = t.postings.columns
     return CliqueTable.from_postings(t._nodes, Postings(len(t), [columns[i - 1] for i in used])), remap
 
 

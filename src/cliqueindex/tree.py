@@ -205,7 +205,7 @@ def overlap_query(k: int, schema: CliqueTable) -> set[int]:
 
     One IN predicate on column L(k): a row overlaps k exactly when its
     level-L(k) cell is one of k's ancestors-or-self.  It runs as
-    tree_fact_query on the table's own postings over its rows.
+    tree_fact_query on the table's own index, where row j is node j.
     """
     return schema.nodes_at(tree_fact_query(k, schema.index).to_array())
 

@@ -150,8 +150,10 @@ def test_postings_are_read_only_and_survive_evaluation():
     idx = build_index(FactTable(accs, [1] * rows), build_tree_schema(levels))
     keys = [(1, 1), (2, 2), (8, accs[0])]  # all rows, about half, a few
     before = {key: idx.postings[key].ids.copy() for key in keys}
-    for key in keys:
-        ids = idx.postings[key].ids
+    acc, rows = idx.acc.copy(), idx.rows.copy()
+    leaf = evaluate(Atom(*keys[2]), idx).ids  # one node: a view of its CSR slice
+    assert np.shares_memory(leaf, idx.rows)
+    for ids in [idx.postings[key].ids for key in keys] + [idx.acc, idx.rows, leaf]:
         assert not ids.flags.writeable
         with pytest.raises(ValueError):
             ids[0] = 0
@@ -167,3 +169,4 @@ def test_postings_are_read_only_and_survive_evaluation():
         evaluate(q, idx).to_array()
     for key in keys:
         assert np.array_equal(idx.postings[key].ids, before[key])
+    assert np.array_equal(idx.acc, acc) and np.array_equal(idx.rows, rows)

@@ -283,6 +283,32 @@ def test_query_sum_json_on_readme_toy(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("measure", [lambda r: r % 7 - 3, lambda r: r / 4 - 5, lambda r: 2 ** 70 + r])
+def test_query_sum_json_matches_the_rid_listing_and_check(tmp_path, capsys, measure):
+    """The --sum JSON (node counts and per-node sums for exact int
+    measures) is byte for byte the JSON of the listed rids' rows and sum,
+    and the same with --check."""
+    clique = str(tmp_path / "clique.csv")
+    assert main(["build", "tree", "--levels", "4", "--out", clique]) == 0
+    rng = random.Random(17)
+    accs = [rng.choice([8, 9, 10, 11, 12, 4, 99]) for _ in range(60)]  # 99 is unresolved
+    lines = [f"{rid},{acc},{measure(rid)}" for rid, acc in enumerate(accs)]
+    facts = write(tmp_path / "fact.csv", "rid,acc,m\n" + "\n".join(lines) + "\n")
+    for expr in ("c3='4' | c3='5'", "!c2='2'", "c4='8'", "c3='7'"):
+        capsys.readouterr()
+        assert main(["query", "--fact", facts, "--clique", clique, "--expr", expr]) == 0
+        rids = [int(r) for r in capsys.readouterr().out.split()[1:]]
+        want = json.dumps({
+            "expr": expr,
+            "rows": len(rids),
+            "sum": sum(measure(r) for r in rids),
+            "selectivity": len(rids) / len(accs),
+        }, indent=2, sort_keys=True) + "\n"
+        for check in ([], ["--check"]):
+            assert main(["query", "--fact", facts, "--clique", clique, "--expr", expr, "--sum", *check]) == 0
+            assert capsys.readouterr().out == want, (expr, check)
+
+
 def test_query_rid_listing(fact_csv, tmp_path, capsys):
     clique = tmp_path / "clique.csv"
     main(["build", "tree", "--levels", "4", "--out", str(clique)])

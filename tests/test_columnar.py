@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliqueindex.corpus import random_function
-from cliqueindex.engine import Atom, FactTable, ScanOracle, build_index
+from cliqueindex.engine import Atom, FactTable, ScanOracle, build_index, evaluate
 from cliqueindex.errors import ColorCollision, InconsistentArity, MalformedCsv, UnknownNode
 from cliqueindex.intersection import (
     GREEDY_ORDERS,
@@ -121,7 +121,8 @@ def test_fact_postings_hold_the_rows_whose_acc_cell_is_the_entry(seed):
                 if v is not NULL:
                     want.setdefault((i, v), set()).add(rid)
     idx = build_index(fact, t)
-    got = {key: ids for key, p in idx.postings.items() if (ids := set(p.to_ids()))}
+    atoms = [Atom(i, v) for i, column in enumerate(t.entries, start=1) for v in column]
+    got = {(a.col, a.entry): ids for a in atoms if (ids := set(evaluate(a, idx).to_ids()))}
     assert got == want
     assert idx.unresolved == accs.count("absent")
     scan = ScanOracle(fact, t)
@@ -411,5 +412,8 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
     acc_pos = np.array([order.index(a) if a in order else -1 for a in accs], dtype=np.intp)
     fact_codes = np.hstack([codes, np.full((c.k, 1), -1, dtype=np.int32)])[:, acc_pos]  # -1 reads the pad
     idx = build_index(FactTable(accs, [1] * len(accs)), t)
-    assert_same_postings(idx.postings, entries, dense_postings(entries, fact_codes))
+    assert idx.acc.tolist() == np.where(acc_pos < 0, len(order), acc_pos).tolist()
+    for i, (column, (offsets, ids)) in enumerate(zip(entries, dense_postings(entries, fact_codes)), start=1):
+        for code, entry in enumerate(column):
+            assert evaluate(Atom(i, entry), idx).to_ids() == ids[offsets[code]:offsets[code + 1]].tolist()
     assert idx.unresolved == accs.count("absent")

@@ -2,10 +2,12 @@ import csv
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliqueindex.corpus import random_expr
+from cliqueindex.bitset import CompressedBitset, union
+from cliqueindex.corpus import random_expr, random_function
 from cliqueindex.engine import (
     _parse_measure,
     aggregate_sum,
@@ -23,6 +25,8 @@ from cliqueindex.engine import (
     Not,
     Or,
     parse_query,
+    _resolve_codes,
+    row_count,
     ScanOracle,
     selectivity,
     TIMING_COLUMNS,
@@ -33,7 +37,8 @@ from cliqueindex.errors import (
     MalformedExpr,
     MeasureOverflow,
 )
-from cliqueindex.schema import CliqueTable, NULL
+from cliqueindex.intersection import build_intersection_graph, greedy_color
+from cliqueindex.schema import CliqueTable, NULL, Postings, materialize
 from cliqueindex.tree import build_tree_schema
 
 
@@ -234,10 +239,8 @@ def test_evaluate_rejects_out_of_range_column(tree_setup):
 def test_postings_partition_each_column(tree_setup):
     fact, clique, idx = tree_setup
     for col in range(1, clique.k + 1):
-        total = sum(
-            p.cardinality() for (c, _), p in idx.postings.items() if c == col
-        )
-        assert total == fact.n
+        rows = [evaluate(Atom(col, e), idx).to_array() for e in clique.entries[col - 1]]
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(fact.n))
 
 
 def test_atom_posting_matches_scan(tree_setup):
@@ -280,6 +283,66 @@ def test_not_includes_unresolved_rows():
     assert set(evaluate(Not(Atom(3, 4)), idx)) == {1, 2}
     scan = ScanOracle(fact, clique)
     assert scan.rids(Not(Atom(3, 4))) == {1, 2}
+
+
+def fact_row_postings(fact, clique):
+    """The fact-row posting index node-space evaluation replaced: each
+    column's postings copied into rid space, one row code per fact row."""
+    _, columns = _resolve_codes(fact, clique)
+    return Postings.from_codes(fact.n, zip(clique.entry_codes, columns))
+
+
+def fact_row_evaluate(q, postings):
+    if isinstance(q, Atom):
+        posting = postings.get((q.col, q.entry))
+        return CompressedBitset.empty(postings.n) if posting is None else posting
+    if isinstance(q, And):
+        out = fact_row_evaluate(q.items[0], postings)
+        for item in q.items[1:]:
+            out = out & fact_row_evaluate(item, postings)
+        return out
+    if isinstance(q, Or):
+        return union(postings.n, [fact_row_evaluate(item, postings) for item in q.items])
+    return fact_row_evaluate(q.item, postings).complement()
+
+
+MEASURES = {
+    "int": lambda rng: rng.randint(-50, 50),
+    "float": lambda rng: rng.uniform(-1e3, 1e3),
+    "pyint": lambda rng: rng.choice([2 ** 70, -(2 ** 66)]) + rng.randint(-9, 9),
+}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(sorted(MEASURES)),
+       layout=st.sampled_from(["shuffled", "acc-sorted", "table rows"]))
+@settings(max_examples=200, deadline=None)
+def test_node_space_matches_the_fact_row_postings(seed, kind, layout):
+    rng = random.Random(seed)
+    f = random_function(rng, max_entries=12, max_nodes=16)
+    domain = sorted(f.node_domain()) + ["spare"]  # a node no entry holds
+    clique = materialize(f, greedy_color(build_intersection_graph(f)), domain)
+    if layout == "table rows":  # row j references node j: an identity index
+        accs = list(clique.nodes())
+    else:
+        # Skewed acc frequencies, so that node sets expand to one node's
+        # rows, to few rows and to many; "absent" rows are unresolved.
+        weights = [rng.expovariate(1) ** 3 for _ in range(len(domain) + 1)]
+        accs = rng.choices(domain + ["absent"], weights, k=rng.randint(0, 300))
+        if layout == "acc-sorted":
+            accs.sort(key=lambda a: (domain + ["absent"]).index(a))
+    fact = FactTable(accs, [MEASURES[kind](rng) for _ in accs])
+    idx = build_index(fact, clique)
+    assert idx.identity == (layout == "table rows")
+    postings = fact_row_postings(fact, clique)
+    exprs = [random_expr(rng, clique) for _ in range(12)]
+    exprs += [Not(Atom(1, "@absent"))] + [Not(e) for e in exprs[:4]]
+    for q in exprs:
+        want = fact_row_evaluate(q, postings).to_array()
+        got = evaluate(q, idx)
+        assert got.n == fact.n and got.to_ids() == want.tolist(), format_query(q)
+        assert row_count(q, idx) == len(want)
+        total, want_total = aggregate_sum(q, idx, fact), fact.measure_sum(want)
+        assert (type(total), total) == (type(want_total), want_total), format_query(q)
 
 
 def test_full_scan_oracle_helper(tree_setup):
@@ -349,11 +412,12 @@ def test_stats_count_atom_postings(tree_setup):
     q = Or((Atom(4, 8), Atom(4, 9)))
     result, stats = evaluate_with_stats(q, idx)
     assert stats.postings_touched == 2
-    card8 = idx.postings[(4, 8)].cardinality()
-    card9 = idx.postings[(4, 9)].cardinality()
-    assert stats.ids_touched == card8 + card9
-    assert stats.bytes_touched > 0
-    assert result.cardinality() == card8 + card9
+    # Node postings read, then the rows their node set expands to.
+    nodes = len(clique.column_preimage(4, 8)) + len(clique.column_preimage(4, 9))
+    want = [r for r, a in enumerate(fact.accs) if a in (8, 9)]
+    assert stats.ids_touched == nodes + len(want)
+    assert stats.bytes_touched - 4 * nodes in (4 * len(want), 4 * fact.n)
+    assert result.to_ids() == want
 
 
 def test_index_byte_size_positive(tree_setup):
