@@ -57,9 +57,18 @@ class EndpointSchema:
 
     def __post_init__(self):
         ys = [r.y for r in self.intervals]
-        order = sorted(range(len(ys)), key=ys.__getitem__)  # stable: ties keep input order
+        if _all_floats(ys):
+            order = np.argsort(np.array(ys), kind="stable").tolist()
+        else:
+            order = sorted(range(len(ys)), key=ys.__getitem__)  # stable: ties keep input order
         self._ys = [ys[i] for i in order]
         self._y_ids = [self.intervals[i].id for i in order]
+
+
+def _all_floats(values: list) -> bool:
+    """Whether every value is a Python float, which float64 holds exactly;
+    ints, Fractions and mixed int/float values keep Python's comparisons."""
+    return {type(v) for v in values} == {float}
 
 
 def _straddle_csr(start, run, held, n_entries: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +89,42 @@ def _straddle_csr(start, run, held, n_entries: int, n_nodes: int) -> tuple[np.nd
     return indptr, key.astype(np.int32)
 
 
+def _general_runs(records: list) -> tuple[tuple, list, np.ndarray, np.ndarray]:
+    """Records sorted by (x, y, id), the sorted distinct endpoints, and each
+    record's [start, end) run as the ranks of its x and y, by Python sorts
+    and a rank dict: exact for ints, Fractions and mixed int/float values."""
+    records = tuple(sorted(records, key=attrgetter("x", "y", "id")))
+    xs, ys = [r.x for r in records], [r.y for r in records]
+    entries = sorted({v for pair in zip(xs, ys) for v in pair})
+    rank = dict(zip(entries, range(len(entries))))
+    start = np.fromiter(map(rank.__getitem__, xs), dtype=np.int64, count=len(xs))
+    end = np.fromiter(map(rank.__getitem__, ys), dtype=np.int64, count=len(ys))
+    return records, entries, start, end
+
+
+def _float_runs(records: list, xs: list, ys: list) -> tuple[tuple, list, np.ndarray, np.ndarray]:
+    """What _general_runs returns, for float endpoints, by array sorts: one
+    stable lexsort orders the records by (x, y), and only runs of equal
+    (x, y) are sorted again by the (x, y, id) key.  One stable np.unique
+    over the endpoints, interleaved x0, y0, x1, y1, ... in record order,
+    gives the entries and the runs; of equal values (-0.0 and 0.0) the
+    first seen is kept, as a set built in that order keeps it."""
+    x, y = np.array(xs), np.array(ys)
+    order = np.lexsort((y, x))
+    tie = (x[order][1:] == x[order][:-1]) & (y[order][1:] == y[order][:-1])
+    if tie.any():
+        order, key = order.tolist(), attrgetter("x", "y", "id")
+        bounds = np.flatnonzero(np.diff(tie, prepend=False, append=False)).tolist()
+        for a, b in zip(bounds[::2], bounds[1::2]):  # records a..b share (x, y)
+            order[a:b + 1] = sorted(order[a:b + 1], key=lambda i: key(records[i]))
+        order = np.array(order)
+    values = np.empty(2 * len(order))
+    values[0::2], values[1::2] = x[order], y[order]
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    records = tuple(map(records.__getitem__, order.tolist()))
+    return records, values[first].tolist(), inverse[0::2], inverse[1::2]
+
+
 def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema:
     """Entries, cyclic coloring, and materialized table for the collection.
 
@@ -92,18 +137,22 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     run is [rank of x, rank of y) in the sorted distinct endpoints (the
     entries straddled: x <= entry < y), the runs expand into
     (entry, interval) position pairs, and one sort groups them by entry.
+    When every endpoint is a Python float the records, entries and runs
+    come from array sorts (_float_runs), otherwise from Python sorts.
     """
-    records = tuple(sorted(intervals, key=attrgetter("x", "y", "id")))
+    records = list(intervals)
     if not records:
         raise EmptyInput("no intervals given")
-    xs, ys, ids = (list(map(attrgetter(name), records)) for name in ("x", "y", "id"))
-    entries = sorted({v for pair in zip(xs, ys) for v in pair})
-    rank = dict(zip(entries, range(len(entries))))
+    xs, ys = [r.x for r in records], [r.y for r in records]
+    if _all_floats(xs) and _all_floats(ys):
+        records, entries, start, end = _float_runs(records, xs, ys)
+    else:
+        records, entries, start, end = _general_runs(records)
+    ids = [r.id for r in records]
     nodes = tuple(dict.fromkeys(sorted(ids)))
     node_pos = dict(zip(nodes, range(len(nodes))))
-    start = np.fromiter(map(rank.__getitem__, xs), dtype=np.int64, count=len(xs))
-    run = np.fromiter(map(rank.__getitem__, ys), dtype=np.int64, count=len(ys)) - start
     held = np.fromiter(map(node_pos.__getitem__, ids), dtype=np.int64, count=len(ids))
+    run = end - start
     window = max(1, int(run.max()))
 
     indptr, indices = _straddle_csr(start, run, held, len(entries), len(nodes))

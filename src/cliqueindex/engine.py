@@ -259,10 +259,9 @@ def _wrap(q, tight: bool = False) -> str:
 
 
 def _resolve_codes(fact: FactTable, clique: CliqueTable):
-    """(unresolved row count, generator of per-column fact-row codes): a
-    row's code is its acc node's code in the clique table, -1 for NULL or
-    an acc outside the table's domain.  One column at a time bounds the
-    memory."""
+    """Generator of per-column fact-row codes: a row's code is its acc
+    node's code in the clique table, -1 for NULL or an acc outside the
+    table's domain.  One column at a time bounds the memory."""
     get = clique.position.get
     acc_pos = np.fromiter((get(a, -1) for a in fact.accs), dtype=np.intp, count=fact.n)
 
@@ -273,7 +272,7 @@ def _resolve_codes(fact: FactTable, clique: CliqueTable):
             clique.column_codes(i, out=padded[:-1])
             yield padded.take(acc_pos)
 
-    return int(np.count_nonzero(acc_pos < 0)), columns()
+    return columns()
 
 
 def build_index(fact: FactTable, clique: CliqueTable) -> PostingIndex:
@@ -402,8 +401,7 @@ class ScanOracle:
     def __init__(self, fact: FactTable, clique: CliqueTable):
         self.fact = fact
         self.k = clique.k
-        self.unresolved, columns = _resolve_codes(fact, clique)
-        self._columns = list(zip(clique.entry_codes, columns))
+        self._columns = list(zip(clique.entry_codes, _resolve_codes(fact, clique)))
 
     def _mask(self, q) -> np.ndarray:
         if isinstance(q, Atom):

@@ -304,10 +304,11 @@ def materialize(
     position = dict(zip(order, range(len(order))))
     sizes = np.diff(f.indptr)
     filled = np.flatnonzero(sizes)
-    colors = np.fromiter((c.assignment[f.entries[i]] for i in filled.tolist()), dtype=np.intp, count=len(filled))
+    entries = np.fromiter(f.entries, dtype=object, count=len(f.entries))
+    colors = np.fromiter(map(c.assignment.__getitem__, entries[filled].tolist()), dtype=np.intp, count=len(filled))
     bad = np.flatnonzero((colors < 1) | (colors > c.k))
     if len(bad):
-        raise OutOfRange(f"entry {f.entries[filled[bad[0]]]!r} has color {colors[bad[0]]}, outside 1..{c.k}")
+        raise OutOfRange(f"entry {entries[filled[bad[0]]]!r} has color {colors[bad[0]]}, outside 1..{c.k}")
     row_of = np.fromiter(map(position.get, f.nodes, repeat(-1)), dtype=np.int32, count=len(f.nodes))
     rows = row_of[f.indices]
     if (rows < 0).any():
@@ -329,7 +330,7 @@ def materialize(
         last[column] = seq  # a row twice in the column keeps one of its writes
         if not np.array_equal(last[column], seq):
             raise _first_conflict(f, c, position)
-        columns.append((dict(zip([f.entries[i] for i in held.tolist()], range(b - a))), offsets, column))
+        columns.append((dict(zip(entries[held].tolist(), range(b - a))), offsets, column))
     return CliqueTable.from_postings(order, Postings(len(order), columns))
 
 

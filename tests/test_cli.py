@@ -375,6 +375,61 @@ def test_build_intervals_emits_table_and_sidecar(tmp_path, capsys):
     assert json.loads(sidecar.read_text())["k"] == 2
 
 
+INTERVALS_PIN_CSV = (
+    "id,x,y\nc,1,3\nw,0,-0\na,1,3\nd,0,5\nb,1.0,3.0\nz,3,3\n"
+    "v,-0,0\nd,2,4\nm,-0,1\nn,0,2.5\np,2.5,2.5\n"
+)
+INTERVALS_PIN_TABLE = """\
+node,c1,c2,c3,c4,c5,c6
+a,,1.0,2.0,2.5,,
+b,,1.0,2.0,2.5,,
+c,,1.0,2.0,2.5,,
+d,-0.0,1.0,2.0,2.5,3.0,4.0
+m,-0.0,,,,,
+n,-0.0,1.0,2.0,,,
+p,,,,,,
+v,,,,,,
+w,,,,,,
+z,,,,,,
+"""
+INTERVALS_PIN_SIDECAR = """\
+{
+  "coloring": {
+    "-0.0": 1,
+    "1.0": 2,
+    "2.0": 3,
+    "2.5": 4,
+    "3.0": 5,
+    "4.0": 6,
+    "5.0": 1
+  },
+  "k": 6,
+  "provenance": {
+    "escalations": 0,
+    "kind": "interval-endpoints",
+    "source": "DATA",
+    "window": 6
+  }
+}
+"""
+
+
+def test_build_intervals_output_is_pinned(tmp_path, capsys):
+    """Table CSV, sidecar and note, byte for byte, on intervals with equal
+    (x, y) pairs under out-of-order ids, one id used twice, zero-length
+    intervals, and both -0 and 0 endpoints: the zero entry is the -0.0 of
+    the first record in (x, y, id) order, v's lower endpoint."""
+    data = write(tmp_path / "iv.csv", INTERVALS_PIN_CSV)
+    out, sidecar = tmp_path / "t.csv", tmp_path / "t.json"
+    argv = ["build", "intervals", "--data", data, "--out", str(out), "--sidecar", str(sidecar)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "11 intervals, 7 entries, k=6, window=6, escalations=0\n"
+    assert out.read_text(encoding="utf-8") == INTERVALS_PIN_TABLE
+    assert sidecar.read_text(encoding="utf-8").replace(data, "DATA") == INTERVALS_PIN_SIDECAR
+
+
 def test_query_tree_ids(capsys):
     assert main(["query-tree", "--levels", "4", "--k", "5"]) == 0
     assert {int(v) for v in capsys.readouterr().out.split()} == {1, 2, 5, 10, 11}

@@ -1,7 +1,16 @@
 import math
+import random
+import re
+from fractions import Fraction
+from operator import attrgetter
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cliqueindex import endpoints
 from cliqueindex.corpus import random_intervals
 from cliqueindex.endpoints import (
     bucketed_interval_query,
@@ -13,7 +22,7 @@ from cliqueindex.endpoints import (
     stabbing_query,
 )
 from cliqueindex.errors import ColorCollision, EmptyInput, InvalidRange
-from cliqueindex.intersection import EntryColoring
+from cliqueindex.intersection import EntryColoring, SetValuedFunction
 from cliqueindex.oracle import oracle_interval_intersections
 from cliqueindex.schema import materialize, verify_schema
 
@@ -207,3 +216,139 @@ def test_schema_verifies(rng):
     for _ in range(10):
         s = build_endpoint_schema(random_intervals(rng, 40))
         assert verify_schema(s.function, s.clique, s.coloring)
+
+
+# -- the array path against the Python one it replaced ----------------------
+
+
+def reference_endpoint_schema(intervals):
+    """The endpoint builder before array sorts: records sorted by an
+    (x, y, id) key, entries from a set in that order, ranks from a dict,
+    upper endpoints key-sorted; images and postings from their definitions."""
+    records = tuple(sorted(intervals, key=attrgetter("x", "y", "id")))
+    xs, ys, ids = (list(map(attrgetter(name), records)) for name in ("x", "y", "id"))
+    entries = sorted({v for pair in zip(xs, ys) for v in pair})
+    rank = dict(zip(entries, range(len(entries))))
+    nodes = tuple(dict.fromkeys(sorted(ids)))
+    node_pos = dict(zip(nodes, range(len(nodes))))
+    window = max(1, max(rank[y] - rank[x] for x, y in zip(xs, ys)))
+    images = [sorted({node_pos[r.id] for r in records if r.x <= e < r.y}) for e in entries]
+    colors = {e: pos % window + 1 for pos, e in enumerate(entries)}
+    indptr = np.cumsum([0] + [len(image) for image in images])
+    f = SetValuedFunction.from_csr(tuple(entries), nodes, indptr, np.array(sum(images, []), dtype=np.int32))
+    materialize(f, EntryColoring(colors, window), nodes)  # an id shared by disjoint runs can collide
+    postings = []
+    for i in range(1, window + 1):
+        held = [j for j, e in enumerate(entries) if colors[e] == i and images[j]]
+        offsets = np.cumsum([0] + [len(images[j]) for j in held]).tolist()
+        postings.append(([repr(entries[j]) for j in held], offsets, sum((images[j] for j in held), [])))
+    order = sorted(range(len(ys)), key=ys.__getitem__)  # stable: ties keep input order
+    return SimpleNamespace(
+        intervals=[repr(r) for r in records],
+        entries=[(type(e), repr(e)) for e in entries],
+        nodes=list(nodes),
+        indptr=indptr.tolist(),
+        indices=sum(images, []),
+        assignment=[(type(e), repr(e), i) for e, i in colors.items()],
+        window=window,
+        postings=postings,
+        ys=[(type(ys[i]), repr(ys[i])) for i in order],
+        y_ids=[ids[i] for i in order],
+    )
+
+
+def snapshot(s):
+    """The schema's fields in the reference's form: values by type and repr,
+    so that -0.0 and 0.0 or 1 and 1.0 differ."""
+    return SimpleNamespace(
+        intervals=[repr(r) for r in s.intervals],
+        entries=[(type(e), repr(e)) for e in s.entries],
+        nodes=list(s.function.nodes),
+        indptr=s.function.indptr.tolist(),
+        indices=s.function.indices.tolist(),
+        assignment=[(type(e), repr(e), i) for e, i in s.coloring.assignment.items()],
+        window=s.window,
+        postings=[
+            ([repr(e) for e in entry_code], offsets.tolist(), ids.tolist())
+            for entry_code, offsets, ids in s.clique.postings.columns
+        ],
+        ys=[(type(y), repr(y)) for y in s._ys],
+        y_ids=list(s._y_ids),
+    )
+
+
+def assert_path_matches_reference(intervals, path):
+    """Build through `path` only ("_float_runs" or "_general_runs") and
+    compare every field, the table and stab and range answers."""
+    other = {"_float_runs": "_general_runs", "_general_runs": "_float_runs"}[path]
+    with mock.patch.object(endpoints, other, side_effect=AssertionError(f"{other} taken")):
+        try:
+            want = reference_endpoint_schema(intervals)
+        except ColorCollision as exc:
+            with pytest.raises(ColorCollision, match=f"^{re.escape(str(exc))}$"):
+                build_endpoint_schema(intervals)
+            return
+        s = build_endpoint_schema(intervals)
+    assert vars(snapshot(s)) == vars(want)
+    assert s.clique.nodes() == s.function.nodes
+    assert verify_schema(s.function, s.clique, s.coloring)
+    points = sorted({v for r in intervals for v in (r.x, r.y)})
+    probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[0] - 1, points[-1] + 1]
+    for p in probes:
+        assert stabbing_query(s, p) == oracle_interval_intersections(intervals, p, p)
+    for a in probes[::3]:
+        for b in probes:
+            if a <= b:
+                assert interval_query(s, a, b) == oracle_interval_intersections(intervals, a, b)
+
+
+# Few distinct values, so that (x, y) pairs, upper endpoints and ids tie.
+float_endpoints = st.sampled_from([-0.0, 0.0, -1.5, 0.5, 1.0, 2.0, 2.5, 1e300])
+small_ids = st.one_of(st.integers(min_value=0, max_value=6), st.sampled_from("abcdefg"))
+
+
+def make_records(rows):
+    """Records of (id, x, y) rows, endpoints swapped into order; ids all
+    become strings when any is one, since the (x, y, id) sort compares them."""
+    cast = str if any(isinstance(i, str) for i, _, _ in rows) else (lambda i: i)
+    return [IntervalRecord(cast(i), min(x, y), max(x, y)) for i, x, y in rows]
+
+
+@given(st.lists(st.tuples(small_ids, float_endpoints, float_endpoints), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_float_path_matches_the_python_path(rows):
+    assert_path_matches_reference(make_records(rows), "_float_runs")
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_float_path_matches_on_many_ties(seed):
+    # hundreds of records over a few values, beyond the sizes at which
+    # numpy's unstable sorts still happen to keep input order
+    rng = random.Random(seed)
+    values = [-0.0, 0.0, 0.25, 1.0, 3.0, 7.5]
+    rows = [(rng.randrange(200), rng.choice(values), rng.choice(values)) for _ in range(600)]
+    assert_path_matches_reference(make_records(rows), "_float_runs")
+
+
+general_endpoints = st.one_of(
+    st.integers(min_value=-3, max_value=3),  # ints
+    st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]),  # Fractions
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2 ** 53, 2.0 ** 53, 2 ** 53 + 1]),  # mixed, and ints float64 rounds
+)
+
+
+@given(st.lists(st.tuples(small_ids, general_endpoints, general_endpoints), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_non_float_endpoints_take_the_python_path(rows):
+    intervals = make_records(rows)
+    if {type(v) for r in intervals for v in (r.x, r.y)} == {float}:
+        return  # only floats drawn: the float path's test covers these
+    assert_path_matches_reference(intervals, "_general_runs")
+
+
+def test_first_seen_zero_is_the_entry():
+    # -0.0 and 0.0 are one entry; the first in (x, y, id) order is kept
+    first = build_endpoint_schema(make_records([("b", 0.0, 1.0), ("a", -0.0, 2.0)]))
+    assert repr(first.entries[0]) == "0.0"
+    second = build_endpoint_schema(make_records([("b", 0.0, 1.0), ("a", -0.0, 1.0)]))
+    assert repr(second.entries[0]) == "-0.0"

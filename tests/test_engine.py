@@ -288,8 +288,7 @@ def test_not_includes_unresolved_rows():
 def fact_row_postings(fact, clique):
     """The fact-row posting index node-space evaluation replaced: each
     column's postings copied into rid space, one row code per fact row."""
-    _, columns = _resolve_codes(fact, clique)
-    return Postings.from_codes(fact.n, zip(clique.entry_codes, columns))
+    return Postings.from_codes(fact.n, zip(clique.entry_codes, _resolve_codes(fact, clique)))
 
 
 def fact_row_evaluate(q, postings):
