@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -57,18 +56,16 @@ class EndpointSchema:
 
     def __post_init__(self):
         ys = [r.y for r in self.intervals]
-        if _all_floats(ys):
-            order = np.argsort(np.array(ys), kind="stable").tolist()
-        else:
-            order = sorted(range(len(ys)), key=ys.__getitem__)  # stable: ties keep input order
+        order = np.argsort(np.array(ys, dtype=_endpoint_dtype(ys)), kind="stable").tolist()  # ties keep input order
         self._ys = [ys[i] for i in order]
         self._y_ids = [self.intervals[i].id for i in order]
 
 
-def _all_floats(values: list) -> bool:
-    """Whether every value is a Python float, which float64 holds exactly;
-    ints, Fractions and mixed int/float values keep Python's comparisons."""
-    return {type(v) for v in values} == {float}
+def _endpoint_dtype(values: list):
+    """float64 when every value is a Python float, which float64 holds
+    exactly; otherwise object, whose sorts compare with Python's exact
+    comparisons (ints past 2**53, Fractions, mixed int/float values)."""
+    return np.float64 if {type(v) for v in values} == {float} else object
 
 
 def _straddle_csr(start, run, held, n_entries: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,79 +86,51 @@ def _straddle_csr(start, run, held, n_entries: int, n_nodes: int) -> tuple[np.nd
     return indptr, key.astype(np.int32)
 
 
-def _general_runs(records: list) -> tuple[tuple, list, np.ndarray, np.ndarray]:
-    """Records sorted by (x, y, id), the sorted distinct endpoints, and each
-    record's [start, end) run as the ranks of its x and y, by Python sorts
-    and a rank dict: exact for ints, Fractions and mixed int/float values."""
-    records = tuple(sorted(records, key=attrgetter("x", "y", "id")))
-    xs, ys = [r.x for r in records], [r.y for r in records]
-    entries = sorted({v for pair in zip(xs, ys) for v in pair})
-    rank = dict(zip(entries, range(len(entries))))
-    start = np.fromiter(map(rank.__getitem__, xs), dtype=np.int64, count=len(xs))
-    end = np.fromiter(map(rank.__getitem__, ys), dtype=np.int64, count=len(ys))
-    return records, entries, start, end
-
-
-def _float_runs(records: list, xs: list, ys: list) -> tuple[tuple, list, np.ndarray, np.ndarray]:
-    """What _general_runs returns, for float endpoints, by array sorts: one
-    stable lexsort orders the records by (x, y), and only runs of equal
-    (x, y) are sorted again by the (x, y, id) key.  One stable np.unique
-    over the endpoints, interleaved x0, y0, x1, y1, ... in record order,
-    gives the entries and the runs; of equal values (-0.0 and 0.0) the
-    first seen is kept, as a set built in that order keeps it."""
-    x, y = np.array(xs), np.array(ys)
-    order = np.lexsort((y, x))
-    tie = (x[order][1:] == x[order][:-1]) & (y[order][1:] == y[order][:-1])
-    if tie.any():
-        order, key = order.tolist(), attrgetter("x", "y", "id")
-        bounds = np.flatnonzero(np.diff(tie, prepend=False, append=False)).tolist()
-        for a, b in zip(bounds[::2], bounds[1::2]):  # records a..b share (x, y)
-            order[a:b + 1] = sorted(order[a:b + 1], key=lambda i: key(records[i]))
-        order = np.array(order)
-    values = np.empty(2 * len(order))
-    values[0::2], values[1::2] = x[order], y[order]
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    records = tuple(map(records.__getitem__, order.tolist()))
-    return records, values[first].tolist(), inverse[0::2], inverse[1::2]
-
-
 def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema:
     """Entries, cyclic coloring, and materialized table for the collection.
 
     k is the window, the longest straddled run.  Conflicting entries are
-    exactly those straddled by one common interval, a consecutive position
-    run no longer than k, and cyclic colors repeat only every k positions,
-    so the coloring is proper; materialize raises ColorCollision if not.
+    those straddled by one common interval, a consecutive position run no
+    longer than k, and cyclic colors repeat only every k positions, so the
+    coloring is proper when each repeated id's runs overlap or touch;
+    otherwise materialize raises ColorCollision.
 
-    The function is written as CSR straight from the runs: an interval's
-    run is [rank of x, rank of y) in the sorted distinct endpoints (the
-    entries straddled: x <= entry < y), the runs expand into
-    (entry, interval) position pairs, and one sort groups them by entry.
-    When every endpoint is a Python float the records, entries and runs
-    come from array sorts (_float_runs), otherwise from Python sorts.
+    One stable lexsort over (x, y, node position) orders the records by
+    (x, y, id); of equal ids (1, 1.0) the first in that order names the
+    node.  One stable np.unique over the endpoints, interleaved x0, y0,
+    x1, y1, ... in that order, gives the entries (of -0.0 and 0.0 the first
+    seen) and each run [rank of x, rank of y), the entries x <= e < y.
+    The arrays are float64 when every endpoint is a Python float, otherwise
+    object, which sorts by Python's exact comparisons.  The runs expand
+    into (entry, interval) pairs and one sort groups them by entry as CSR.
     """
     records = list(intervals)
     if not records:
         raise EmptyInput("no intervals given")
-    xs, ys = [r.x for r in records], [r.y for r in records]
-    if _all_floats(xs) and _all_floats(ys):
-        records, entries, start, end = _float_runs(records, xs, ys)
-    else:
-        records, entries, start, end = _general_runs(records)
-    ids = [r.id for r in records]
-    nodes = tuple(dict.fromkeys(sorted(ids)))
-    node_pos = dict(zip(nodes, range(len(nodes))))
+    xs, ys, ids = [r.x for r in records], [r.y for r in records], [r.id for r in records]
+    dtype = _endpoint_dtype(xs + ys)
+    x, y = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+    node_pos = {node: p for p, node in enumerate(dict.fromkeys(sorted(ids)))}
     held = np.fromiter(map(node_pos.__getitem__, ids), dtype=np.int64, count=len(ids))
-    run = end - start
+    order = np.lexsort((held, y, x))
+    held = held[order]
+    nodes = tuple(map(ids.__getitem__, order[np.unique(held, return_index=True)[1]].tolist()))
+    records = tuple(map(records.__getitem__, order.tolist()))
+
+    values = np.empty(2 * len(records), dtype=dtype)
+    values[0::2], values[1::2] = x[order], y[order]
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    entries = tuple(values[first].tolist())
+    start, run = inverse[0::2], inverse[1::2] - inverse[0::2]
     window = max(1, int(run.max()))
 
     indptr, indices = _straddle_csr(start, run, held, len(entries), len(nodes))
-    f = SetValuedFunction.from_csr(tuple(entries), nodes, indptr, indices)
+    f = SetValuedFunction.from_csr(entries, nodes, indptr, indices)
 
     colors = (np.arange(len(entries)) % window + 1).tolist()
     coloring = EntryColoring(dict(zip(entries, colors)), window)
     clique = materialize(f, coloring, nodes)
-    return EndpointSchema(records, tuple(entries), f, coloring, clique, window, 0)
+    return EndpointSchema(records, entries, f, coloring, clique, window, 0)
 
 
 def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:

@@ -34,9 +34,12 @@ def _parse_measure(text: str):
         return int(text)
     except ValueError:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise MalformedCsv(f"measure {text!r} is not numeric") from None
+        if not math.isfinite(value):  # nan, inf and 1e999 would poison every sum
+            raise MalformedCsv(f"measure {text!r} is not finite")
+        return value
 
 
 class FactTable:
@@ -130,7 +133,7 @@ class FactTable:
         if kind == "pyint":
             measures = self.measures
             return sum(measures[int(i)] for i in ids)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, reported below
             total = float(marr[ids].sum())
         if not math.isfinite(total):
             raise MeasureOverflow(f"measure sum overflowed: {total!r}")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import warnings
 
 import pytest
 
@@ -517,6 +518,20 @@ def test_interval_csv_non_numeric_endpoint_names_the_line(tmp_path, capsys):
     data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,abc,2\n")
     assert main(["query-intervals", "--data", data, "--a", "0", "--b", "5"]) == 1
     assert "line 3" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("bad, other", [("nan", "1"), ("inf", "-inf"), ("1e999", "2.5")])
+def test_query_sum_rejects_a_non_finite_measure(tmp_path, capsys, bad, other):
+    clique = str(tmp_path / "clique.csv")
+    assert main(["build", "tree", "--levels", "4", "--out", clique]) == 0
+    facts = write(tmp_path / "fact.csv", f"rid,acc,m\n0,8,{bad}\n1,9,{other}\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["query", "--fact", facts, "--clique", clique, "--expr", "c3='4'", "--sum"]) == 1
+    err = _no_traceback(capsys)
+    assert err.splitlines() == [f"error: measure {bad!r} is not finite"]
+    assert "Warning" not in err and not caught
 
 
 @pytest.mark.parametrize("payload", ['{"k": 2}', '{"coloring": {}}', '{"k": "two", "coloring": {}}', "[1]", "{"])

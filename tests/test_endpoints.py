@@ -4,13 +4,11 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliqueindex import endpoints
 from cliqueindex.corpus import random_intervals
 from cliqueindex.endpoints import (
     bucketed_interval_query,
@@ -218,7 +216,7 @@ def test_schema_verifies(rng):
         assert verify_schema(s.function, s.clique, s.coloring)
 
 
-# -- the array path against the Python one it replaced ----------------------
+# -- the array build against the Python builder it replaced ----------------
 
 
 def reference_endpoint_schema(intervals):
@@ -246,24 +244,24 @@ def reference_endpoint_schema(intervals):
     return SimpleNamespace(
         intervals=[repr(r) for r in records],
         entries=[(type(e), repr(e)) for e in entries],
-        nodes=list(nodes),
+        nodes=[(type(n), repr(n)) for n in nodes],
         indptr=indptr.tolist(),
         indices=sum(images, []),
         assignment=[(type(e), repr(e), i) for e, i in colors.items()],
         window=window,
         postings=postings,
         ys=[(type(ys[i]), repr(ys[i])) for i in order],
-        y_ids=[ids[i] for i in order],
+        y_ids=[(type(ids[i]), repr(ids[i])) for i in order],
     )
 
 
 def snapshot(s):
-    """The schema's fields in the reference's form: values by type and repr,
-    so that -0.0 and 0.0 or 1 and 1.0 differ."""
+    """The schema's fields in the reference's form: values and ids by type
+    and repr, so that -0.0 and 0.0 or 1, 1.0 and True differ."""
     return SimpleNamespace(
         intervals=[repr(r) for r in s.intervals],
         entries=[(type(e), repr(e)) for e in s.entries],
-        nodes=list(s.function.nodes),
+        nodes=[(type(n), repr(n)) for n in s.function.nodes],
         indptr=s.function.indptr.tolist(),
         indices=s.function.indices.tolist(),
         assignment=[(type(e), repr(e), i) for e, i in s.coloring.assignment.items()],
@@ -273,22 +271,20 @@ def snapshot(s):
             for entry_code, offsets, ids in s.clique.postings.columns
         ],
         ys=[(type(y), repr(y)) for y in s._ys],
-        y_ids=list(s._y_ids),
+        y_ids=[(type(i), repr(i)) for i in s._y_ids],
     )
 
 
-def assert_path_matches_reference(intervals, path):
-    """Build through `path` only ("_float_runs" or "_general_runs") and
-    compare every field, the table and stab and range answers."""
-    other = {"_float_runs": "_general_runs", "_general_runs": "_float_runs"}[path]
-    with mock.patch.object(endpoints, other, side_effect=AssertionError(f"{other} taken")):
-        try:
-            want = reference_endpoint_schema(intervals)
-        except ColorCollision as exc:
-            with pytest.raises(ColorCollision, match=f"^{re.escape(str(exc))}$"):
-                build_endpoint_schema(intervals)
-            return
-        s = build_endpoint_schema(intervals)
+def assert_matches_reference(intervals):
+    """Compare every field, the table and stab and range answers with the
+    reference builder; where it raises ColorCollision, the same message."""
+    try:
+        want = reference_endpoint_schema(intervals)
+    except ColorCollision as exc:
+        with pytest.raises(ColorCollision, match=f"^{re.escape(str(exc))}$"):
+            build_endpoint_schema(intervals)
+        return
+    s = build_endpoint_schema(intervals)
     assert vars(snapshot(s)) == vars(want)
     assert s.clique.nodes() == s.function.nodes
     assert verify_schema(s.function, s.clique, s.coloring)
@@ -302,9 +298,12 @@ def assert_path_matches_reference(intervals, path):
                 assert interval_query(s, a, b) == oracle_interval_intersections(intervals, a, b)
 
 
-# Few distinct values, so that (x, y) pairs, upper endpoints and ids tie.
+# Few distinct values, so that (x, y) pairs, upper endpoints and ids tie;
+# 1, 1.0 and True are one id, named by the first record in (x, y, id) order.
 float_endpoints = st.sampled_from([-0.0, 0.0, -1.5, 0.5, 1.0, 2.0, 2.5, 1e300])
-small_ids = st.one_of(st.integers(min_value=0, max_value=6), st.sampled_from("abcdefg"))
+small_ids = st.one_of(
+    st.integers(min_value=0, max_value=6), st.sampled_from([1, 1.0, True, 2]), st.sampled_from("abcdefg"),
+)
 
 
 def make_records(rows):
@@ -314,26 +313,36 @@ def make_records(rows):
     return [IntervalRecord(cast(i), min(x, y), max(x, y)) for i, x, y in rows]
 
 
+# Float draws sort on float64 arrays, every other draw on object arrays;
+# both go through the one build and meet the same reference.
 @given(st.lists(st.tuples(small_ids, float_endpoints, float_endpoints), min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_float_path_matches_the_python_path(rows):
-    assert_path_matches_reference(make_records(rows), "_float_runs")
+    assert_matches_reference(make_records(rows))
+
+
+def many_ties(seed, values):
+    # hundreds of records over a few values, beyond the sizes at which
+    # numpy's unstable sorts still happen to keep input order
+    rng = random.Random(seed)
+    return make_records([(rng.randrange(200), rng.choice(values), rng.choice(values)) for _ in range(600)])
 
 
 @pytest.mark.parametrize("seed", [3, 5, 8])
 def test_float_path_matches_on_many_ties(seed):
-    # hundreds of records over a few values, beyond the sizes at which
-    # numpy's unstable sorts still happen to keep input order
-    rng = random.Random(seed)
-    values = [-0.0, 0.0, 0.25, 1.0, 3.0, 7.5]
-    rows = [(rng.randrange(200), rng.choice(values), rng.choice(values)) for _ in range(600)]
-    assert_path_matches_reference(make_records(rows), "_float_runs")
+    assert_matches_reference(many_ties(seed, [-0.0, 0.0, 0.25, 1.0, 3.0, 7.5]))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_int_endpoints_match_on_many_ties(seed):
+    assert_matches_reference(many_ties(seed, [-3, 0, 1, 2, 5, 2 ** 64 + 1]))
 
 
 general_endpoints = st.one_of(
     st.integers(min_value=-3, max_value=3),  # ints
     st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]),  # Fractions
     st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2 ** 53, 2.0 ** 53, 2 ** 53 + 1]),  # mixed, and ints float64 rounds
+    st.sampled_from([2 ** 64, 2 ** 64 + 1, 2.0 ** 64]),  # past int64
 )
 
 
@@ -342,8 +351,8 @@ general_endpoints = st.one_of(
 def test_non_float_endpoints_take_the_python_path(rows):
     intervals = make_records(rows)
     if {type(v) for r in intervals for v in (r.x, r.y)} == {float}:
-        return  # only floats drawn: the float path's test covers these
-    assert_path_matches_reference(intervals, "_general_runs")
+        return  # only floats drawn: the float test covers these
+    assert_matches_reference(intervals)
 
 
 def test_first_seen_zero_is_the_entry():

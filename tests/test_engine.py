@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,12 @@ def test_from_csv_rejects_negative_rid():
 def test_from_csv_rejects_bad_measure():
     with pytest.raises(MalformedCsv):
         FactTable.from_csv("rid,acc,m\n0,a,one\n")
+
+
+@pytest.mark.parametrize("m", ["nan", "inf", "-Infinity", "1e999"])
+def test_from_csv_rejects_non_finite_measure(m):
+    with pytest.raises(MalformedCsv, match=f"measure '{m}' is not finite"):
+        FactTable.from_csv(f"rid,acc,m\n0,a,1\n1,b,{m}\n")
 
 
 def test_from_csv_acc_cast():
@@ -388,6 +395,17 @@ def test_aggregate_sum_float_overflow_raises():
     idx = build_index(fact, clique)
     with pytest.raises(MeasureOverflow):
         aggregate_sum(Or((Atom(3, 4), Atom(3, 5))), idx, fact)
+
+
+def test_aggregate_sum_of_opposite_overflows_raises_without_a_warning():
+    # pairwise summation meets +inf and -inf partial sums, whose sum is nan
+    clique = build_tree_schema(3)
+    fact = FactTable([4, 5] * 8, [1e308, -1e308] * 8)
+    idx = build_index(fact, clique)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeasureOverflow):
+            aggregate_sum(Or((Atom(3, 4), Atom(3, 5))), idx, fact)
 
 
 def test_selectivity_limits(tree_setup):
