@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -44,7 +44,10 @@ class IntervalRecord:
 
 @dataclass
 class EndpointSchema:
-    """Materialized endpoint schema over one interval collection."""
+    """Materialized endpoint schema over one interval collection.
+
+    The build also passes the upper endpoints in ascending order (ties in
+    the order of intervals) and their ids, which range queries bisect."""
 
     intervals: tuple[IntervalRecord, ...]
     entries: tuple  # distinct endpoint values, ascending
@@ -53,12 +56,8 @@ class EndpointSchema:
     clique: CliqueTable
     window: int  # longest straddled-entry run, which is k
     escalations: int  # always 0; the sidecar, the CLI report and perfbench's set-up check read it
-
-    def __post_init__(self):
-        ys = [r.y for r in self.intervals]
-        order = np.argsort(np.array(ys, dtype=_endpoint_dtype(ys)), kind="stable").tolist()  # ties keep input order
-        self._ys = [ys[i] for i in order]
-        self._y_ids = [self.intervals[i].id for i in order]
+    _ys: list = field(repr=False)
+    _y_ids: list = field(repr=False)
 
 
 def _endpoint_dtype(values: list):
@@ -70,20 +69,26 @@ def _endpoint_dtype(values: list):
 
 def _straddle_csr(start, run, held, n_entries: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the pairs (start[r] + j, held[r]) for j < run[r], grouped by
-    entry: one sort of entry-major int64 keys, built in place so that one
-    pair-sized temporary exists at a time.  When intervals share an id
-    (fewer nodes than intervals), a pair the shared id repeats is dropped."""
-    key = np.repeat(start - (np.cumsum(run) - run), run)
-    key += np.arange(key.size)
+    entry: one sort of entry-major keys entry * n_nodes + node, built in
+    place so that one pair-sized temporary exists at a time.  The keys are
+    int32 when every key and the pair count fit, int64 otherwise.  When
+    intervals share an id (fewer nodes than intervals), a pair the shared
+    id repeats is dropped.  Each entry's offset is a search for its first
+    key, and subtracting entry * n_nodes leaves the node positions."""
+    pairs = int(run.sum())
+    dtype = np.int32 if max(n_entries * n_nodes, pairs) <= 2**31 else np.int64
+    key = np.repeat((start - (np.cumsum(run) - run)).astype(dtype), run)
+    key += np.arange(pairs, dtype=dtype)
     key *= n_nodes
-    key += np.repeat(held, run)
+    key += np.repeat(held.astype(dtype), run)
     key.sort()
     if n_nodes < len(held):
         key = key[np.diff(key, prepend=-1) != 0]
-    indptr = np.zeros(n_entries + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n_nodes, minlength=n_entries), out=indptr[1:])
-    key %= n_nodes
-    return indptr, key.astype(np.int32)
+    base = np.arange(n_entries, dtype=dtype) * n_nodes
+    indptr = np.empty(n_entries + 1, dtype=np.int64)
+    indptr[:-1], indptr[-1] = np.searchsorted(key, base), key.size
+    key -= np.repeat(base, np.diff(indptr))
+    return indptr, key.astype(np.int32, copy=False)
 
 
 def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema:
@@ -103,6 +108,8 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     The arrays are float64 when every endpoint is a Python float, otherwise
     object, which sorts by Python's exact comparisons.  The runs expand
     into (entry, interval) pairs and one sort groups them by entry as CSR.
+    A stable argsort of the ordered upper endpoints gives the order range
+    queries bisect.
     """
     records = list(intervals)
     if not records:
@@ -130,7 +137,9 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     colors = (np.arange(len(entries)) % window + 1).tolist()
     coloring = EntryColoring(dict(zip(entries, colors)), window)
     clique = materialize(f, coloring, nodes)
-    return EndpointSchema(records, entries, f, coloring, clique, window, 0)
+    by_y = order[np.argsort(y[order], kind="stable")].tolist()  # ties keep (x, y, id) order
+    y_order = list(map(ys.__getitem__, by_y)), list(map(ids.__getitem__, by_y))
+    return EndpointSchema(records, entries, f, coloring, clique, window, 0, *y_order)
 
 
 def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:

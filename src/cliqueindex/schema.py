@@ -15,6 +15,7 @@ on the nodes and its node set expanded to rows.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -39,6 +40,7 @@ Node = Hashable
 
 NULL = None
 BLOCK_ROWS = 4096  # rows per `%`-formatted block of table CSV
+GATHER_BLOCK = 1 << 18  # memberships per block of materialize's gather, whole columns each
 
 
 def _sorted_ids(values: Iterable) -> list:
@@ -296,9 +298,13 @@ def materialize(
     outside 1..k raises OutOfRange.  A node claimed by two entries of one
     color means the coloring was not proper on the intersection graph:
     ColorCollision.  One lookup per node of f's domain maps f's node
-    positions to rows; the entries with a non-empty image, grouped by color
-    in f's order, are the columns' codes, and their rows, gathered in that
-    order, the columns' ids.  A row twice in one column is a collision.
+    positions to rows; when they already are the rows (the domain starts
+    with f's nodes, in order) f.indices is used as is.  The entries with a
+    non-empty image, grouped by color in f's order, are the columns'
+    codes, and their rows, gathered in that order into one int32 array,
+    the columns' ids (views of it).  The gather runs in blocks of whole
+    columns, about GATHER_BLOCK memberships each, widened once to intp for
+    the per-column check: a row twice in one column is a collision.
     """
     order = _sorted_ids(f.node_domain()) if domain is None else list(dict.fromkeys(domain))
     position = dict(zip(order, range(len(order))))
@@ -310,27 +316,43 @@ def materialize(
     if len(bad):
         raise OutOfRange(f"entry {entries[filled[bad[0]]]!r} has color {colors[bad[0]]}, outside 1..{c.k}")
     row_of = np.fromiter(map(position.get, f.nodes, repeat(-1)), dtype=np.int32, count=len(f.nodes))
-    rows = row_of[f.indices]
-    if (rows < 0).any():
-        raise _first_conflict(f, c, position)
-    known = row_of[row_of >= 0]
-    if (known[1:] < known[:-1]).any():  # rows of an entry no longer ascend: sort within entries
-        base = np.repeat(np.arange(len(sizes)) * len(order), sizes)
-        rows = (np.sort(rows + base) - base).astype(np.int32)
-    by_color = filled[np.argsort(colors, kind="stable")]
-    ends = np.concatenate(([0], np.cumsum(np.bincount(colors, minlength=c.k + 1)[1:])))
-    last = np.empty(len(order), dtype=np.intp)
-    columns = []
-    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        held = by_color[a:b]  # the column's entries, in code order
-        offsets = np.concatenate(([0], np.cumsum(sizes[held])))
-        gather = np.repeat(f.indptr[held] - offsets[:-1], sizes[held])
-        gather += np.arange(offsets[-1])  # each membership's offset in f.indices
-        column, seq = rows[gather], np.arange(offsets[-1])
-        last[column] = seq  # a row twice in the column keeps one of its writes
-        if not np.array_equal(last[column], seq):
+    if np.array_equal(row_of, np.arange(len(row_of))):
+        rows = f.indices
+    else:
+        rows = row_of[f.indices]
+        if (rows < 0).any():
             raise _first_conflict(f, c, position)
-        columns.append((dict(zip(entries[held].tolist(), range(b - a))), offsets, column))
+        known = row_of[row_of >= 0]
+        if (known[1:] < known[:-1]).any():  # rows of an entry no longer ascend: sort within entries
+            base = np.repeat(np.arange(len(sizes)) * len(order), sizes)
+            rows = (np.sort(rows + base) - base).astype(np.int32)
+    by_color = filled[np.argsort(colors, kind="stable")]
+    names = entries[by_color].tolist()  # every column's entries, in code order
+    lengths = sizes[by_color]
+    offset = np.concatenate(([0], np.cumsum(lengths)))  # each entry's first membership, counted in color order
+    shift = f.indptr[by_color] - offset[:-1]  # membership j of an entry is rows[shift + j]
+    ends = np.concatenate(([0], np.cumsum(np.bincount(colors, minlength=c.k + 1)[1:]))).tolist()
+    bounds = offset[ends].tolist()  # membership offset of each column
+    ids = np.empty(bounds[-1], dtype=np.int32)
+    last = np.empty(len(order), dtype=np.intp)
+    lo = hi = 0
+    seq = wide = np.empty(0, dtype=np.intp)
+    columns = []
+    for i in range(c.k):
+        a, b = ends[i], ends[i + 1]
+        if bounds[i + 1] > hi:  # gather the next block: whole columns from column i on
+            stop = max(i + 1, bisect.bisect_right(bounds, bounds[i] + GATHER_BLOCK) - 1)
+            lo, hi = bounds[i], bounds[stop]
+            seq = np.arange(lo, hi)
+            np.take(rows, np.repeat(shift[a:ends[stop]], lengths[a:ends[stop]]) + seq, out=ids[lo:hi])
+            wide = ids[lo:hi].astype(np.intp)
+        span = slice(bounds[i] - lo, bounds[i + 1] - lo)
+        column, mark = wide[span], seq[span]
+        last[column] = mark  # a row twice in the column keeps one of its writes
+        if not np.array_equal(last[column], mark):
+            raise _first_conflict(f, c, position)
+        offsets = offset[a:b + 1] - offset[a]
+        columns.append((dict(zip(names[a:b], range(b - a))), offsets, ids[bounds[i]:bounds[i + 1]]))
     return CliqueTable.from_postings(order, Postings(len(order), columns))
 
 

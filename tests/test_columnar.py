@@ -9,12 +9,15 @@ import csv
 import io
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cliqueindex.corpus import random_function
+from cliqueindex import schema
+from cliqueindex.corpus import random_function, random_intervals
+from cliqueindex.endpoints import build_endpoint_schema
 from cliqueindex.engine import Atom, FactTable, ScanOracle, build_index, evaluate
 from cliqueindex.errors import ColorCollision, InconsistentArity, MalformedCsv, UnknownNode
 from cliqueindex.intersection import (
@@ -53,21 +56,44 @@ def reference_rows(f, c, order):
     return {u: tuple(cells[u]) for u in order}
 
 
+def gather_block(rng):
+    """GATHER_BLOCK patched to 1 (a block per column), to a few memberships
+    (blocks of several columns, the columns split among blocks) or left as
+    is (one block here)."""
+    return mock.patch.object(schema, "GATHER_BLOCK", rng.choice([1, 2, 5, 16, schema.GATHER_BLOCK]))
+
+
+def domains(rng, f):
+    """(domain, row order): materialize's default (the sorted image nodes)
+    or an explicit domain, those nodes or f's own nodes, whose positions
+    already are the rows, either sometimes with a node no entry references."""
+    order = sorted(f.node_domain())
+    if rng.random() < 0.25:
+        return None, order
+    if rng.random() < 0.5:
+        order = list(f.nodes)
+    if rng.random() < 0.5:
+        order = order + ["spare"]
+    return order, order
+
+
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_materialize_matches_the_cell_by_cell_fill(seed):
     rng = random.Random(seed)
     f = random_function(rng, max_entries=15, max_nodes=20)
     graph = build_intersection_graph(f)
-    spare = rng.random() < 0.5  # an explicit domain with a node no entry references
-    order = sorted(f.node_domain()) + (["spare"] if spare else [])
+    domain, order = domains(rng, f)
     for greedy in GREEDY_ORDERS:
         c = greedy_color(graph, greedy)
-        t = materialize(f, c, order) if spare else materialize(f, c)
+        with gather_block(rng):
+            t = materialize(f, c, domain)
         want = reference_rows(f, c, order)
         assert list(t.rows) == order
         assert dict(t.rows.items()) == want
         assert [t.rows[u] for u in order] == list(want.values())
+        entries, codes = dense_codes(f, c, order)
+        assert_same_postings(t.postings, entries, dense_postings(entries, codes))
         for e in f.entries:
             assert t.column_preimage(c.assignment[e], e) == f.image[e]
         assert t.null_count() == sum(v is NULL for row in want.values() for v in row)
@@ -97,13 +123,30 @@ def test_materialize_raises_what_the_cell_by_cell_fill_raises(seed):
     f = random_function(rng, max_entries=10, max_nodes=12)
     k = rng.randint(1, 3)
     c = EntryColoring({e: rng.randint(1, k) for e in f.entries}, k)  # often improper
-    domain = [u for u in sorted(f.node_domain()) if rng.random() < 0.9]
+    nodes = list(f.nodes) if rng.random() < 0.5 else sorted(f.node_domain())
+    domain = nodes if rng.random() < 0.3 else [u for u in nodes if rng.random() < 0.9]
     want = _outcome(lambda: reference_rows(f, c, domain))
-    got = _outcome(lambda: materialize(f, c, domain))
+    with gather_block(rng):
+        got = _outcome(lambda: materialize(f, c, domain))
     if isinstance(want, dict):
         assert dict(got.rows.items()) == want
+        entries, codes = dense_codes(f, c, domain)
+        assert_same_postings(got.postings, entries, dense_postings(entries, codes))
     else:
         assert got == want
+
+
+def test_gather_block_does_not_change_the_endpoint_table():
+    # thousands of memberships over dozens of columns, gathered in blocks of
+    # one column, of a few columns and all at once
+    intervals = random_intervals(random.Random(5), 400)
+    built = []
+    for block in (1, 1000, schema.GATHER_BLOCK):
+        with mock.patch.object(schema, "GATHER_BLOCK", block):
+            s = build_endpoint_schema(intervals)
+        built.append([(list(codes), offsets.tolist(), ids.tolist()) for codes, offsets, ids in s.clique.postings.columns])
+    assert sum(len(ids) for _, _, ids in built[0]) > 3000 and len(built[0]) > 10
+    assert built[0] == built[1] == built[2]
 
 
 @given(seeds)
@@ -323,7 +366,8 @@ def assert_same_postings(postings, entries, want):
     assert len(postings.columns) == len(want)
     for column, (entry_code, offsets, ids), (want_offsets, want_ids) in zip(entries, postings.columns, want):
         assert list(entry_code) == column
-        assert offsets.dtype == np.int64 and ids.dtype == np.int32
+        assert offsets.dtype == np.int64 and ids.dtype == np.int32 and not ids.flags.writeable
+        assert offsets[0] == 0
         assert offsets.tolist() == want_offsets.tolist()
         assert ids.tolist() == want_ids.tolist()
 
@@ -346,8 +390,9 @@ def colored_functions(draw):
     """(f, coloring, domain): images over int, str or mixed nodes; f built
     by the converting constructor (first-seen node order) or as CSR over
     sorted nodes; a greedy proper coloring or a random, often improper,
-    one; no domain, or an explicit one with extra nodes, reordered, and
-    sometimes missing a node an image holds."""
+    one; no domain, f's own nodes (perhaps with extra ones after them), or
+    an explicit one with extra nodes, reordered, and sometimes missing a
+    node an image holds."""
     nodes = draw(node_values)
     images = draw(st.lists(st.sets(st.sampled_from(nodes), max_size=6), min_size=1, max_size=10))
     entries = tuple(f"e{i}" for i in range(len(images)))
@@ -367,6 +412,8 @@ def colored_functions(draw):
         c = EntryColoring({e: draw(st.integers(1, k)) for e in entries}, k)
     domain = None
     if draw(st.booleans()):
+        domain = list(f.nodes) + draw(st.lists(st.integers(100, 110), max_size=2, unique=True))  # rows are f's positions
+    elif draw(st.booleans()):
         extra = draw(st.lists(st.one_of(st.integers(100, 110), st.just("spare")), max_size=3))
         domain = draw(st.permutations(list(nodes) + extra))
         if draw(st.booleans()) and domain:
@@ -385,11 +432,12 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
     try:
         entries, codes = dense_codes(f, c, order)
     except (UnknownNode, ColorCollision) as exc:
-        with pytest.raises(type(exc)) as raised:
+        with pytest.raises(type(exc)) as raised, gather_block(random.Random(seed)):
             materialize(f, c, domain)
         assert str(raised.value) == str(exc)
         return
-    t = materialize(f, c, domain)
+    with gather_block(random.Random(seed)):
+        t = materialize(f, c, domain)
     assert_same_postings(t.index.postings, entries, dense_postings(entries, codes))
     want = dense_rows(entries, codes, order)
     assert list(t.rows) == order

@@ -17,6 +17,7 @@ from cliqueindex.endpoints import (
     interval_query,
     interval_query_branches,
     IntervalRecord,
+    _straddle_csr,
     stabbing_query,
 )
 from cliqueindex.errors import ColorCollision, EmptyInput, InvalidRange
@@ -361,3 +362,57 @@ def test_first_seen_zero_is_the_entry():
     assert repr(first.entries[0]) == "0.0"
     second = build_endpoint_schema(make_records([("b", 0.0, 1.0), ("a", -0.0, 1.0)]))
     assert repr(second.entries[0]) == "-0.0"
+
+
+@pytest.mark.parametrize("values", [
+    [-3, 0, 1, 2, 5],  # ints
+    [Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2)],  # Fractions
+    [-0.0, 0, Fraction(1, 2), 0.5, 1, 1.0, 2 ** 53 + 1, 2.0 ** 53],  # mixed, equal across types
+], ids=["int", "fraction", "mixed"])
+def test_upper_endpoint_order_matches_on_many_ties(values):
+    # the upper endpoints tie hundreds of times; ties keep (x, y, id) order,
+    # and each value and id keeps its type
+    intervals = many_ties(4, values)
+    assert_matches_reference(intervals)
+    s = build_endpoint_schema(intervals)
+    by_y = sorted(s.intervals, key=attrgetter("y"))
+    assert [(type(r.y), repr(r.y)) for r in by_y] == [(type(y), repr(y)) for y in s._ys]
+    assert [(type(r.id), repr(r.id)) for r in by_y] == [(type(i), repr(i)) for i in s._y_ids]
+
+
+# -- the straddle CSR against a pure-Python pair sort -------------------------
+
+
+def reference_straddle_csr(start, run, held, n_entries):
+    """Entry -> ascending distinct nodes, from a sort of (entry, node) pairs."""
+    pairs = sorted({(s + j, h) for s, r, h in zip(start, run, held) for j in range(r)})
+    counts = [0] * n_entries
+    for entry, _ in pairs:
+        counts[entry] += 1
+    indptr = [0]
+    for count in counts:
+        indptr.append(indptr[-1] + count)
+    return indptr, [node for _, node in pairs]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
+@pytest.mark.parametrize("n_entries", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1], ids=["below", "at", "above"])
+def test_straddle_csr_matches_a_pair_sort_at_the_key_width_edge(n_entries, shared):
+    # n_entries * n_nodes is just below, at and just above 2**31, where the
+    # keys widen from int32 to int64; the last entry meets the last node, so
+    # the largest key occurs; shared ids repeat pairs that must be dropped
+    rng = np.random.default_rng(n_entries)
+    n_nodes = 2 ** 15
+    count = n_nodes + 500 if shared else n_nodes
+    held = rng.permutation(np.arange(count) % n_nodes)
+    run = rng.integers(0, 4, size=count)
+    start = rng.integers(0, n_entries - run + 1)
+    start[:2], run[:2], held[:2] = n_entries - 2, 2, [n_nodes - 1, 0]
+    if shared:
+        start[2:6], run[2:6], held[2:6] = 7, 3, held[1]  # one id, one run, four times
+    indptr, indices = _straddle_csr(start, run, held, n_entries, n_nodes)
+    want_indptr, want_indices = reference_straddle_csr(start.tolist(), run.tolist(), held.tolist(), n_entries)
+    assert indptr.dtype == np.int64 and indices.dtype == np.int32
+    assert indptr.tolist() == want_indptr
+    assert indices.tolist() == want_indices
+    assert indices[-1] == n_nodes - 1  # the largest key: last entry, last node
