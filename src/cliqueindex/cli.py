@@ -16,6 +16,8 @@ import random
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import corpus
 from .digraph import (
     ancestor_set_function,
@@ -355,8 +357,7 @@ def cmd_query(args) -> int:
     expr = parse_query(args.expr)
     idx = build_index(fact, clique)
     if args.check:
-        scanned = ScanOracle(fact, clique).rids(expr)
-        if scanned != set(evaluate(expr, idx).to_ids()):
+        if not np.array_equal(ScanOracle(fact, clique).rid_array(expr), evaluate(expr, idx).to_array()):
             _note("MISMATCH: posting evaluation disagrees with the full scan")
             return EXIT_VERIFY
         _note("scan check passed")
@@ -398,16 +399,12 @@ def cmd_query_tree(args) -> int:
     if args.fact:
         # schema nodes are ints, so acc values must be cast to match
         fact = _load_fact(args.fact, acc_cast=int)
-        idx = build_index(fact, schema)
-        rids = tree_fact_query(args.k, idx)
-        with _out_stream(args.out) as fh:
-            for rid in rids:
-                fh.write(f"{rid}\n")
+        ids = tree_fact_query(args.k, build_index(fact, schema)).to_array()
     else:
         ids = overlap_query(args.k, schema)
-        with _out_stream(args.out) as fh:
-            for i in sorted(ids):
-                fh.write(f"{i}\n")
+    with _out_stream(args.out) as fh:
+        for i in ids.tolist():
+            fh.write(f"{i}\n")
     return EXIT_OK
 
 
@@ -485,7 +482,7 @@ def _verify_tree(rng: random.Random, scale: float):
         schema = build_tree_schema(n)
         yield bool(verify_tree_schema(schema, n)), f"n={n} schema verify"
         for k in range(1, (1 << n)):
-            yield overlap_query(k, schema) == oracle_tree_overlap(k, n), f"n={n} k={k}"
+            yield np.array_equal(overlap_query(k, schema), oracle_tree_overlap(k, n)), f"n={n} k={k}"
 
 
 def _verify_engine(rng: random.Random, scale: float):
@@ -501,10 +498,9 @@ def _verify_engine(rng: random.Random, scale: float):
     scan = ScanOracle(fact, clique)
     for i in range(max(1, int(90 * scale))):
         expr = corpus.random_expr(rng, clique)
-        got = set(evaluate(expr, idx).to_ids())
-        want = scan.rids(expr)
-        yield got == want, f"expr #{i}: {format_query(expr)}"
-        yield aggregate_sum(expr, idx, fact) == sum(measures[r] for r in want), f"expr #{i} sum"
+        want = scan.rid_array(expr)
+        yield np.array_equal(evaluate(expr, idx).to_array(), want), f"expr #{i}: {format_query(expr)}"
+        yield aggregate_sum(expr, idx, fact) == sum(measures[r] for r in want.tolist()), f"expr #{i} sum"
         if isinstance(expr, And) and len(expr.items) == 2:
             lhs = evaluate(Not(expr), idx)
             rhs = evaluate(Or((Not(expr.items[0]), Not(expr.items[1]))), idx)

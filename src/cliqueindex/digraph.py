@@ -92,16 +92,17 @@ class AcyclicDigraph:
         return tuple(order)
 
     def _find_cycle(self, remaining: set[int]) -> list[NodeId]:
-        start = min(remaining)
+        """A cycle among the nodes the sort left.  Each keeps a predecessor
+        among them, while one downstream of a cycle may have no successor
+        there, so the walk follows predecessors and is then reversed."""
         path: list[int] = []
         on_path: dict[int, int] = {}
-        v = start
+        v = min(remaining)
         while v not in on_path:
             on_path[v] = len(path)
             path.append(v)
-            v = next(w for w in self._out[v] if w in remaining)
-        cycle = path[on_path[v]:]
-        return [self.nodes[i] for i in cycle]
+            v = next(w for w in self._in[v] if w in remaining)
+        return [self.nodes[i] for i in reversed(path[on_path[v]:])]
 
     # -- reachability ----------------------------------------------------------
 

@@ -165,7 +165,9 @@ def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:
 
 
 def interval_query(s: EndpointSchema, a, b) -> set:
-    """Ids of intervals meeting [a, b]: x <= b and y >= a."""
+    """Ids of intervals meeting [a, b]: x <= b and y >= a, as a set: on
+    interval_stab's answers (about 31 ids) a set union of the branches took
+    11.5-12.3 us per query where an array union took 21.1-21.3 us."""
     first, second = interval_query_branches(s, a, b)
     return first | second
 

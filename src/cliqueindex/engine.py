@@ -169,10 +169,16 @@ class Not:
 
 _TOKEN = re.compile(r"\s*(?:(c\d+)\s*=\s*'([^']*)'|([&|!()]))")
 
+# Parsing, evaluating and formatting recurse once or more per level of `!`
+# and `(`; the bound keeps every one of them far from the interpreter's
+# recursion limit.
+MAX_QUERY_DEPTH = 100
+
 
 def parse_query(text: str):
     """Parse the mini-language: atoms `cN='value'` combined with `!`, `&`,
-    `|` and parentheses; `!` binds tightest, then `&`, then `|`."""
+    `|` and parentheses; `!` binds tightest, then `&`, then `|`.  Nesting
+    deeper than MAX_QUERY_DEPTH levels of `!` and `(` is MalformedExpr."""
     tokens: list = []
     pos = 0
     while pos < len(text):
@@ -215,17 +221,24 @@ def parse_query(text: str):
             items.append(parse_not())
         return items[0] if len(items) == 1 else And(tuple(items))
 
+    depth = 0
+
     def parse_not():
+        nonlocal depth
         tok = peek()
-        if tok == "!":
+        if tok in ("!", "("):
+            depth += 1
+            if depth > MAX_QUERY_DEPTH:
+                raise MalformedExpr(f"query nests deeper than {MAX_QUERY_DEPTH} levels of '!' and '('")
             take()
-            return Not(parse_not())
-        if tok == "(":
-            take()
-            inner = parse_or()
-            if peek() != ")":
-                raise MalformedExpr("missing closing parenthesis")
-            take()
+            if tok == "!":
+                inner = Not(parse_not())
+            else:
+                inner = parse_or()
+                if peek() != ")":
+                    raise MalformedExpr("missing closing parenthesis")
+                take()
+            depth -= 1
             return inner
         if isinstance(tok, Atom):
             return take()

@@ -73,10 +73,10 @@ def oracle_interval_intersections(intervals, a, b) -> set:
     return out
 
 
-def oracle_tree_overlap(k: int, n: int) -> set[int]:
-    """All tree interval ids whose half-open dyadic extent meets k's: every
-    id's extent in units of 2^(1-n), computed from its level, scanned in one
-    vectorized comparison against k's."""
+def oracle_tree_overlap(k: int, n: int) -> np.ndarray:
+    """All tree interval ids whose half-open dyadic extent meets k's, as an
+    ascending int64 array: every id's extent in units of 2^(1-n), computed
+    from its level, scanned in one vectorized comparison against k's."""
     if n > ORACLE_TREE_CAP:
         raise TooLargeForExact(n, ORACLE_TREE_CAP, what="tree level count")
     if not 1 <= k < (1 << n):
@@ -86,4 +86,4 @@ def oracle_tree_overlap(k: int, n: int) -> set[int]:
     widths = np.left_shift(1, n - levels, dtype=np.int64)
     los = (ids - np.left_shift(1, levels - 1, dtype=np.int64)) * widths
     lo, hi = los[k - 1], los[k - 1] + widths[k - 1]
-    return set(ids[(los < hi) & (lo < los + widths)].tolist())
+    return ids[(los < hi) & (lo < los + widths)]

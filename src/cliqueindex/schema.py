@@ -159,7 +159,8 @@ class CliqueTable:
     the column postings over node positions, the table's only cell storage,
     and rows, cell and export read a node -> cells transpose built from it
     on first use, as is index, the table's own rows as a PostingIndex
-    (row j references node j).  CliqueTable(k, rows) converts node -> k
+    (row j references node j), which answers in positions: column_preimage
+    alone decodes them to nodes.  CliqueTable(k, rows) converts node -> k
     cells, for small tables; builders pass from_postings the stored form,
     converting code columns one at a time with Postings.from_codes.
     Immutable by convention.
@@ -255,16 +256,13 @@ class CliqueTable:
     def nodes(self) -> tuple:
         return tuple(self._nodes.tolist())
 
-    def nodes_at(self, positions: np.ndarray) -> set:
-        return set(self._nodes.take(positions).tolist())
-
     def null_count(self) -> int:
         return len(self) * self.k - sum(len(ids) for _, _, ids in self.postings.columns)
 
     def column_preimage(self, i: int, e: Entry) -> set:
         """Nodes whose column i holds entry e: its posting."""
         posting = self.postings.get((i, e))
-        return set() if posting is None else self.nodes_at(posting.ids)
+        return set() if posting is None else set(self._nodes.take(posting.ids).tolist())
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -533,15 +531,27 @@ def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
 
 
 def read_sidecar(path) -> tuple[EntryColoring, dict]:
-    """Coloring and provenance from a sidecar; MalformedCsv when it is not
-    JSON or lacks an integer k and an entry -> color map."""
+    """Coloring and provenance from a sidecar; MalformedCsv unless it is a
+    JSON object holding k, an entry -> color map and, optionally, a
+    provenance object.  k and the colors must be JSON integers (not 2.7,
+    true or 1e400), each color in 1..k, and k at most the entry count: a
+    proper coloring needs no more, and k sizes the table that is built."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedCsv(f"sidecar {path}: not JSON ({exc})") from None
     try:
-        assignment = {e: int(i) for e, i in payload["coloring"].items()}
-        return EntryColoring(assignment, int(payload["k"])), payload.get("provenance", {})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        k, assignment = payload["k"], dict(payload["coloring"].items())
+        provenance = payload.get("provenance", {})
+    except (AttributeError, KeyError, TypeError) as exc:
         raise MalformedCsv(f"sidecar {path}: needs k and a coloring map ({exc!r})") from None
+    if type(k) is not int or not 0 <= k <= len(assignment):
+        raise MalformedCsv(f"sidecar {path}: k {json.dumps(k)} is not a JSON integer in 0..{len(assignment)}")
+    for e, i in assignment.items():
+        if type(i) is not int or not 1 <= i <= k:
+            why = "outside" if type(i) is int else "not a JSON integer in"
+            raise MalformedCsv(f"sidecar {path}: entry {e!r} has color {json.dumps(i)}, {why} 1..{k}")
+    if not isinstance(provenance, dict):
+        raise MalformedCsv(f"sidecar {path}: provenance {json.dumps(provenance)} is not an object")
+    return EntryColoring(assignment, k), provenance

@@ -200,14 +200,15 @@ def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> Verify
     return VerifyResult(True)
 
 
-def overlap_query(k: int, schema: CliqueTable) -> set[int]:
-    """Ids whose extent meets id k's extent, read from the table.
+def overlap_query(k: int, schema: CliqueTable) -> np.ndarray:
+    """Ids whose extent meets id k's extent, as an ascending int64 array.
 
     One IN predicate on column L(k): a row overlaps k exactly when its
     level-L(k) cell is one of k's ancestors-or-self.  It runs as
-    tree_fact_query on the table's own index, where row j is node j.
+    tree_fact_query on the table's own index; a build_tree_schema table
+    holds id j + 1 at node position j, so no node decode is needed.
     """
-    return schema.nodes_at(tree_fact_query(k, schema.index).to_array())
+    return tree_fact_query(k, schema.index).to_array() + 1
 
 
 def map_point_to_leaf(x: float, n: int) -> int:

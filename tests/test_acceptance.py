@@ -116,12 +116,12 @@ def test_criterion_02_overlap_worked_example():
     with Budget(1.0) as b:
         t = build_tree_schema(4)
         hit = overlap_query(5, t)
-        assert hit == {1, 2, 5, 10, 11}
+        assert hit.tolist() == [1, 2, 5, 10, 11]
         parts = [entry_members(5, 3, 4), entry_members(2, 3, 4), entry_members(1, 3, 4)]
         assert parts[0] == {5, 10, 11}
         assert parts[1] == {2}
         assert parts[2] == {1}
-        assert set().union(*parts) == hit
+        assert set().union(*parts) == set(hit.tolist())
     report(2, "overlap of id 5 = {1,2,5,10,11} = {5,10,11} | {2} | {1}", b)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from cliqueindex import cli
 from cliqueindex.cli import main
+from cliqueindex.engine import MAX_QUERY_DEPTH
 from cliqueindex.schema import CliqueTable, export_table, import_table
 from cliqueindex.tree import build_tree_schema, iter_tree_rows
 
@@ -433,7 +434,41 @@ def test_build_intervals_output_is_pinned(tmp_path, capsys):
 
 def test_query_tree_ids(capsys):
     assert main(["query-tree", "--levels", "4", "--k", "5"]) == 0
-    assert {int(v) for v in capsys.readouterr().out.split()} == {1, 2, 5, 10, 11}
+    assert capsys.readouterr().out == "1\n2\n5\n10\n11\n"
+
+
+def _extent(j, n):
+    width = 1 << (n - j.bit_length())
+    lo = (j - (1 << (j.bit_length() - 1))) * width
+    return lo, lo + width
+
+
+@pytest.fixture(scope="module")
+def pin_fact_csv(tmp_path_factory):
+    """Fact rows in shuffled rid order, with accs over every id of a 6-level
+    tree and some past it, which no table of 1-6 levels resolves."""
+    rng = random.Random(16)
+    accs = [rng.randint(1, 70) for _ in range(200)]
+    rows = [f"{rid},{acc},{rid % 7}" for rid, acc in enumerate(accs)]
+    rng.shuffle(rows)
+    path = tmp_path_factory.mktemp("pin") / "fact.csv"
+    return write(path, "rid,acc,m\n" + "\n".join(rows) + "\n"), accs
+
+
+@pytest.mark.parametrize("with_fact", [False, True], ids=["ids", "fact"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_query_tree_output_is_pinned(capsys, pin_fact_csv, n, with_fact):
+    """stdout byte for byte, for every k: the overlapping ids (or the rids
+    of fact rows referencing one), ascending, one a line, from the extents."""
+    path, accs = pin_fact_csv
+    for k in range(1, 1 << n):
+        lo, hi = _extent(k, n)
+        hit = [j for j in range(1, 1 << n) if _extent(j, n)[0] < hi and lo < _extent(j, n)[1]]
+        if with_fact:
+            hit = [rid for rid, acc in enumerate(accs) if acc in hit]
+        argv = ["query-tree", "--levels", str(n), "--k", str(k)] + (["--fact", path] if with_fact else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(f"{j}\n" for j in hit), (n, k)
 
 
 def test_query_tree_with_fact(fact_csv, capsys):
@@ -534,7 +569,10 @@ def test_query_sum_rejects_a_non_finite_measure(tmp_path, capsys, bad, other):
     assert "Warning" not in err and not caught
 
 
-@pytest.mark.parametrize("payload", ['{"k": 2}', '{"coloring": {}}', '{"k": "two", "coloring": {}}', "[1]", "{"])
+@pytest.mark.parametrize("payload", [
+    '{"k": 2}', '{"coloring": {}}', '{"k": "two", "coloring": {}}', "[1]", "{",
+    '{"k": 2, "coloring": {"g1": 1}}', '{"k": 1, "coloring": {"g1": 1}, "provenance": [1]}',
+])
 def test_materialize_rejects_malformed_sidecar(tmp_path, capsys, payload):
     fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\n")
     sidecar = write(tmp_path / "c.json", payload)
@@ -548,6 +586,57 @@ def test_materialize_rejects_a_sidecar_color_outside_1_to_k(tmp_path, capsys, co
     sidecar = write(tmp_path / "c.json", json.dumps({"k": 2, "coloring": {"g1": 1, "g2": color}}))
     assert main(["materialize", "--function", fn_csv, "--coloring", sidecar]) == 1
     assert f"entry 'g2' has color {color}, outside 1..2" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e400", "2.7", "true", "null", "99999999999999999999"])
+@pytest.mark.parametrize("slot", ["k", "color"])
+def test_materialize_rejects_a_sidecar_number_that_is_not_an_integer_in_range(tmp_path, capsys, slot, value):
+    fn_csv = write(tmp_path / "f.csv", "entry,node\ng1,a\ng1,b\ng2,b\n")
+    k, color = (value, "2") if slot == "k" else ("2", value)
+    sidecar = write(tmp_path / "c.json", f'{{"k": {k}, "coloring": {{"g1": 1, "g2": {color}}}}}')
+    assert main(["materialize", "--function", fn_csv, "--coloring", sidecar]) == 1
+    err = _no_traceback(capsys)
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: sidecar {sidecar}: ")
+
+
+@pytest.fixture
+def tree_clique_csv(tmp_path, capsys):
+    clique = str(tmp_path / "clique.csv")
+    assert main(["build", "tree", "--levels", "4", "--out", clique]) == 0
+    capsys.readouterr()
+    return clique
+
+
+@pytest.mark.parametrize("expr", [
+    "!" * 5000 + "c3='4'",
+    "(" * 5000 + "c3='4'" + ")" * 5000,
+    "!" * 600 + "c3='4'",
+    "!(" * (MAX_QUERY_DEPTH // 2) + "!c3='4'" + ")" * (MAX_QUERY_DEPTH // 2),
+], ids=["5000 !", "5000 (", "600 !", "bound + 1"])
+@pytest.mark.parametrize("extra", [[], ["--sum"], ["--check"]], ids=["rids", "sum", "check"])
+def test_query_nested_past_the_bound_exits_one(fact_csv, tree_clique_csv, capsys, expr, extra):
+    assert main(["query", "--fact", fact_csv, "--clique", tree_clique_csv, "--expr", expr, *extra]) == 1
+    err = _no_traceback(capsys)
+    assert err.splitlines() == [f"error: query nests deeper than {MAX_QUERY_DEPTH} levels of '!' and '('"]
+
+
+@pytest.mark.parametrize("expr", [
+    "!" * MAX_QUERY_DEPTH + "c3='4'",
+    "(" * MAX_QUERY_DEPTH + "c3='4'" + ")" * MAX_QUERY_DEPTH,
+    "!(" * (MAX_QUERY_DEPTH // 2) + "c3='4'" + ")" * (MAX_QUERY_DEPTH // 2),
+], ids=["!", "(", "!("])
+def test_query_at_the_nesting_bound_parses_evaluates_and_formats(fact_csv, tree_clique_csv, capsys, expr):
+    """An even number of ! leaves c3='4', so the rids and sum are its own."""
+    argv = ["query", "--fact", fact_csv, "--clique", tree_clique_csv]
+    assert main(argv + ["--expr", "c3='4'"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["--expr", expr, "--check"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(argv + ["--expr", "c3='4'", "--sum"]) == 0
+    want_sum = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--expr", expr, "--sum"]) == 0
+    got_sum = json.loads(capsys.readouterr().out)
+    assert got_sum == {**want_sum, "expr": expr.replace("(", "").replace(")", "")}
 
 
 def test_bench_rejects_fewer_than_two_levels(capsys):

@@ -107,6 +107,19 @@ def test_longer_cycle_witness_is_a_real_cycle():
         assert (u, v) in edges
 
 
+@pytest.mark.parametrize("edges", [
+    [("1", "0"), ("1", "1")],
+    [("b", "a"), ("c", "b"), ("b", "c")],
+    [("a", "z"), ("a", "b"), ("b", "c"), ("c", "a")],
+])
+def test_cycle_witness_skips_nodes_downstream_of_the_cycle(edges):
+    with pytest.raises(CycleDetected) as exc:
+        build_digraph(edges)
+    cycle = exc.value.cycle
+    steps = list(zip(cycle, cycle[1:])) or [(cycle[0], cycle[0])]  # a self-loop's walk is its node
+    assert cycle[0] == cycle[-1] and all(step in edges for step in steps)
+
+
 def test_unknown_node_raises():
     g = build_digraph([("a", "b")])
     with pytest.raises(UnknownNode):

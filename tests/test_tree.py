@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cliqueindex.engine import build_index, FactTable
@@ -152,7 +153,7 @@ def test_cells_are_level_q_ancestors():
 
 def test_overlap_query_worked_example():
     t = build_tree_schema(4)
-    assert overlap_query(5, t) == {1, 2, 5, 10, 11}
+    assert overlap_query(5, t).tolist() == [1, 2, 5, 10, 11]
     assert entry_members(5, 3, 4) | entry_members(2, 3, 4) | entry_members(1, 3, 4) == {
         1, 2, 5, 10, 11,
     }
@@ -160,14 +161,15 @@ def test_overlap_query_worked_example():
 
 def test_overlap_query_root_hits_everything():
     t = build_tree_schema(4)
-    assert overlap_query(1, t) == set(range(1, 16))
+    assert overlap_query(1, t).tolist() == list(range(1, 16))
 
 
 def test_overlap_query_matches_oracle():
     for n in range(1, 9):
         t = build_tree_schema(n)
         for k in range(1, 2 ** n):
-            assert overlap_query(k, t) == oracle_tree_overlap(k, n), (k, n)
+            got = overlap_query(k, t)
+            assert got.dtype == np.int64 and np.array_equal(got, oracle_tree_overlap(k, n)), (k, n)
 
 
 def test_overlap_query_rejects_bad_id():
