@@ -50,7 +50,6 @@ from .engine import (
     evaluate,
     evaluate_with_stats,
     format_query,
-    full_scan_oracle,
     parse_query,
     selectivity,
 )

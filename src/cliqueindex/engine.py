@@ -443,18 +443,10 @@ class ScanOracle:
     def rid_array(self, q) -> np.ndarray:
         return np.flatnonzero(self._mask(q))
 
-    def rids(self, q) -> set[int]:
-        return set(self.rid_array(q).tolist())
-
     def sum_measure(self, q):
         """Row-at-a-time sum, left to right over the matching rids."""
         measures = self.fact.measures
         return sum(measures[rid] for rid in self.rid_array(q).tolist())
-
-
-def full_scan_oracle(q, fact: FactTable, clique: CliqueTable) -> set[int]:
-    """One-shot scan evaluation; prefer ScanOracle for repeated queries."""
-    return ScanOracle(fact, clique).rids(q)
 
 
 def selectivity(q, idx: PostingIndex, fact: FactTable) -> float:

@@ -9,8 +9,10 @@ single-column IN query over an id's ancestor chain answers overlap.
 
 Both table variants are computed column by column (the table variant's
 cell(k, q) is k >> max(L(k) - q, 0)), for the clique table and for the
-streamed CSV alike; overlap queries, on the table or on a fact index over
-it, are one OR of the ancestor chain's postings in column L(k).
+streamed CSV alike.  Column q holds every id of level <= q as itself and
+nothing else but NULL, so its entry codes are in closed form: code =
+cell - 1, NULL's 0 giving -1.  Overlap queries, on the table or on a fact
+index over it, are one OR of the ancestor chain's postings in column L(k).
 All arithmetic is integer: extents are kept in units of 2^(1-n).
 """
 
@@ -125,16 +127,17 @@ def tree_coloring(n: int, canonical: bool = True) -> EntryColoring:
     return EntryColoring(assignment, n)
 
 
-def _tree_cells(ids: np.ndarray, n: int, variant: str, q=None) -> np.ndarray:
+def _tree_cells(ids: np.ndarray, n: int, variant: str, q=None, levels=None) -> np.ndarray:
     """Cells of the given ids in column q (1-based), 0 for NULL; by default
-    in all n columns, as an (n, len(ids)) array.
+    in all n columns, as an (n, len(ids)) array.  levels, if given, holds
+    the ids' levels.
 
     Table variant: column q holds k's level-q ancestor k >> (L(k) - q) up
     to k's level and k itself below.  Literal variant: k from its level
     down; above it the printed formula's p = (k << q) >> n when
     2^q <= 2p <= k, else NULL.
     """
-    levels = np.frexp(ids)[1]  # L(k) = bit_length(k), exact below 2^53
+    levels = np.frexp(ids)[1] if levels is None else levels  # L(k) = bit_length(k), exact below 2^53
     q = np.arange(1, n + 1)[:, None] if q is None else q
     if variant == "literal":
         p = (ids << q) >> n
@@ -165,22 +168,19 @@ def build_tree_schema(n: int, cap: int = DEFAULT_TREE_CAP, variant: str = "table
 
     Column q of row k holds the id truncated to level q (its level-q
     ancestor) for q up to k's level, and k itself below; storing the bare
-    p is enough because the column fixes q.  Each column's codes come from
-    one np.unique of its cells, computed and turned into its postings one
-    column at a time.
+    p is enough because the column fixes q.  Column q's values are exactly
+    the ids 1..2^q - 1, so each cell's code is cell - 1 (-1 for NULL) with
+    no sort; the ids' levels are found once, and each column is computed
+    and turned into its postings before the next.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_levels(n, cap)
     ids = np.arange(1, 1 << n)
-
-    def columns():
-        for q in range(1, n + 1):
-            values, inverse = np.unique(_tree_cells(ids, n, variant, q), return_inverse=True)
-            null = int(values[0] == 0)  # NULL cells of the literal variant
-            yield dict(zip(values[null:].tolist(), range(len(values) - null))), (inverse - null).astype(np.int32)
-
-    return CliqueTable.from_postings(range(1, 1 << n), Postings.from_codes(len(ids), columns()))
+    levels = np.frexp(ids)[1]
+    entry_codes = (dict(zip(range(1, 1 << q), range((1 << q) - 1))) for q in range(1, n + 1))
+    codes = (_tree_cells(ids, n, variant, q, levels).astype(np.int32) - 1 for q in range(1, n + 1))
+    return CliqueTable.from_postings(range(1, 1 << n), Postings.from_codes(len(ids), zip(entry_codes, codes)))
 
 
 def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> VerifyResult:
@@ -223,15 +223,16 @@ def map_point_to_leaf(x: float, n: int) -> int:
 def map_range_to_cover(a: float, b: float, n: int) -> list[int]:
     """Canonical minimal dyadic cover of [a, b) clipped to [0,1).
 
-    Endpoints snap outward to the bottom-level grid, then the greedy walk
-    repeatedly takes the largest aligned block that fits.
+    Bounds at or past 1, infinite ones too, clip to 1 (so a >= 1 gives []);
+    a NaN bound is OutOfRange.  Endpoints snap outward to the bottom-level
+    grid, then the greedy walk repeatedly takes the largest aligned block
+    that fits.
     """
     _check_levels(n)
-    if a < 0 or b < a:
+    if not 0 <= a <= b:  # false for a NaN bound too
         raise OutOfRange(f"range [{a}, {b}) is not inside [0, inf)")
     half = 1 << (n - 1)
-    lo = math.floor(a * half)
-    hi = min(math.ceil(b * half), half)
+    lo, hi = math.floor(min(a, 1) * half), math.ceil(min(b, 1) * half)
     cover = []
     while lo < hi:
         size = lo & -lo if lo else half

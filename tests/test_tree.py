@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,8 +8,9 @@ from cliqueindex.engine import build_index, FactTable
 from cliqueindex.errors import OutOfRange
 from cliqueindex.intersection import build_intersection_graph, exact_chromatic
 from cliqueindex.oracle import oracle_tree_overlap
-from cliqueindex.schema import materialize, NULL, verify_schema
+from cliqueindex.schema import materialize, NULL, Postings, verify_schema
 from cliqueindex.tree import (
+    _tree_cells,
     ancestor_path,
     build_tree_schema,
     entry_members,
@@ -121,6 +123,33 @@ def test_both_variants_verify():
             assert verify_tree_schema(t, n, variant=variant), (n, variant)
 
 
+def unique_coded_postings(n, variant):
+    """The coding build_tree_schema replaced: each column's distinct cells
+    numbered in sorted order by one np.unique, NULL's 0 dropped."""
+    ids = np.arange(1, 1 << n)
+    columns = []
+    for q in range(1, n + 1):
+        values, inverse = np.unique(_tree_cells(ids, n, variant, q), return_inverse=True)
+        null = int(values[0] == 0)
+        columns.append((dict(zip(values[null:].tolist(), range(len(values) - null))), (inverse - null).astype(np.int32)))
+    return Postings.from_codes(len(ids), columns)
+
+
+@pytest.mark.parametrize("variant", ["table", "literal"])
+def test_closed_form_codes_match_unique_coding(variant):
+    for n in range(1, 13):
+        t = build_tree_schema(n, variant=variant)
+        want = unique_coded_postings(n, variant)
+        assert t.postings.n == want.n and len(t.postings.columns) == len(want.columns) == n
+        for q, (got_col, want_col) in enumerate(zip(t.postings.columns, want.columns), start=1):
+            (entry_code, offsets, ids), (want_code, want_offsets, want_ids) = got_col, want_col
+            assert list(entry_code.items()) == list(want_code.items()), (n, q)
+            assert t.entries[q - 1] == list(range(1, 2**q))
+            assert all(type(e) is int for e in t.entries[q - 1])
+            assert offsets.dtype == want_offsets.dtype and np.array_equal(offsets, want_offsets), (n, q)
+            assert ids.dtype == want_ids.dtype == np.int32 and np.array_equal(ids, want_ids), (n, q)
+
+
 def test_schema_cap():
     with pytest.raises(OutOfRange):
         build_tree_schema(25)
@@ -227,6 +256,15 @@ def test_map_range_to_cover_aligned():
     assert map_range_to_cover(0.25, 0.375, 4) == [10]
     assert map_range_to_cover(0.25, 0.5, 4) == [5]
     assert map_range_to_cover(0.0, 1.0, 4) == [1]
+    # bounds past the grid end clip to it, infinite ones too
+    assert map_range_to_cover(0.5, 2.0, 4) == [3]
+    assert map_range_to_cover(0.0, math.inf, 4) == [1]
+    assert map_range_to_cover(0.75, 1e300, 4) == [7]
+    for a in (1.0, 1.5, math.inf):
+        assert map_range_to_cover(a, math.inf, 4) == []
+    for a, b in ((math.nan, 0.5), (0.0, math.nan), (math.nan, math.nan), (-0.5, 0.5), (0.5, 0.25), (math.inf, 1.0)):
+        with pytest.raises(OutOfRange):
+            map_range_to_cover(a, b, 4)
 
 
 def test_map_range_to_cover_properties():
@@ -243,8 +281,6 @@ def test_map_range_to_cover_properties():
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi == lo
         if cover:
-            import math
-
             assert spans[0][0] == math.floor(a * half)
             assert spans[-1][1] == min(half, math.ceil(b * half))
 
