@@ -48,6 +48,7 @@ from .engine import (
     bench,
     build_index,
     evaluate,
+    evaluate_in,
     evaluate_with_stats,
     format_query,
     parse_query,

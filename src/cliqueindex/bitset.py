@@ -12,7 +12,9 @@ through a mask (measured at 100k and 500k rows).  A complement is always
 a mask.  An intersection with an array operand, and a difference from an
 array, are arrays, since they can only shrink it.  Posting lists are
 array-form views of a posting index's shared, read-only id arrays,
-whatever their size; no operation writes into an operand.
+whatever their size; no operation writes into an operand.  A column's IN
+list whose postings' runs do not interleave is their concatenation
+(`schema.Postings.union_of`), so it too stays an array at any size.
 """
 
 from __future__ import annotations

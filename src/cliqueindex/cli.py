@@ -43,6 +43,7 @@ from .endpoints import (
 )
 from .engine import (
     And,
+    Atom,
     BenchSpec,
     FactTable,
     Not,
@@ -86,8 +87,10 @@ from .schema import (
 )
 from .tree import (
     DEFAULT_TREE_CAP,
+    ancestor_path,
     build_tree_schema,
     iter_tree_blocks,
+    level,
     overlap_query,
     tree_fact_query,
     verify_tree_schema,
@@ -505,6 +508,9 @@ def _verify_engine(rng: random.Random, scale: float):
             lhs = evaluate(Not(expr), idx)
             rhs = evaluate(Or((Not(expr.items[0]), Not(expr.items[1]))), idx)
             yield lhs == rhs, f"expr #{i} De Morgan"
+    for k in range(1, 1 << n_levels):  # the one-pass IN list against the scanned Or of its atoms
+        want = scan.rid_array(Or(tuple(Atom(level(k), p) for p in ancestor_path(k))))
+        yield np.array_equal(tree_fact_query(k, idx).to_array(), want), f"tree_fact_query k={k}"
 
 
 def cmd_verify(args) -> int:

@@ -20,7 +20,7 @@ import math
 import re
 import time
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,7 +75,9 @@ class FactTable:
     def from_csv(cls, source, acc_cast=None) -> "FactTable":
         """Read `rid,acc,m` CSV; extra columns are ignored; rids must be a
         permutation of 0..N-1 (rows may arrive in any order).  acc_cast
-        converts the acc strings when the clique table's nodes are typed."""
+        converts the acc strings when the clique table's nodes are typed.
+        Measures are read with Python's int() then float() syntax, so
+        `1_0` reads 10 and ` 7 ` reads 7."""
         if hasattr(source, "read"):
             text = source.read()
         else:
@@ -380,6 +382,14 @@ def evaluate(q, idx: PostingIndex) -> CompressedBitset:
     """Exact rid set of the predicate: its node set, by posting-list
     algebra, expanded to rows."""
     return _expand(_nodes(q, idx, None), idx, None)
+
+
+def evaluate_in(col: int, entries: Iterable, idx: PostingIndex) -> CompressedBitset:
+    """Exact rid set of `col IN entries`, the Or of its atoms, with the
+    column's postings gathered in one pass (Postings.union_of)."""
+    if not 1 <= col <= idx.k:
+        raise MalformedExpr(f"column c{col} outside 1..c{idx.k}")
+    return _expand(idx.postings.union_of(col, entries), idx, None)
 
 
 def evaluate_with_stats(q, idx: PostingIndex) -> tuple[CompressedBitset, QueryStats]:

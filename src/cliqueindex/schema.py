@@ -31,7 +31,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitset import CompressedBitset
+from .bitset import CompressedBitset, union
 from .errors import ColorCollision, InconsistentArity, MalformedCsv, OutOfRange, UnknownNode
 from .intersection import EntryColoring, RowView, SetValuedFunction
 
@@ -57,7 +57,9 @@ class Postings(Mapping):
     Each column is a tuple (entry_code, offsets, ids): entry_code maps an
     entry to its code, ids holds the column's positions grouped by code
     (read-only int32, ascending within a code), and code c's posting is
-    the zero-copy view ids[offsets[c]:offsets[c + 1]].  from_codes builds
+    the zero-copy view ids[offsets[c]:offsets[c + 1]].  union_of answers a
+    column's IN list in one pass; when its postings' runs do not
+    interleave, the answer stays an array at any size.  from_codes builds
     the columns from int32 code arrays over the positions.
     """
 
@@ -88,6 +90,27 @@ class Postings(Mapping):
         entry_code, offsets, ids = self.columns[col - 1]
         code = entry_code[entry]
         return CompressedBitset(self.n, ids=ids[offsets[code]:offsets[code + 1]])
+
+    def union_of(self, col: int, entries: Iterable[Entry]) -> CompressedBitset:
+        """Column col's IN list in one pass: the union of the entries'
+        postings, absent and repeated entries and empty postings dropped.
+        One posting is its zero-copy view.  A column's postings are
+        disjoint, so runs ordered by first id that do not interleave are
+        concatenated (one copy, no sort or mask, an array at any size);
+        interleaving runs take bitset.union."""
+        if not 1 <= col <= len(self.columns):
+            raise KeyError(col)
+        entry_code, offsets, ids = self.columns[col - 1]
+        codes = {entry_code[e] for e in entries if e in entry_code}
+        spans = ((offsets[c], offsets[c + 1]) for c in codes)
+        runs = sorted((ids[a:b] for a, b in spans if a < b), key=lambda run: run[0])
+        if not runs:
+            return CompressedBitset.empty(self.n)
+        if len(runs) == 1:
+            return CompressedBitset(self.n, ids=runs[0])
+        if all(run[-1] < after[0] for run, after in zip(runs, runs[1:])):
+            return CompressedBitset(self.n, ids=np.concatenate(runs))
+        return union(self.n, [CompressedBitset(self.n, ids=run) for run in runs])
 
     def __iter__(self):
         for col, (entry_code, _, _) in enumerate(self.columns, start=1):

@@ -12,7 +12,8 @@ cell(k, q) is k >> max(L(k) - q, 0)), for the clique table and for the
 streamed CSV alike.  Column q holds every id of level <= q as itself and
 nothing else but NULL, so its entry codes are in closed form: code =
 cell - 1, NULL's 0 giving -1.  Overlap queries, on the table or on a fact
-index over it, are one OR of the ancestor chain's postings in column L(k).
+index over it, are one IN list, the ancestor chain in column L(k),
+gathered in one pass.
 All arithmetic is integer: extents are kept in units of 2^(1-n).
 """
 
@@ -203,12 +204,14 @@ def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> Verify
 def overlap_query(k: int, schema: CliqueTable) -> np.ndarray:
     """Ids whose extent meets id k's extent, as an ascending int64 array.
 
-    One IN predicate on column L(k): a row overlaps k exactly when its
-    level-L(k) cell is one of k's ancestors-or-self.  It runs as
-    tree_fact_query on the table's own index; a build_tree_schema table
-    holds id j + 1 at node position j, so no node decode is needed.
+    One IN list on column L(k), gathered in one pass: a row overlaps k
+    exactly when its level-L(k) cell is one of k's ancestors-or-self.  It
+    runs as tree_fact_query on the table's own index; a build_tree_schema
+    table holds id j + 1 at node position j, so no node decode is needed.
     """
-    return tree_fact_query(k, schema.index).to_array() + 1
+    ids = tree_fact_query(k, schema.index).to_array()
+    ids += 1
+    return ids
 
 
 def map_point_to_leaf(x: float, n: int) -> int:
@@ -245,14 +248,10 @@ def map_range_to_cover(a: float, b: float, n: int) -> list[int]:
 
 def tree_fact_query(k: int, idx: "engine.PostingIndex"):
     """Rows of the index (fact rows, or a tree table's own rows) referencing
-    any interval overlapping k: one OR of postings in column L(k) over the
-    ancestor path."""
-    n = idx.k
-    _check_id(k, n)
-    lvl = level(k)
-    atoms = tuple(engine.Atom(lvl, p) for p in ancestor_path(k))
-    expr = engine.Or(atoms) if len(atoms) > 1 else atoms[0]
-    return engine.evaluate(expr, idx)
+    any interval overlapping k: one IN list, the ancestor path in column
+    L(k), gathered in one pass (engine.evaluate_in)."""
+    _check_id(k, idx.k)
+    return engine.evaluate_in(level(k), ancestor_path(k), idx)
 
 
 def naive_overlap_function(n: int) -> SetValuedFunction:

@@ -2,8 +2,9 @@
 cell-by-cell fill it replaced, the fact index against the table's rows, the
 vectorized tree cells against the per-cell formula they replaced, the
 column coder, table CSV writer and reader against the row-wise code they
-replaced, and the table stored as postings alone against the dense k x N
-code matrix it used to keep."""
+replaced, the table stored as postings alone against the dense k x N
+code matrix it used to keep, and a column's IN list gathered in one pass
+against the union of its atoms' postings."""
 
 import csv
 import io
@@ -13,9 +14,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cliqueindex import schema
+from cliqueindex.bitset import union
 from cliqueindex.corpus import random_function, random_intervals
 from cliqueindex.endpoints import build_endpoint_schema
 from cliqueindex.engine import Atom, FactTable, ScanOracle, build_index, evaluate
@@ -30,13 +32,14 @@ from cliqueindex.intersection import (
 from cliqueindex.schema import (
     NULL,
     CliqueTable,
+    Postings,
     compact_colors,
     export_table,
     import_table,
     materialize,
     recover_coloring,
 )
-from cliqueindex.tree import build_tree_schema, iter_tree_rows, level
+from cliqueindex.tree import ancestor_path, build_tree_schema, iter_tree_rows, level
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -465,3 +468,80 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
         for code, entry in enumerate(column):
             assert evaluate(Atom(i, entry), idx).to_ids() == ids[offsets[code]:offsets[code + 1]].tolist()
     assert idx.unresolved == accs.count("absent")
+
+
+# -- a column's IN list against the union of its atoms' postings ------------
+
+
+def assert_in_list_matches(postings, col, entries):
+    """union_of(col, entries) holds the ascending unique ids of bitset.union
+    over the entries' posting views; one non-empty posting is its view."""
+    views = [p for p in (postings.get((col, e)) for e in entries) if p is not None]
+    want = union(postings.n, views).to_array() if views else np.empty(0, dtype=np.int64)
+    got = postings.union_of(col, entries)
+    assert got.n == postings.n
+    ids = got.to_array()
+    assert np.array_equal(ids, want), (col, entries)
+    assert (ids[1:] > ids[:-1]).all()
+    nonempty = {e for e in entries if postings.get((col, e)) is not None and len(postings[col, e])}
+    if len(nonempty) == 1:
+        assert np.shares_memory(got.ids, postings.columns[col - 1][2])
+
+
+@pytest.mark.parametrize("variant", ["table", "literal"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_in_lists_match_the_union_of_their_atoms(n, variant):
+    postings = build_tree_schema(n, variant=variant).index.postings
+    rng = random.Random(n)
+    for k in range(1, 1 << n):  # the overlap IN lists: disjoint runs, concatenated
+        assert_in_list_matches(postings, level(k), ancestor_path(k))
+    for q in range(1, n + 1):
+        values = list(range(1 << q)) + [1 << q, -1, "1"]  # 0, 2^q, -1 and "1" are absent
+        for size in (0, 1, 2, 3, 8):
+            entries = [rng.choice(values) for _ in range(size)]
+            assert_in_list_matches(postings, q, entries)
+            assert_in_list_matches(postings, q, entries + entries[:2])  # repeats
+        if q > 1:  # siblings' subtrees interleave: the union fallback
+            assert_in_list_matches(postings, q, range(1 << (q - 1), 1 << q))
+
+
+def test_in_list_drops_empty_postings_and_sorts_interleaved_runs():
+    ids = np.array([0, 4, 2, 6, 7, 1, 3], dtype=np.int32)
+    postings = Postings(8, [({"a": 0, "b": 1, "none": 2, "c": 3, "d": 4}, np.array([0, 2, 4, 4, 5, 7]), ids)])
+    assert postings.union_of(1, ["b", "a"]).to_ids() == [0, 2, 4, 6]
+    assert postings.union_of(1, ["c", "none", "b", "b"]).to_ids() == [2, 6, 7]
+    assert postings.union_of(1, ["d", "c"]).to_ids() == [1, 3, 7]
+    assert postings.union_of(1, ["none", "x"]).to_ids() == []
+    assert postings.union_of(1, []).to_ids() == []
+    single = postings.union_of(1, ["none", "c", "c"])
+    assert single.to_ids() == [7] and np.shares_memory(single.ids, ids)
+    for entries in (["a", "b", "c", "d"], ["none"], ["c", "d", "none"]):
+        assert_in_list_matches(postings, 1, entries)
+    with pytest.raises(KeyError):
+        postings.union_of(0, ["a"])
+    with pytest.raises(KeyError):
+        postings.union_of(2, ["a"])
+
+
+@st.composite
+def in_lists(draw):
+    """(postings, column, entries): a table from CliqueTable(k, rows) or
+    materialized from a greedily colored function, one of its columns, and
+    entries drawn from that column's, absent values and repeats."""
+    if draw(st.booleans()):
+        t = CliqueTable(*draw(tables.filter(lambda table: table[0] > 0)))
+    else:
+        f = draw(colored_functions())[0]
+        t = materialize(f, greedy_color(build_intersection_graph(f)))
+    filled = [i for i, column in enumerate(t.entries, start=1) if column]
+    assume(filled)
+    col = draw(st.sampled_from(filled))
+    entries = draw(st.lists(st.sampled_from(t.entries[col - 1]), min_size=1, max_size=8))
+    absent = draw(st.lists(st.sampled_from(["absent", -99]), max_size=2))
+    return t.postings, col, draw(st.permutations(entries + absent))
+
+
+@given(in_lists())
+@settings(max_examples=60, deadline=None)
+def test_drawn_in_lists_match_the_union_of_their_atoms(case):
+    assert_in_list_matches(*case)

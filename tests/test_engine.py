@@ -73,6 +73,12 @@ def test_from_csv_parses_int_and_float_measures():
     assert type(fact.measures[0]) is int
 
 
+def test_from_csv_reads_measures_with_python_number_syntax():
+    # int()/float() accept digit-group underscores and padding spaces
+    fact = FactTable.from_csv("rid,acc,m\n0,a,1_0\n1,b, 7 \n2,c,1_0.5\n")
+    assert fact.measures == [10, 7, 10.5]
+
+
 def test_from_csv_ignores_extra_columns():
     fact = FactTable.from_csv("rid,acc,m,junk\n0,a,1,zzz\n")
     assert fact.n == 1

@@ -1,11 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cliqueindex.engine import build_index, FactTable
-from cliqueindex.errors import OutOfRange
+from cliqueindex import engine
+from cliqueindex.engine import Atom, build_index, evaluate, evaluate_in, FactTable
+from cliqueindex.errors import MalformedExpr, OutOfRange
 from cliqueindex.intersection import build_intersection_graph, exact_chromatic
 from cliqueindex.oracle import oracle_tree_overlap
 from cliqueindex.schema import materialize, NULL, Postings, verify_schema
@@ -297,6 +299,24 @@ def test_tree_fact_query_matches_brute_force():
         # accs are leaves, so overlap means k sits on the acc's root path
         want = {r for r, acc in enumerate(accs) if k in ancestor_path(acc)}
         assert got == want, k
+
+
+def test_tree_fact_query_rejects_bad_id_before_any_gather():
+    idx = build_index(FactTable([1, 2, 3, 10**9], [1] * 4), build_tree_schema(3))
+    with mock.patch.object(engine, "evaluate_in", side_effect=AssertionError("gathered")):
+        for k in (0, -1, 8, 9):
+            with pytest.raises(OutOfRange, match=f"interval id {k} "):
+                tree_fact_query(k, idx)
+
+
+def test_evaluate_in_rejects_a_column_as_an_atom_does():
+    idx = build_index(FactTable([1, 2, 3], [1] * 3), build_tree_schema(3))
+    for col in (0, -1, 4):
+        with pytest.raises(MalformedExpr) as atom:
+            evaluate(Atom(col, 1), idx)
+        with pytest.raises(MalformedExpr) as in_list:
+            evaluate_in(col, [1], idx)
+        assert str(in_list.value) == str(atom.value) == f"column c{col} outside 1..c3"
 
 
 def test_naive_overlap_function_cap():
