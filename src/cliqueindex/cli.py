@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from contextlib import contextmanager
@@ -86,7 +85,6 @@ from .schema import (
     write_table_csv,
 )
 from .tree import (
-    DEFAULT_TREE_CAP,
     ancestor_path,
     build_tree_schema,
     iter_tree_blocks,
@@ -99,13 +97,6 @@ from .tree import (
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
-
-
-def _env_cap(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,10 +244,10 @@ def cmd_build_intervals(args) -> int:
 
 
 def cmd_build_tree(args) -> int:
-    blocks = iter_tree_blocks(args.levels, args.variant, _env_cap("CLIQUEINDEX_TREE_CAP", DEFAULT_TREE_CAP))
+    blocks = iter_tree_blocks(args.levels)
     with _out_stream(args.out) as fh:
         write_table_csv(fh, args.levels, blocks)
-    _note(f"wrote {(1 << args.levels) - 1} rows x {args.levels} columns ({args.variant} variant)")
+    _note(f"wrote {(1 << args.levels) - 1} rows x {args.levels} columns")
     return EXIT_OK
 
 
@@ -397,8 +388,7 @@ def cmd_query_intervals(args) -> int:
 
 
 def cmd_query_tree(args) -> int:
-    cap = _env_cap("CLIQUEINDEX_TREE_CAP", DEFAULT_TREE_CAP)
-    schema = build_tree_schema(args.levels, cap=cap, variant=args.variant)
+    schema = build_tree_schema(args.levels)
     if args.fact:
         # schema nodes are ints, so acc values must be cast to match
         fact = _load_fact(args.fact, acc_cast=int)
@@ -614,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = build_sub.add_parser("tree", help="materialize the interval tree table")
     b.add_argument("--levels", type=int, required=True)
     b.add_argument("--out", help="CSV destination (default stdout)")
-    b.add_argument("--variant", choices=("table", "literal"), default="table")
     b.set_defaults(func=cmd_build_tree)
 
     p = sub.add_parser("color", help="greedy-color a digraph or function")
@@ -664,13 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query-tree", help="tree intervals overlapping id k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--variant", choices=("table", "literal"), default="table")
     p.add_argument("--fact", help="optional fact CSV; returns rids instead of ids")
     p.add_argument("--out")
     p.set_defaults(func=cmd_query_tree)
 
     p = sub.add_parser("verify", help="run every oracle comparison suite")
-    p.add_argument("--all", action="store_true", help="accepted for symmetry; always all")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--quick", action="store_true", help="smaller corpora")
     p.add_argument("--out")

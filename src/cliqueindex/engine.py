@@ -345,15 +345,10 @@ def _total(per_slot: np.ndarray, nodes: CompressedBitset) -> int:
 
 
 def _expand(nodes: CompressedBitset, idx: PostingIndex, stats: QueryStats | None) -> CompressedBitset:
-    """The rows of a node set.  In an identity index they are the nodes;
-    otherwise, by size, one node's rows are a view of its CSR slice, rows
-    numbering at least n / DENSE_FRACTION are read as a mask through acc,
-    and fewer are gathered from the CSR slices in one index and sorted."""
-    if idx.identity:
-        rows = CompressedBitset(idx.n, ids=nodes.ids, mask=None if nodes.mask is None else nodes.mask[:idx.n])
-        if stats is not None:
-            stats.ids_touched += rows.cardinality()
-        return rows
+    """The rows of a node set.  By size, one node's rows are a view of its
+    CSR slice, rows numbering at least n / DENSE_FRACTION are read as a
+    mask through acc, and fewer are gathered from the CSR slices in one
+    index and sorted."""
     count = _total(idx.counts, nodes)
     single = nodes.ids is not None and len(nodes.ids) == 1
     dense = not single and count * DENSE_FRACTION >= idx.n

@@ -131,9 +131,8 @@ class PostingIndex:
     r's node position, N for a row that references no node (it is
     unresolved and in no posting).  Node slot j's rows, ascending, are
     rows[indptr[j]:indptr[j + 1]] for j in 0..N, from one stable argsort
-    of acc, and counts[j] is their number.  identity notes that row j
-    references node j, as in a table's own index.  acc, rows, indptr and
-    counts are read-only.
+    of acc, and counts[j] is their number.  acc, rows, indptr and counts
+    are read-only.
     """
 
     def __init__(self, postings: Postings, acc: np.ndarray):
@@ -141,7 +140,6 @@ class PostingIndex:
         self.n = len(acc)
         self.k = len(postings.columns)
         self.acc = acc.astype(np.int32)
-        self.identity = np.array_equal(self.acc, np.arange(postings.n, dtype=np.int32))
         self.rows = np.argsort(self.acc, kind="stable").astype(np.int32)
         self.counts = np.bincount(self.acc, minlength=postings.n + 1)
         self.indptr = np.concatenate(([0], np.cumsum(self.counts)))
@@ -181,9 +179,8 @@ class CliqueTable:
     some node, and entry_codes[i] maps them back to codes; postings holds
     the column postings over node positions, the table's only cell storage,
     and rows, cell and export read a node -> cells transpose built from it
-    on first use, as is index, the table's own rows as a PostingIndex
-    (row j references node j), which answers in positions: column_preimage
-    alone decodes them to nodes.  CliqueTable(k, rows) converts node -> k
+    on first use.  Queries answer in positions: column_preimage alone
+    decodes them to nodes.  CliqueTable(k, rows) converts node -> k
     cells, for small tables; builders pass from_postings the stored form,
     converting code columns one at a time with Postings.from_codes.
     Immutable by convention.
@@ -208,11 +205,6 @@ class CliqueTable:
         self.entry_codes = [entry_code for entry_code, _, _ in postings.columns]
         self.entries = [list(entry_code) for entry_code in self.entry_codes]
         self.postings = postings
-
-    @cached_property
-    def index(self) -> PostingIndex:
-        """The table's own rows as a PostingIndex, built on first use."""
-        return PostingIndex(self.postings, np.arange(len(self), dtype=np.int32))
 
     @cached_property
     def position(self) -> dict:

@@ -7,13 +7,12 @@ when p sits exactly at level q, and at {p} alone when p sits above q;
 coloring entries by q gives an n-column schema with no NULL cells, and a
 single-column IN query over an id's ancestor chain answers overlap.
 
-Both table variants are computed column by column (the table variant's
-cell(k, q) is k >> max(L(k) - q, 0)), for the clique table and for the
-streamed CSV alike.  Column q holds every id of level <= q as itself and
-nothing else but NULL, so its entry codes are in closed form: code =
-cell - 1, NULL's 0 giving -1.  Overlap queries, on the table or on a fact
-index over it, are one IN list, the ancestor chain in column L(k),
-gathered in one pass.
+The table is computed column by column, cell(k, q) = k >> max(L(k) - q, 0),
+for the clique table and for the streamed CSV alike.  Column q holds
+every id of level <= q as itself and nothing else, so its entry codes are
+in closed form: code = cell - 1.  Overlap queries, on the table's postings
+or on a fact index over it, are one IN list, the ancestor chain in column
+L(k), gathered in one pass.
 All arithmetic is integer: extents are kept in units of 2^(1-n).
 """
 
@@ -27,11 +26,9 @@ import numpy as np
 from . import engine
 from .errors import OutOfRange
 from .intersection import EntryColoring, SetValuedFunction
-from .schema import BLOCK_ROWS, NULL, CliqueTable, Postings, VerifyResult
+from .schema import BLOCK_ROWS, CliqueTable, Postings, VerifyResult
 
 DEFAULT_TREE_CAP = 24
-
-VARIANTS = ("table", "literal")
 
 
 def level(k: int) -> int:
@@ -69,28 +66,13 @@ def extent(k: int, n: int) -> tuple[int, int]:
     return lo, lo + width
 
 
-def entry_members(p: int, q: int, n: int, variant: str = "table") -> frozenset[int]:
-    """Interval ids the entry (p, q) points at.
-
-    Table variant: the whole subtree of p when p's level is exactly q,
-    else just {p}.  Literal variant: the printed membership formula with
-    divisor 2^n, which agrees on bottom-level members but drops the
-    intermediate subtree levels (kept available for comparison).
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+def entry_members(p: int, q: int, n: int) -> frozenset[int]:
+    """Interval ids the entry (p, q) points at: the whole subtree of p when
+    p's level is exactly q, else just {p}."""
     _check_levels(n)
     _check_id(p, n)
     if not level(p) <= q <= n:
         raise OutOfRange(f"entry ({p},{q}) needs level({p})={level(p)} <= q <= n={n}")
-    if variant == "literal":
-        out = {p}
-        # second membership clause requires 2^q <= 2p <= k < 2^n
-        if (1 << q) <= 2 * p:
-            for k in range(2 * p, 1 << n):
-                if (k << q) >> n == p:
-                    out.add(k)
-        return frozenset(out)
     if level(p) < q:
         return frozenset({p})
     members = set()
@@ -101,7 +83,7 @@ def entry_members(p: int, q: int, n: int, variant: str = "table") -> frozenset[i
 
 
 def tree_entry_function(n: int, canonical: bool = True) -> SetValuedFunction:
-    """Entries as (p, q) pairs with their table-variant member sets.
+    """Entries as (p, q) pairs with their member sets.
 
     Canonical keeps one entry per node, (p, level(p)); the full variant
     keeps every (p, q) with level(p) <= q <= n, whose extra entries are the
@@ -128,63 +110,51 @@ def tree_coloring(n: int, canonical: bool = True) -> EntryColoring:
     return EntryColoring(assignment, n)
 
 
-def _tree_cells(ids: np.ndarray, n: int, variant: str, q=None, levels=None) -> np.ndarray:
-    """Cells of the given ids in column q (1-based), 0 for NULL; by default
-    in all n columns, as an (n, len(ids)) array.  levels, if given, holds
-    the ids' levels.
-
-    Table variant: column q holds k's level-q ancestor k >> (L(k) - q) up
-    to k's level and k itself below.  Literal variant: k from its level
-    down; above it the printed formula's p = (k << q) >> n when
-    2^q <= 2p <= k, else NULL.
-    """
+def _tree_cells(ids: np.ndarray, n: int, q=None, levels=None) -> np.ndarray:
+    """Cells of the given ids in column q (1-based): k's level-q ancestor
+    k >> (L(k) - q) up to k's level and k itself below.  By default in all
+    n columns, as an (n, len(ids)) array; levels, if given, holds the ids'
+    levels."""
     levels = np.frexp(ids)[1] if levels is None else levels  # L(k) = bit_length(k), exact below 2^53
     q = np.arange(1, n + 1)[:, None] if q is None else q
-    if variant == "literal":
-        p = (ids << q) >> n
-        return np.where(q >= levels, ids, np.where(((1 << q) <= 2 * p) & (2 * p <= ids), p, 0))
     return ids >> np.maximum(levels - q, 0)
 
 
-def iter_tree_blocks(n: int, variant: str = "table", cap: int = DEFAULT_TREE_CAP) -> Iterator[np.ndarray]:
+def iter_tree_blocks(n: int) -> Iterator[np.ndarray]:
     """Stream the table as (n + 1, rows) int blocks of up to BLOCK_ROWS ids in
-    id order, the ids then their cells, 0 for NULL, as write_table_csv takes
-    them.  Arguments are checked at the call, before a caller opens output."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_levels(n, cap)
+    id order, the ids then their cells, as write_table_csv takes them.
+    Arguments are checked at the call, before a caller opens output."""
+    _check_levels(n)
     blocks = (np.arange(start, min(start + BLOCK_ROWS, 1 << n)) for start in range(1, 1 << n, BLOCK_ROWS))
-    return (np.vstack([ids, _tree_cells(ids, n, variant)]) for ids in blocks)
+    return (np.vstack([ids, _tree_cells(ids, n)]) for ids in blocks)
 
 
-def iter_tree_rows(n: int, variant: str = "table") -> Iterator[tuple[int, tuple]]:
+def iter_tree_rows(n: int) -> Iterator[tuple[int, tuple]]:
     """Stream (id, cells) pairs in id order without materializing the table."""
-    for block in iter_tree_blocks(n, variant):
+    for block in iter_tree_blocks(n):
         for k, *row in block.T.tolist():
-            yield k, tuple(c or NULL for c in row)
+            yield k, tuple(row)
 
 
-def build_tree_schema(n: int, cap: int = DEFAULT_TREE_CAP, variant: str = "table") -> CliqueTable:
+def build_tree_schema(n: int) -> CliqueTable:
     """Materialize the n-column table over all 2^n - 1 ids.
 
     Column q of row k holds the id truncated to level q (its level-q
     ancestor) for q up to k's level, and k itself below; storing the bare
     p is enough because the column fixes q.  Column q's values are exactly
-    the ids 1..2^q - 1, so each cell's code is cell - 1 (-1 for NULL) with
-    no sort; the ids' levels are found once, and each column is computed
-    and turned into its postings before the next.
+    the ids 1..2^q - 1, so each cell's code is cell - 1 with no sort; the
+    ids' levels are found once, and each column is computed and turned
+    into its postings before the next.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_levels(n, cap)
+    _check_levels(n)
     ids = np.arange(1, 1 << n)
     levels = np.frexp(ids)[1]
     entry_codes = (dict(zip(range(1, 1 << q), range((1 << q) - 1))) for q in range(1, n + 1))
-    codes = (_tree_cells(ids, n, variant, q, levels).astype(np.int32) - 1 for q in range(1, n + 1))
+    codes = (_tree_cells(ids, n, q, levels).astype(np.int32) - 1 for q in range(1, n + 1))
     return CliqueTable.from_postings(range(1, 1 << n), Postings.from_codes(len(ids), zip(entry_codes, codes)))
 
 
-def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> VerifyResult:
+def verify_tree_schema(t: CliqueTable, n: int) -> VerifyResult:
     """Check every entry's column preimage against its member set.
 
     Same check as schema.verify_schema, specialized to the bare-p cell
@@ -192,7 +162,7 @@ def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> Verify
     """
     for p in range(1, 1 << n):
         for q in range(level(p), n + 1):
-            expected = entry_members(p, q, n, variant)
+            expected = entry_members(p, q, n)
             recovered = t.column_preimage(q, p)
             if recovered != expected:
                 return VerifyResult(
@@ -204,12 +174,13 @@ def verify_tree_schema(t: CliqueTable, n: int, variant: str = "table") -> Verify
 def overlap_query(k: int, schema: CliqueTable) -> np.ndarray:
     """Ids whose extent meets id k's extent, as an ascending int64 array.
 
-    One IN list on column L(k), gathered in one pass: a row overlaps k
-    exactly when its level-L(k) cell is one of k's ancestors-or-self.  It
-    runs as tree_fact_query on the table's own index; a build_tree_schema
-    table holds id j + 1 at node position j, so no node decode is needed.
+    One IN list on column L(k), gathered from the table's postings in one
+    pass (Postings.union_of): a row overlaps k exactly when its level-L(k)
+    cell is one of k's ancestors-or-self.  A build_tree_schema table holds
+    id j + 1 at node position j, so no node decode is needed.
     """
-    ids = tree_fact_query(k, schema.index).to_array()
+    _check_id(k, schema.k)
+    ids = schema.postings.union_of(level(k), ancestor_path(k)).to_array()
     ids += 1
     return ids
 
@@ -247,9 +218,9 @@ def map_range_to_cover(a: float, b: float, n: int) -> list[int]:
 
 
 def tree_fact_query(k: int, idx: "engine.PostingIndex"):
-    """Rows of the index (fact rows, or a tree table's own rows) referencing
-    any interval overlapping k: one IN list, the ancestor path in column
-    L(k), gathered in one pass (engine.evaluate_in)."""
+    """Fact rows of the index referencing any interval overlapping k: one
+    IN list, the ancestor path in column L(k), gathered in one pass
+    (engine.evaluate_in)."""
     _check_id(k, idx.k)
     return engine.evaluate_in(level(k), ancestor_path(k), idx)
 

@@ -45,30 +45,28 @@ def test_build_tree_golden(tmp_path, capsys):
     assert got == GOLDEN_TREE_4
 
 
-def reference_tree_csv(n, variant):
+def reference_tree_csv(n):
     """The per-row writer the block writer replaced."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node"] + [f"c{i}" for i in range(1, n + 1)])
-    for k, cells in iter_tree_rows(n, variant):
-        writer.writerow([k] + ["" if c is None else c for c in cells])
+    for k, cells in iter_tree_rows(n):
+        writer.writerow([k, *cells])
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("variant", ["table", "literal"])
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 13])
-def test_build_tree_csv_matches_the_per_row_writer(tmp_path, n, variant):
+def test_build_tree_csv_matches_the_per_row_writer(tmp_path, n):
     out = tmp_path / "t.csv"
-    assert main(["build", "tree", "--levels", str(n), "--variant", variant, "--out", str(out)]) == 0
-    assert out.read_bytes() == reference_tree_csv(n, variant).encode()
+    assert main(["build", "tree", "--levels", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == reference_tree_csv(n).encode()
 
 
-@pytest.mark.parametrize("variant", ["table", "literal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
-def test_build_tree_csv_matches_the_exported_table(tmp_path, n, variant):
+def test_build_tree_csv_matches_the_exported_table(tmp_path, n):
     out = tmp_path / "t.csv"
-    assert main(["build", "tree", "--levels", str(n), "--variant", variant, "--out", str(out)]) == 0
-    assert out.read_bytes() == export_table(build_tree_schema(n, variant=variant)).encode()
+    assert main(["build", "tree", "--levels", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == export_table(build_tree_schema(n)).encode()
 
 
 def test_build_dag_reports_summary(pair_edges_tsv, capsys):
@@ -99,9 +97,12 @@ def test_missing_file_exits_one(capsys):
 
 
 def test_usage_error_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        main(["query"])
-    assert exc.value.code == 1
+    # a missing required flag, and flags that no subcommand takes
+    for argv in (["query"], ["verify", "--all"], ["build", "tree", "--levels", "3", "--variant", "table"],
+                 ["query-tree", "--k", "2", "--levels", "4", "--variant", "literal"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_color_and_materialize_pipeline(pair_edges_tsv, tmp_path, capsys):
@@ -510,23 +511,16 @@ def test_export_compacts_unused_columns(tmp_path, capsys):
     assert t.cell("u", 1) == "a"
 
 
-def test_tree_cap_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "3")
-    assert main(["build", "tree", "--levels", "4"]) == 1
-    assert "cap" in capsys.readouterr().err
-
-
-def test_tree_cap_env_reaches_the_library(monkeypatch, capsys):
-    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "3")
-    assert main(["query-tree", "--k", "5", "--levels", "4"]) == 1
-    assert "level count 4 exceeds the cap 3" in capsys.readouterr().err
-    # A raised cap lets build tree stream past the default cap of 24; the
-    # writer is replaced so that only the first block is made.
-    first = []
-    monkeypatch.setattr(cli, "write_table_csv", lambda fh, k, blocks: first.append((k, next(blocks).shape)))
-    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "30")
-    assert main(["build", "tree", "--levels", "25"]) == 0
-    assert first == [(25, (26, 4096))]
+@pytest.mark.parametrize("command", [["build", "tree"], ["query-tree", "--k", "5"]], ids=["build-tree", "query-tree"])
+def test_tree_cap_is_fixed_at_24(monkeypatch, capsys, command):
+    # The writer is replaced, so a level count past the cap must fail
+    # before any output is written.
+    written = []
+    monkeypatch.setattr(cli, "write_table_csv", lambda *args: written.append(args))
+    assert main([*command, "--levels", "25"]) == 1
+    out, err = capsys.readouterr()
+    assert "level count 25 exceeds the cap 24" in err and "Traceback" not in err
+    assert out == "" and written == []
 
 
 def _no_traceback(capsys):

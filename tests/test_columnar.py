@@ -183,35 +183,24 @@ def test_rows_view_is_read_only():
     assert t.rows == {"u": ("a",)}
 
 
-def reference_tree_row(k, n, variant):
+def reference_tree_row(k, n):
     """Row k's cells, one cell at a time."""
     lvl = level(k)
-    if variant == "literal":
-        cells = []
-        for q in range(1, n + 1):
-            if q >= lvl:
-                cells.append(k)
-            else:
-                p = (k << q) >> n
-                cells.append(p if (1 << q) <= 2 * p <= k < (1 << n) else NULL)
-        return tuple(cells)
     return tuple((k >> (lvl - q)) if q <= lvl else k for q in range(1, n + 1))
 
 
-@pytest.mark.parametrize("variant", ["table", "literal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-def test_tree_rows_match_the_cell_by_cell_formula(n, variant):
-    want = {k: reference_tree_row(k, n, variant) for k in range(1, 1 << n)}
-    assert list(iter_tree_rows(n, variant)) == list(want.items())
+def test_tree_rows_match_the_cell_by_cell_formula(n):
+    want = {k: reference_tree_row(k, n) for k in range(1, 1 << n)}
+    assert list(iter_tree_rows(n)) == list(want.items())
     if n <= 8:
-        assert build_tree_schema(n, variant=variant).rows == want
+        assert build_tree_schema(n).rows == want
 
 
-@pytest.mark.parametrize("variant", ["table", "literal"])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_tree_columns_match_the_rows_constructor(n, variant):
-    built = build_tree_schema(n, variant=variant)
-    converted = CliqueTable(n, dict(iter_tree_rows(n, variant)))
+def test_tree_columns_match_the_rows_constructor(n):
+    built = build_tree_schema(n)
+    converted = CliqueTable(n, dict(iter_tree_rows(n)))
     assert built.rows == converted.rows
     assert built.null_count() == converted.null_count()
     for q in range(1, n + 1):
@@ -441,7 +430,7 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
         return
     with gather_block(random.Random(seed)):
         t = materialize(f, c, domain)
-    assert_same_postings(t.index.postings, entries, dense_postings(entries, codes))
+    assert_same_postings(t.postings, entries, dense_postings(entries, codes))
     want = dense_rows(entries, codes, order)
     assert list(t.rows) == order
     assert dict(t.rows.items()) == want
@@ -453,7 +442,7 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
     used = [i for i, column in enumerate(entries) if column]
     squeezed, _ = compact_colors(t)
     kept = [entries[i] for i in used]
-    assert_same_postings(squeezed.index.postings, kept, dense_postings(kept, codes[used]))
+    assert_same_postings(squeezed.postings, kept, dense_postings(kept, codes[used]))
     squeezed_rows = dense_rows(kept, codes[used], order)
     assert dict(squeezed.rows.items()) == squeezed_rows
     assert export_table(squeezed) == reference_csv(SimpleNamespace(k=len(used), rows=squeezed_rows))
@@ -488,10 +477,9 @@ def assert_in_list_matches(postings, col, entries):
         assert np.shares_memory(got.ids, postings.columns[col - 1][2])
 
 
-@pytest.mark.parametrize("variant", ["table", "literal"])
 @pytest.mark.parametrize("n", range(1, 9))
-def test_tree_in_lists_match_the_union_of_their_atoms(n, variant):
-    postings = build_tree_schema(n, variant=variant).index.postings
+def test_tree_in_lists_match_the_union_of_their_atoms(n):
+    postings = build_tree_schema(n).postings
     rng = random.Random(n)
     for k in range(1, 1 << n):  # the overlap IN lists: disjoint runs, concatenated
         assert_in_list_matches(postings, level(k), ancestor_path(k))
@@ -503,6 +491,10 @@ def test_tree_in_lists_match_the_union_of_their_atoms(n, variant):
             assert_in_list_matches(postings, q, entries + entries[:2])  # repeats
         if q > 1:  # siblings' subtrees interleave: the union fallback
             assert_in_list_matches(postings, q, range(1 << (q - 1), 1 << q))
+    if n >= 3:  # column 2's entries 2 and 3, subtrees 2 4 5 8.. and 3 6 7..., interleave
+        two, three = postings[2, 2].ids, postings[2, 3].ids
+        assert two[0] < three[0] < two[-1]
+        assert_in_list_matches(postings, 2, [2, 3])
 
 
 def test_in_list_drops_empty_postings_and_sorts_interleaved_runs():

@@ -242,7 +242,7 @@ def test_import_skips_blank_lines_and_codes_cast_entries_once():
     assert t.rows == {"u": ("a", NULL), "v": (NULL, "b")}
     t = import_table("node,c1\nu,1\nv,1\nw,\n")
     assert t.entries == [["1"]]
-    assert len(t.index.postings) == 1
+    assert len(t.postings) == 1
     assert t.column_preimage(1, "1") == {"u", "v"}
 
 

@@ -10,7 +10,7 @@ from cliqueindex.engine import Atom, build_index, evaluate, evaluate_in, FactTab
 from cliqueindex.errors import MalformedExpr, OutOfRange
 from cliqueindex.intersection import build_intersection_graph, exact_chromatic
 from cliqueindex.oracle import oracle_tree_overlap
-from cliqueindex.schema import materialize, NULL, Postings, verify_schema
+from cliqueindex.schema import materialize, Postings, verify_schema
 from cliqueindex.tree import (
     _tree_cells,
     ancestor_path,
@@ -68,12 +68,6 @@ def test_entry_members_subtree_cases():
     assert entry_members(1, 1, 4) == set(range(1, 16))
 
 
-def test_entry_members_literal_variant_differs_at_intermediate_levels():
-    assert entry_members(2, 2, 4, variant="literal") == {2, 8, 9, 10, 11}
-    # at the bottom level both variants agree
-    assert entry_members(4, 4, 4, variant="literal") == entry_members(4, 4, 4)
-
-
 def test_entry_members_rejects_bad_level():
     with pytest.raises(OutOfRange):
         entry_members(5, 2, 4)
@@ -109,39 +103,26 @@ def test_schema_has_no_nulls_up_to_ten_levels():
         assert t.null_count() == 0
 
 
-def test_literal_variant_has_nulls_and_matching_bottom_level():
-    table = build_tree_schema(4)
-    literal = build_tree_schema(4, variant="literal")
-    assert literal.null_count() > 0
-    for k in table.rows:
-        assert table.cell(k, 4) == literal.cell(k, 4)
-        assert table.cell(k, level(k)) == literal.cell(k, level(k))
-
-
-def test_both_variants_verify():
+def test_tree_schema_verifies():
     for n in range(1, 7):
-        for variant in ("table", "literal"):
-            t = build_tree_schema(n, variant=variant)
-            assert verify_tree_schema(t, n, variant=variant), (n, variant)
+        assert verify_tree_schema(build_tree_schema(n), n), n
 
 
-def unique_coded_postings(n, variant):
+def unique_coded_postings(n):
     """The coding build_tree_schema replaced: each column's distinct cells
-    numbered in sorted order by one np.unique, NULL's 0 dropped."""
+    numbered in sorted order by one np.unique."""
     ids = np.arange(1, 1 << n)
     columns = []
     for q in range(1, n + 1):
-        values, inverse = np.unique(_tree_cells(ids, n, variant, q), return_inverse=True)
-        null = int(values[0] == 0)
-        columns.append((dict(zip(values[null:].tolist(), range(len(values) - null))), (inverse - null).astype(np.int32)))
+        values, inverse = np.unique(_tree_cells(ids, n, q), return_inverse=True)
+        columns.append((dict(zip(values.tolist(), range(len(values)))), inverse.astype(np.int32)))
     return Postings.from_codes(len(ids), columns)
 
 
-@pytest.mark.parametrize("variant", ["table", "literal"])
-def test_closed_form_codes_match_unique_coding(variant):
+def test_closed_form_codes_match_unique_coding():
     for n in range(1, 13):
-        t = build_tree_schema(n, variant=variant)
-        want = unique_coded_postings(n, variant)
+        t = build_tree_schema(n)
+        want = unique_coded_postings(n)
         assert t.postings.n == want.n and len(t.postings.columns) == len(want.columns) == n
         for q, (got_col, want_col) in enumerate(zip(t.postings.columns, want.columns), start=1):
             (entry_code, offsets, ids), (want_code, want_offsets, want_ids) = got_col, want_col
@@ -153,21 +134,18 @@ def test_closed_form_codes_match_unique_coding(variant):
 
 
 def test_schema_cap():
-    with pytest.raises(OutOfRange):
-        build_tree_schema(25)
-    with pytest.raises(OutOfRange):
-        build_tree_schema(5, cap=4)
+    for n in (0, 25):
+        with pytest.raises(OutOfRange, match=f"level count {n} "):
+            build_tree_schema(n)
 
 
 def test_tree_blocks_take_the_cap():
-    with pytest.raises(OutOfRange, match="exceeds the cap 24"):
+    with pytest.raises(OutOfRange, match="level count 25 exceeds the cap 24"):
         iter_tree_blocks(25)
-    with pytest.raises(OutOfRange, match="exceeds the cap 4"):
-        iter_tree_blocks(5, cap=4)
-    block = next(iter_tree_blocks(25, cap=30))
-    assert block.shape == (26, 4096)
+    block = next(iter_tree_blocks(24))
+    assert block.shape == (25, 4096)
     assert block[0].tolist() == list(range(1, 4097))
-    assert block[:, 4].tolist() == [5] + [1, 2, 5] + [5] * 22
+    assert block[:, 4].tolist() == [5] + [1, 2, 5] + [5] * 21
 
 
 def test_cells_are_level_q_ancestors():
