@@ -9,8 +9,9 @@ import pytest
 from cliqueindex import cli
 from cliqueindex.cli import main
 from cliqueindex.engine import MAX_QUERY_DEPTH
+from cliqueindex.errors import OutOfRange
 from cliqueindex.schema import CliqueTable, export_table, import_table
-from cliqueindex.tree import build_tree_schema, iter_tree_rows
+from cliqueindex.tree import build_tree_schema, iter_tree_blocks, iter_tree_rows
 
 from conftest import GOLDEN_TREE_4, PAIR_EDGES
 
@@ -55,14 +56,18 @@ def reference_tree_csv(n):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 13])
+# Tree cases are named "<levels>-table" after the one tree table layout.
+TABLE_LAYOUT = "{}-table".format
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 13], ids=TABLE_LAYOUT)
 def test_build_tree_csv_matches_the_per_row_writer(tmp_path, n):
     out = tmp_path / "t.csv"
     assert main(["build", "tree", "--levels", str(n), "--out", str(out)]) == 0
     assert out.read_bytes() == reference_tree_csv(n).encode()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12], ids=TABLE_LAYOUT)
 def test_build_tree_csv_matches_the_exported_table(tmp_path, n):
     out = tmp_path / "t.csv"
     assert main(["build", "tree", "--levels", str(n), "--out", str(out)]) == 0
@@ -511,16 +516,32 @@ def test_export_compacts_unused_columns(tmp_path, capsys):
     assert t.cell("u", 1) == "a"
 
 
-@pytest.mark.parametrize("command", [["build", "tree"], ["query-tree", "--k", "5"]], ids=["build-tree", "query-tree"])
-def test_tree_cap_is_fixed_at_24(monkeypatch, capsys, command):
-    # The writer is replaced, so a level count past the cap must fail
-    # before any output is written.
+def test_tree_cap_env_override(tmp_path, monkeypatch, capsys):
+    # The cap is the constant 24; the former CLIQUEINDEX_TREE_CAP override
+    # is ignored both ways. The writer is replaced, so a level count past
+    # the cap must fail before any output is written.
+    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "3")
+    assert main(["build", "tree", "--levels", "4", "--out", str(tmp_path / "t.csv")]) == 0
     written = []
     monkeypatch.setattr(cli, "write_table_csv", lambda *args: written.append(args))
-    assert main([*command, "--levels", "25"]) == 1
+    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "30")
+    assert main(["build", "tree", "--levels", "25"]) == 1
     out, err = capsys.readouterr()
     assert "level count 25 exceeds the cap 24" in err and "Traceback" not in err
     assert out == "" and written == []
+
+
+def test_tree_cap_env_reaches_the_library(monkeypatch, capsys):
+    # query-tree and the library share the fixed cap, whatever the
+    # environment holds.
+    monkeypatch.setenv("CLIQUEINDEX_TREE_CAP", "30")
+    assert main(["query-tree", "--k", "5", "--levels", "25"]) == 1
+    out, err = capsys.readouterr()
+    assert "level count 25 exceeds the cap 24" in err and "Traceback" not in err
+    assert out == ""
+    for make in (build_tree_schema, iter_tree_blocks):
+        with pytest.raises(OutOfRange, match="level count 25 exceeds the cap 24"):
+            make(25)
 
 
 def _no_traceback(capsys):

@@ -183,13 +183,17 @@ def test_rows_view_is_read_only():
     assert t.rows == {"u": ("a",)}
 
 
+# Tree cases are named "<levels>-table" after the one tree table layout.
+TABLE_LAYOUT = "{}-table".format
+
+
 def reference_tree_row(k, n):
     """Row k's cells, one cell at a time."""
     lvl = level(k)
     return tuple((k >> (lvl - q)) if q <= lvl else k for q in range(1, n + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13], ids=TABLE_LAYOUT)
 def test_tree_rows_match_the_cell_by_cell_formula(n):
     want = {k: reference_tree_row(k, n) for k in range(1, 1 << n)}
     assert list(iter_tree_rows(n)) == list(want.items())
@@ -197,7 +201,7 @@ def test_tree_rows_match_the_cell_by_cell_formula(n):
         assert build_tree_schema(n).rows == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 5, 8], ids=TABLE_LAYOUT)
 def test_tree_columns_match_the_rows_constructor(n):
     built = build_tree_schema(n)
     converted = CliqueTable(n, dict(iter_tree_rows(n)))
@@ -477,7 +481,7 @@ def assert_in_list_matches(postings, col, entries):
         assert np.shares_memory(got.ids, postings.columns[col - 1][2])
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 9), ids=TABLE_LAYOUT)
 def test_tree_in_lists_match_the_union_of_their_atoms(n):
     postings = build_tree_schema(n).postings
     rng = random.Random(n)

@@ -10,7 +10,7 @@ from cliqueindex.engine import Atom, build_index, evaluate, evaluate_in, FactTab
 from cliqueindex.errors import MalformedExpr, OutOfRange
 from cliqueindex.intersection import build_intersection_graph, exact_chromatic
 from cliqueindex.oracle import oracle_tree_overlap
-from cliqueindex.schema import materialize, Postings, verify_schema
+from cliqueindex.schema import CliqueTable, materialize, Postings, verify_schema
 from cliqueindex.tree import (
     _tree_cells,
     ancestor_path,
@@ -103,9 +103,11 @@ def test_schema_has_no_nulls_up_to_ten_levels():
         assert t.null_count() == 0
 
 
-def test_tree_schema_verifies():
+def test_both_variants_verify():
+    # the closed-form build and the same rows through the rows constructor
     for n in range(1, 7):
-        assert verify_tree_schema(build_tree_schema(n), n), n
+        for t in (build_tree_schema(n), CliqueTable(n, dict(iter_tree_rows(n)))):
+            assert verify_tree_schema(t, n), n
 
 
 def unique_coded_postings(n):
