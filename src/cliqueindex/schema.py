@@ -182,7 +182,8 @@ class CliqueTable:
     on first use.  Queries answer in positions: column_preimage alone
     decodes them to nodes.  CliqueTable(k, rows) converts node -> k
     cells, for small tables; builders pass from_postings the stored form,
-    converting code columns one at a time with Postings.from_codes.
+    converting code columns one at a time with Postings.from_codes or,
+    when the layout is known (build_tree_schema), writing the columns.
     Immutable by convention.
     """
 

@@ -7,12 +7,13 @@ when p sits exactly at level q, and at {p} alone when p sits above q;
 coloring entries by q gives an n-column schema with no NULL cells, and a
 single-column IN query over an id's ancestor chain answers overlap.
 
-The table is computed column by column, cell(k, q) = k >> max(L(k) - q, 0),
-for the clique table and for the streamed CSV alike.  Column q holds
-every id of level <= q as itself and nothing else, so its entry codes are
-in closed form: code = cell - 1.  Overlap queries, on the table's postings
-or on a fact index over it, are one IN list, the ancestor chain in column
-L(k), gathered in one pass.
+Row k's cell in column q is k >> max(L(k) - q, 0); the streamed CSV
+computes the cells block by block.  Column q holds every id of level <= q
+as itself and nothing else, so the clique table needs no cells at all:
+its codes are cell - 1 and its postings are written in closed form from
+n and q.  Overlap queries, on the table's postings or on a fact index
+over it, are one IN list, the ancestor chain in column L(k), gathered in
+one pass.
 All arithmetic is integer: extents are kept in units of 2^(1-n).
 """
 
@@ -110,12 +111,11 @@ def tree_coloring(n: int, canonical: bool = True) -> EntryColoring:
     return EntryColoring(assignment, n)
 
 
-def _tree_cells(ids: np.ndarray, n: int, q=None, levels=None) -> np.ndarray:
+def _tree_cells(ids: np.ndarray, n: int, q=None) -> np.ndarray:
     """Cells of the given ids in column q (1-based): k's level-q ancestor
     k >> (L(k) - q) up to k's level and k itself below.  By default in all
-    n columns, as an (n, len(ids)) array; levels, if given, holds the ids'
-    levels."""
-    levels = np.frexp(ids)[1] if levels is None else levels  # L(k) = bit_length(k), exact below 2^53
+    n columns, as an (n, len(ids)) array."""
+    levels = np.frexp(ids)[1]  # L(k) = bit_length(k), exact below 2^53
     q = np.arange(1, n + 1)[:, None] if q is None else q
     return ids >> np.maximum(levels - q, 0)
 
@@ -136,22 +136,46 @@ def iter_tree_rows(n: int) -> Iterator[tuple[int, tuple]]:
             yield k, tuple(row)
 
 
+def _tree_column(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column q's posting offsets and ids, written in closed form.
+
+    With h = 2^(q-1), codes 0..h-2 are the singletons above level q, one
+    position each, and codes h-1..2h-2 are the level-q nodes, each holding
+    its subtree of 2^(n-q+1) - 1 positions; node i's subtree is row i of an
+    (h, 2^(n-q+1) - 1) block whose level-t slab is the positions
+    h*2^(t-q) - 1 .. 2h*2^(t-q) - 2 read row by row."""
+    h = 1 << (q - 1)
+    width = (1 << (n - q + 1)) - 1
+    ids = np.empty((1 << n) - 1, dtype=np.int32)
+    ids[:h - 1] = np.arange(h - 1, dtype=np.int32)
+    block = ids[h - 1:].reshape(h, width)
+    for depth in range(n - q + 1):  # the level-(q + depth) slab, w positions per row
+        w = 1 << depth
+        block[:, w - 1:2 * w - 1] = np.arange(h * w - 1, 2 * h * w - 1, dtype=np.int32).reshape(h, w)
+    offsets = np.concatenate((np.arange(h), np.arange(h - 1 + width, h * (width + 1), width)))
+    return offsets, ids
+
+
 def build_tree_schema(n: int) -> CliqueTable:
     """Materialize the n-column table over all 2^n - 1 ids.
 
     Column q of row k holds the id truncated to level q (its level-q
     ancestor) for q up to k's level, and k itself below; storing the bare
     p is enough because the column fixes q.  Column q's values are exactly
-    the ids 1..2^q - 1, so each cell's code is cell - 1 with no sort; the
-    ids' levels are found once, and each column is computed and turned
-    into its postings before the next.
+    the ids 1..2^q - 1 with code cell - 1, and every part of its postings
+    is known from n and q: the entry map is column q - 1's grown by the
+    level-q ids (a copy, so the columns share their int objects), and the
+    offsets and ids are written directly (_tree_column), with no cells,
+    codes or sort.
     """
     _check_levels(n)
-    ids = np.arange(1, 1 << n)
-    levels = np.frexp(ids)[1]
-    entry_codes = (dict(zip(range(1, 1 << q), range((1 << q) - 1))) for q in range(1, n + 1))
-    codes = (_tree_cells(ids, n, q, levels).astype(np.int32) - 1 for q in range(1, n + 1))
-    return CliqueTable.from_postings(range(1, 1 << n), Postings.from_codes(len(ids), zip(entry_codes, codes)))
+    columns, entry_code = [], {}
+    for q in range(1, n + 1):
+        h = 1 << (q - 1)
+        entry_code = entry_code.copy()
+        entry_code.update(zip(range(h, 2 * h), range(h - 1, 2 * h - 1)))
+        columns.append((entry_code, *_tree_column(n, q)))
+    return CliqueTable.from_postings(range(1, 1 << n), Postings((1 << n) - 1, columns))
 
 
 def verify_tree_schema(t: CliqueTable, n: int) -> VerifyResult:

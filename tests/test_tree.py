@@ -122,10 +122,13 @@ def unique_coded_postings(n):
 
 
 def test_closed_form_codes_match_unique_coding():
-    for n in range(1, 13):
+    for n in range(1, 17):
         t = build_tree_schema(n)
         want = unique_coded_postings(n)
         assert t.postings.n == want.n and len(t.postings.columns) == len(want.columns) == n
+        # real dicts keep union_of's lookups in C; each column owns its map
+        assert all(type(entry_code) is dict for entry_code in t.entry_codes)
+        assert len({id(entry_code) for entry_code in t.entry_codes}) == n
         for q, (got_col, want_col) in enumerate(zip(t.postings.columns, want.columns), start=1):
             (entry_code, offsets, ids), (want_code, want_offsets, want_ids) = got_col, want_col
             assert list(entry_code.items()) == list(want_code.items()), (n, q)
@@ -133,6 +136,7 @@ def test_closed_form_codes_match_unique_coding():
             assert all(type(e) is int for e in t.entries[q - 1])
             assert offsets.dtype == want_offsets.dtype and np.array_equal(offsets, want_offsets), (n, q)
             assert ids.dtype == want_ids.dtype == np.int32 and np.array_equal(ids, want_ids), (n, q)
+            assert not ids.flags.writeable
 
 
 def test_schema_cap():
