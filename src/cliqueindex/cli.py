@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .engine import (
     aggregate_sum,
     bench,
     build_index,
+    csv_columns,
     evaluate,
     format_query,
     parse_query,
@@ -138,47 +140,40 @@ def _load_digraph(path: str):
     return build_digraph(edges, isolated=isolated)
 
 
-def _csv_records(fh, kind: str, required: tuple[str, ...]) -> csv.DictReader:
-    reader = csv.DictReader(fh)
-    fields = reader.fieldnames or []
-    for name in required:
-        if name not in fields:
-            raise CliqueIndexError(f"{kind} CSV is missing column {name!r}")
-    return reader
+def _csv_rows(path: str, kind: str, required: tuple[str, ...]):
+    """(line number, required fields in that order) for each non-blank row
+    of a header-keyed CSV file, streamed; a short row is MalformedCsv."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        where = csv_columns(next(reader, None), kind, required)
+        width = max(where) + 1
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                raise MalformedCsv(f"{path} line {reader.line_num}: short row, {len(row)} of {width} fields")
+            yield reader.line_num, [row[i] for i in where]
 
 
 def _load_intervals(path: str) -> list[IntervalRecord]:
-    with open(path, encoding="utf-8") as fh:
-        reader = _csv_records(fh, "interval", ("id", "x", "y"))
-        records = []
-        for rec in reader:
-            try:
-                x, y = float(rec["x"]), float(rec["y"])
-            except (TypeError, ValueError):
-                raise MalformedCsv(
-                    f"{path} line {reader.line_num}: endpoints {rec['x']!r}, {rec['y']!r} are not numbers"
-                ) from None
-            records.append(IntervalRecord(rec["id"], x, y))
-        return records
+    records = []
+    for line, (i, x, y) in _csv_rows(path, "interval", ("id", "x", "y")):
+        try:
+            bounds = float(x), float(y)
+        except ValueError:
+            raise MalformedCsv(f"{path} line {line}: endpoints {x!r}, {y!r} are not numbers") from None
+        records.append(IntervalRecord(i, *bounds))
+    return records
 
 
 def _load_function(path: str) -> SetValuedFunction:
     """Set-valued function CSV: header entry,node then one membership per line."""
-    with open(path, encoding="utf-8") as fh:
-        reader = _csv_records(fh, "function", ("entry", "node"))
-        return SetValuedFunction.from_pairs(
-            (rec["entry"], rec["node"]) for rec in reader
-        )
+    return SetValuedFunction.from_pairs(pair for _, pair in _csv_rows(path, "function", ("entry", "node")))
 
 
 def _load_fact(path: str, acc_cast=None) -> FactTable:
     with open(path, encoding="utf-8") as fh:
         return FactTable.from_csv(fh, acc_cast=acc_cast)
-
-
-def _load_table(path: str) -> CliqueTable:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return import_table(fh)
 
 
 def _sidecar_path(args):
@@ -332,7 +327,7 @@ def cmd_materialize(args) -> int:
 
 def cmd_index(args) -> int:
     fact = _load_fact(args.fact)
-    clique = _load_table(args.clique)
+    clique = import_table(Path(args.clique))
     idx = build_index(fact, clique)
     payload = {
         "rows": fact.n,
@@ -347,12 +342,17 @@ def cmd_index(args) -> int:
 
 def cmd_query(args) -> int:
     fact = _load_fact(args.fact)
-    clique = _load_table(args.clique)
+    clique = import_table(Path(args.clique))
     expr = parse_query(args.expr)
     idx = build_index(fact, clique)
     if args.check:
-        if not np.array_equal(ScanOracle(fact, clique).rid_array(expr), evaluate(expr, idx).to_array()):
+        scan = ScanOracle(fact, clique)
+        if not np.array_equal(scan.rid_array(expr), evaluate(expr, idx).to_array()):
             _note("MISMATCH: posting evaluation disagrees with the full scan")
+            return EXIT_VERIFY
+        # Float sums add in another order, so only integer sums must agree exactly.
+        if args.sum and fact.measure_data()[0] != "float" and aggregate_sum(expr, idx, fact) != scan.sum_measure(expr):
+            _note("MISMATCH: the posting sum disagrees with the full scan's")
             return EXIT_VERIFY
         _note("scan check passed")
     if args.sum:
@@ -572,7 +572,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export(args) -> int:
-    table = _load_table(args.table)
+    table = import_table(Path(args.table))
     if args.compact_colors:
         table, _ = compact_colors(table)
     export_table(table, args.out or sys.stdout)

@@ -42,6 +42,17 @@ def _parse_measure(text: str):
         return value
 
 
+def csv_columns(header, kind: str, required: Sequence[str]) -> list[int]:
+    """Position of each required name in a CSV header row (None for empty
+    input); the last column of a repeated name wins.  MalformedCsv names
+    the first required name that is missing."""
+    where = {name: i for i, name in enumerate(header or [])}
+    for name in required:
+        if name not in where:
+            raise MalformedCsv(f"{kind} CSV is missing column {name!r}")
+    return [where[name] for name in required]
+
+
 class FactTable:
     """Referencing rows (rid, acc, m) with dense contiguous rids."""
 
@@ -73,26 +84,18 @@ class FactTable:
 
     @classmethod
     def from_csv(cls, source, acc_cast=None) -> "FactTable":
-        """Read `rid,acc,m` CSV; extra columns are ignored; rids must be a
-        permutation of 0..N-1 (rows may arrive in any order).  acc_cast
-        converts the acc strings when the clique table's nodes are typed.
+        """Read `rid,acc,m` CSV from text or a file object (streamed row by
+        row); extra columns are ignored; rids must be a permutation of
+        0..N-1 (rows may arrive in any order).  acc_cast converts the acc
+        strings when the clique table's nodes are typed.
         Measures are read with Python's int() then float() syntax, so
         `1_0` reads 10 and ` 7 ` reads 7."""
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            text = source
-        reader = csv.reader(io.StringIO(text))
-        # Header positions as DictReader's field names: the last column of a
-        # name wins, and a row too short to reach a column reads None there.
-        where = {name: i for i, name in enumerate(next(reader, None) or [])}
-        for required in ("rid", "acc", "m"):
-            if required not in where:
-                raise MalformedCsv(f"fact CSV is missing column {required!r}")
-        i_rid, i_acc, i_m = where["rid"], where["acc"], where["m"]
+        reader = csv.reader(source if hasattr(source, "read") else io.StringIO(source))
+        i_rid, i_acc, i_m = csv_columns(next(reader, None), "fact", ("rid", "acc", "m"))
         width = max(i_rid, i_acc, i_m) + 1
         rids, accs, measures = [], [], []
         for row in reader:
+            # A row too short to reach a column reads None there.
             if len(row) < width:
                 if not row:
                     continue

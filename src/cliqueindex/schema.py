@@ -7,10 +7,10 @@ Column i is then an index on the data: the rows holding e* in column
 c(e*) are exactly the image of e*, which is what verify_schema checks.
 The table is stored as that index and nothing else: per column, CSR
 postings of node positions (`Postings`).  Rows and cells are read from a
-node -> cells transpose built on first use.  A `PostingIndex` joins rows
-that reference the nodes (fact rows in `engine`, or the table's own rows)
-to those postings through a node -> rows CSR, so a predicate is evaluated
-on the nodes and its node set expanded to rows.
+node -> cells transpose built on first use.  A `PostingIndex` joins the
+fact rows that reference the nodes (`engine`) to those postings through a
+node -> rows CSR, so a predicate is evaluated on the nodes and its node
+set expanded to fact rows.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class Postings(Mapping):
 
 
 class PostingIndex:
-    """Rows that reference the nodes of a clique table, joined to its
+    """Fact rows that reference the nodes of a clique table, joined to its
     postings (a semijoin through the table, in place of a bitmap join
     index that copies each posting into row space).
 
@@ -491,20 +491,17 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
 
 
 def import_table(source) -> CliqueTable:
-    """Read a table back from a file object, an os.PathLike path, or CSV text.
+    """Read a table back from a file object (streamed; open it with
+    newline=""), an os.PathLike path, or CSV text.
 
     Nodes and entries are the CSV's strings, an empty field is NULL.
     Raises MalformedCsv on a bad header or duplicate node,
     InconsistentArity on a short or long row.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, os.PathLike):
+    if isinstance(source, os.PathLike):
         with open(source, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    else:
-        text = source
-    reader = csv.reader(io.StringIO(text, newline=""))
+            return import_table(fh)
+    reader = csv.reader(source if hasattr(source, "read") else io.StringIO(source, newline=""))
     try:
         header = next(reader)
     except StopIteration:

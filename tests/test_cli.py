@@ -8,7 +8,7 @@ import pytest
 
 from cliqueindex import cli
 from cliqueindex.cli import main
-from cliqueindex.engine import MAX_QUERY_DEPTH
+from cliqueindex.engine import MAX_QUERY_DEPTH, ScanOracle
 from cliqueindex.errors import OutOfRange
 from cliqueindex.schema import CliqueTable, export_table, import_table
 from cliqueindex.tree import build_tree_schema, iter_tree_blocks, iter_tree_rows
@@ -317,6 +317,21 @@ def test_query_sum_json_matches_the_rid_listing_and_check(tmp_path, capsys, meas
             assert capsys.readouterr().out == want, (expr, check)
 
 
+@pytest.mark.parametrize("measure, code", [("7", 2), ("2.5", 0)], ids=["int", "float"])
+def test_query_check_compares_integer_sums_with_the_scan(tmp_path, capsys, monkeypatch, tree_clique_csv, measure, code):
+    """With the scan's sum made wrong, --check --sum exits 2 over integer
+    measures; float sums add in another order, so only their rids are checked."""
+    facts = write(tmp_path / "fact.csv", f"rid,acc,m\n0,8,{measure}\n1,9,{measure}\n2,12,{measure}\n")
+    monkeypatch.setattr(ScanOracle, "sum_measure", lambda self, q: -1)
+    assert main(["query", "--fact", facts, "--clique", tree_clique_csv, "--expr", "c3='4'", "--sum", "--check"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "MISMATCH: the posting sum disagrees with the full scan's\n"
+    else:
+        assert json.loads(captured.out)["sum"] == 5.0
+
+
 def test_query_rid_listing(fact_csv, tmp_path, capsys):
     clique = tmp_path / "clique.csv"
     main(["build", "tree", "--levels", "4", "--out", str(clique)])
@@ -568,6 +583,67 @@ def test_interval_csv_non_numeric_endpoint_names_the_line(tmp_path, capsys):
     data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,abc,2\n")
     assert main(["query-intervals", "--data", data, "--a", "0", "--b", "5"]) == 1
     assert "line 3" in _no_traceback(capsys)
+
+
+# Each command that reads a header-keyed CSV: the input kind and the argv
+# before the path.
+CSV_READERS = {
+    "materialize": ("function", ["materialize", "--function"]),
+    "color": ("function", ["color", "--function"]),
+    "build-intervals": ("intervals", ["build", "intervals", "--data"]),
+    "query-intervals": ("intervals", ["query-intervals", "--a", "1", "--b", "2.5", "--data"]),
+    "query-intervals-bucketed": ("intervals", ["query-intervals", "--bucketed", "--a", "0", "--b", "1", "--data"]),
+}
+
+SHORT_ROW = {
+    "function": ["entry,node\na,x\nb\nc,x\n", "node,entry\nx,a\nx\nx,c\n"],
+    "intervals": ["id,x,y\na,1,2\nb,3\n", "x,y,id\n1,2,a\n3,4\n"],
+}
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["plain", "permuted"])
+@pytest.mark.parametrize("command", ["materialize", "build-intervals", "query-intervals"])
+def test_a_short_row_exits_one_naming_its_line(tmp_path, capsys, command, order):
+    """A row too short to hold every named column is rejected at its line,
+    whichever column it leaves out."""
+    kind, argv = CSV_READERS[command]
+    data = write(tmp_path / "in.csv", SHORT_ROW[kind][order])
+    assert main(argv + [data]) == 1
+    captured = capsys.readouterr()
+    width = {"function": 2, "intervals": 3}[kind]
+    assert captured.out == ""
+    assert captured.err == f"error: {data} line 3: short row, {width - 1} of {width} fields\n"
+
+
+def reorder(text, names):
+    """The CSV text with its columns in the order `names`; a name the header
+    lacks is a column of filler."""
+    header, *rows = csv.reader(io.StringIO(text))
+    where = [header.index(name) if name in header else None for name in names]
+    lines = [names] + [["z" if i is None else row[i] for i in where] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+PLAIN = {
+    "function": "entry,node\ng1,a\ng1,b\ng2,b\ng2,c\ng3,d\n",
+    "intervals": INTERVALS_PIN_CSV,
+}
+ORDERS = {
+    "function": [["node", "entry"], ["note", "node", "x", "entry"]],
+    "intervals": [["y", "x", "id"], ["x", "note", "id", "y", "other"]],
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_READERS))
+def test_permuted_and_extra_columns_print_the_plain_output(tmp_path, capsys, command):
+    kind, argv = CSV_READERS[command]
+    data = tmp_path / "in.csv"
+    outputs = []
+    for text in [PLAIN[kind]] + [reorder(PLAIN[kind], names) for names in ORDERS[kind]]:
+        write(data, text)
+        assert main(argv + [str(data)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1:] == outputs[:1] * 2
 
 
 @pytest.mark.parametrize("bad, other", [("nan", "1"), ("inf", "-inf"), ("1e999", "2.5")])

@@ -2,9 +2,10 @@
 nothing, whatever one input file holds while the others are well formed.
 
 Each input kind draws either raw bytes or text shaped like the format (its
-header, then rows of tokens that mix numbers, non-finite and out-of-range
-values, quotes and line breaks), so that the parsers get past the header;
-sidecars also draw JSON numbers that are not integers or do not fit one.
+header, with named columns in any order and now and then one extra, then
+rows of tokens that mix numbers, non-finite and out-of-range values, quotes
+and line breaks), so that the parsers get past the header; sidecars also
+draw JSON numbers that are not integers or do not fit one.
 """
 
 import pytest
@@ -49,12 +50,20 @@ COMMANDS = {
     ],
 }
 
+
+def header(names):
+    """The names in any order, now and then with one extra column (a filler
+    or a repeated name) anywhere among them."""
+    extra = st.lists(st.sampled_from(["note", *names]), max_size=1)
+    return extra.flatmap(lambda more: st.permutations(names + more)).map(lambda cols: ",".join(cols) + "\n")
+
+
 HEADERS = {
-    "edges": "",
-    "function": "entry,node\n",
-    "intervals": "id,x,y\n",
-    "fact": "rid,acc,m\n",
-    "table": "node,c1,c2\n",
+    "edges": st.just(""),
+    "function": header(["entry", "node"]),
+    "intervals": header(["id", "x", "y"]),
+    "fact": header(["rid", "acc", "m"]),
+    "table": st.just("node,c1,c2\n"),
 }
 
 TOKENS = ["0", "1", "2", "5", "-1", "2.5", "-0", "1e400", "nan", "inf", "-inf", "1_0", " 7 ",
@@ -70,7 +79,7 @@ def shaped(kind):
     sep = "\t" if kind == "edges" else ","
     row = st.lists(field, min_size=1, max_size=4).map(sep.join)
     body = st.lists(row, max_size=6).map("\n".join)
-    return body.map(lambda text: (HEADERS[kind] + text).encode())
+    return st.tuples(HEADERS[kind], body).map(lambda parts: "".join(parts).encode())
 
 
 number = st.one_of(st.sampled_from(JSON_NUMBERS), st.integers().map(str))

@@ -308,11 +308,13 @@ def test_table_csv_matches_the_row_wise_coder_writer_and_reader(table):
     text = export_table(t)
     assert text == reference_csv(t)
 
-    def imported():
-        back = import_table(text)
+    def imported(source):
+        back = import_table(source)
         return list(back.rows), back.entries, table_codes(back)
 
-    assert _imported(imported) == _imported(lambda: reference_import(text))
+    want = _imported(lambda: reference_import(text))
+    assert _imported(lambda: imported(text)) == want
+    assert _imported(lambda: imported(io.StringIO(text, newline=""))) == want
 
 
 # -- the stored postings against the dense k x N code matrix they replaced --

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliqueindex.bitset import CompressedBitset, union
+from cliqueindex.cli import _load_fact
 from cliqueindex.corpus import random_expr, random_function
 from cliqueindex.engine import (
     _parse_measure,
@@ -187,19 +188,30 @@ def fact_csvs(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
-@given(fact_csvs(), st.sampled_from([None, int]))
+@pytest.fixture(scope="module")
+def fact_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("facts") / "fact.csv"
+
+
+@given(text=fact_csvs(), acc_cast=st.sampled_from([None, int]))
 @settings(max_examples=300, deadline=None)
-def test_from_csv_matches_the_dictreader_reading(text, acc_cast):
+def test_from_csv_matches_the_dictreader_reading(fact_path, text, acc_cast):
+    """The text, and a file holding it opened as the CLI opens it (and
+    streamed), read as DictReader read them: same values, same errors."""
+    fact_path.write_text(text, encoding="utf-8")
+    reads = (lambda: FactTable.from_csv(text, acc_cast), lambda: _load_fact(str(fact_path), acc_cast))
     try:
         want = reference_from_csv(text, acc_cast)
     except MalformedCsv as exc:
-        with pytest.raises(MalformedCsv) as got:
-            FactTable.from_csv(text, acc_cast)
-        assert str(got.value) == str(exc)
+        for read in reads:
+            with pytest.raises(MalformedCsv) as got:
+                read()
+            assert str(got.value) == str(exc)
         return
-    fact = FactTable.from_csv(text, acc_cast)
-    assert fact.accs == want[0]
-    assert [(type(m), m) for m in fact.measures] == [(type(m), m) for m in want[1]]
+    for read in reads:
+        fact = read()
+        assert fact.accs == want[0]
+        assert [(type(m), m) for m in fact.measures] == [(type(m), m) for m in want[1]]
 
 
 def test_parse_atom():

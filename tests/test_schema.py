@@ -186,14 +186,17 @@ def test_csv_round_trip_keeps_carriage_returns_and_newlines(tmp_path):
         dest = tmp_path / "t.csv"
         export_table(t, dest)
         assert dict(import_table(dest).rows) == dict(t.rows)
+        with open(dest, encoding="utf-8", newline="") as fh:
+            assert dict(import_table(fh).rows) == dict(t.rows)
 
 
 def test_import_reads_lone_carriage_return_line_endings(tmp_path):
-    text = "node,c1\ra,x\rb,\r"
     dest = tmp_path / "t.csv"
-    dest.write_bytes(text.encode())
-    for source in (text, dest):
-        assert dict(import_table(source).rows) == {"a": ("x",), "b": (NULL,)}
+    for text in ("node,c1\ra,x\rb,\r", "node,c1\r\na,x\r\nb,\r\n"):
+        dest.write_bytes(text.encode())
+        with open(dest, encoding="utf-8", newline="") as fh:
+            for source in (text, dest, io.StringIO(text, newline=""), fh):
+                assert dict(import_table(source).rows) == {"a": ("x",), "b": (NULL,)}
 
 
 def test_import_rejects_bad_header():
