@@ -13,7 +13,7 @@ import csv
 import json
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +52,12 @@ from .engine import (
     aggregate_sum,
     bench,
     build_index,
-    csv_columns,
     evaluate,
     format_query,
     parse_query,
     row_count,
 )
-from .errors import CliqueIndexError, EmptyDigraph, MalformedCsv
+from .errors import CliqueIndexError, EmptyDigraph
 from .intersection import (
     GREEDY_ORDERS,
     EntryColoring,
@@ -76,6 +75,7 @@ from .oracle import (
 from .schema import (
     NULL,
     CliqueTable,
+    CsvInput,
     compact_colors,
     export_table,
     import_table,
@@ -109,16 +109,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_DOMAIN, f"error: {message}\n")
 
 
-@contextmanager
 def _out_stream(path):
-    if path:
-        fh = open(path, "w", encoding="utf-8", newline="")
-        try:
-            yield fh
-        finally:
-            fh.close()
-    else:
-        yield sys.stdout
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
 
 
 def _note(text: str) -> None:
@@ -141,27 +133,24 @@ def _load_digraph(path: str):
 
 
 def _csv_rows(path: str, kind: str, required: tuple[str, ...]):
-    """(line number, required fields in that order) for each non-blank row
-    of a header-keyed CSV file, streamed; a short row is MalformedCsv."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        where = csv_columns(next(reader, None), kind, required)
+    """(input, required fields in that order) for each non-blank row of a
+    header-keyed CSV file, streamed; a short row is MalformedCsv."""
+    with CsvInput(Path(path)) as rows:
+        where = rows.columns(kind, required)
         width = max(where) + 1
-        for row in reader:
+        for row in rows:
             if len(row) < width:
-                if not row:
-                    continue
-                raise MalformedCsv(f"{path} line {reader.line_num}: short row, {len(row)} of {width} fields")
-            yield reader.line_num, [row[i] for i in where]
+                raise rows.error(f"short row, {len(row)} of {width} fields")
+            yield rows, [row[i] for i in where]
 
 
 def _load_intervals(path: str) -> list[IntervalRecord]:
     records = []
-    for line, (i, x, y) in _csv_rows(path, "interval", ("id", "x", "y")):
+    for rows, (i, x, y) in _csv_rows(path, "interval", ("id", "x", "y")):
         try:
             bounds = float(x), float(y)
         except ValueError:
-            raise MalformedCsv(f"{path} line {line}: endpoints {x!r}, {y!r} are not numbers") from None
+            raise rows.error(f"endpoints {x!r}, {y!r} are not numbers") from None
         records.append(IntervalRecord(i, *bounds))
     return records
 
@@ -169,11 +158,6 @@ def _load_intervals(path: str) -> list[IntervalRecord]:
 def _load_function(path: str) -> SetValuedFunction:
     """Set-valued function CSV: header entry,node then one membership per line."""
     return SetValuedFunction.from_pairs(pair for _, pair in _csv_rows(path, "function", ("entry", "node")))
-
-
-def _load_fact(path: str, acc_cast=None) -> FactTable:
-    with open(path, encoding="utf-8") as fh:
-        return FactTable.from_csv(fh, acc_cast=acc_cast)
 
 
 def _sidecar_path(args):
@@ -326,7 +310,7 @@ def cmd_materialize(args) -> int:
 
 
 def cmd_index(args) -> int:
-    fact = _load_fact(args.fact)
+    fact = FactTable.from_csv(Path(args.fact))
     clique = import_table(Path(args.clique))
     idx = build_index(fact, clique)
     payload = {
@@ -341,7 +325,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_query(args) -> int:
-    fact = _load_fact(args.fact)
+    fact = FactTable.from_csv(Path(args.fact))
     clique = import_table(Path(args.clique))
     expr = parse_query(args.expr)
     idx = build_index(fact, clique)
@@ -391,7 +375,7 @@ def cmd_query_tree(args) -> int:
     schema = build_tree_schema(args.levels)
     if args.fact:
         # schema nodes are ints, so acc values must be cast to match
-        fact = _load_fact(args.fact, acc_cast=int)
+        fact = FactTable.from_csv(Path(args.fact), int)
         ids = tree_fact_query(args.k, build_index(fact, schema)).to_array()
     else:
         ids = overlap_query(args.k, schema)
@@ -691,7 +675,7 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except BrokenPipeError:
         return EXIT_DOMAIN
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _note(f"error: {exc}")
         return EXIT_DOMAIN
 

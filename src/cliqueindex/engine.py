@@ -26,7 +26,7 @@ import numpy as np
 
 from .bitset import DENSE_FRACTION, CompressedBitset, union
 from .errors import EmptyFactTable, MalformedCsv, MalformedExpr, MeasureOverflow, OutOfRange
-from .schema import CliqueTable, PostingIndex
+from .schema import CliqueTable, CsvInput, PostingIndex
 
 
 def _parse_measure(text: str):
@@ -40,17 +40,6 @@ def _parse_measure(text: str):
         if not math.isfinite(value):  # nan, inf and 1e999 would poison every sum
             raise MalformedCsv(f"measure {text!r} is not finite")
         return value
-
-
-def csv_columns(header, kind: str, required: Sequence[str]) -> list[int]:
-    """Position of each required name in a CSV header row (None for empty
-    input); the last column of a repeated name wins.  MalformedCsv names
-    the first required name that is missing."""
-    where = {name: i for i, name in enumerate(header or [])}
-    for name in required:
-        if name not in where:
-            raise MalformedCsv(f"{kind} CSV is missing column {name!r}")
-    return [where[name] for name in required]
 
 
 class FactTable:
@@ -84,37 +73,36 @@ class FactTable:
 
     @classmethod
     def from_csv(cls, source, acc_cast=None) -> "FactTable":
-        """Read `rid,acc,m` CSV from text or a file object (streamed row by
-        row); extra columns are ignored; rids must be a permutation of
-        0..N-1 (rows may arrive in any order).  acc_cast converts the acc
-        strings when the clique table's nodes are typed.
-        Measures are read with Python's int() then float() syntax, so
-        `1_0` reads 10 and ` 7 ` reads 7."""
-        reader = csv.reader(source if hasattr(source, "read") else io.StringIO(source))
-        i_rid, i_acc, i_m = csv_columns(next(reader, None), "fact", ("rid", "acc", "m"))
-        width = max(i_rid, i_acc, i_m) + 1
+        """Read `rid,acc,m` CSV from a `schema.CsvInput` source (a path,
+        text or a file object, streamed); extra columns are ignored; rids
+        must be a permutation of 0..N-1 (rows may arrive in any order).
+        acc_cast converts the acc strings when the clique table's nodes
+        are typed.  A bad row is MalformedCsv naming its line.  Measures
+        are read with Python's int() then float() syntax, so `1_0` reads 10
+        and ` 7 ` reads 7."""
         rids, accs, measures = [], [], []
-        for row in reader:
-            # A row too short to reach a column reads None there.
-            if len(row) < width:
-                if not row:
-                    continue
-                row += [None] * (width - len(row))
-            try:
-                rid = int(row[i_rid])
-            except (TypeError, ValueError):
-                raise MalformedCsv(f"bad rid {row[i_rid]!r}") from None
-            acc, m = row[i_acc], row[i_m]
-            if acc is None or m is None:
-                raise MalformedCsv(f"short row for rid {rid}")
-            if acc_cast is not None:
+        with CsvInput(source) as rows:
+            i_rid, i_acc, i_m = rows.columns("fact", ("rid", "acc", "m"))
+            width = max(i_rid, i_acc, i_m) + 1
+            for row in rows:
+                if len(row) < width:
+                    raise rows.error(f"short row, {len(row)} of {width} fields")
                 try:
-                    acc = acc_cast(acc)
+                    rid = int(row[i_rid])
                 except ValueError:
-                    raise MalformedCsv(f"bad acc {acc!r} for rid {rid}") from None
-            rids.append(rid)
-            accs.append(acc)
-            measures.append(_parse_measure(m))
+                    raise rows.error(f"bad rid {row[i_rid]!r}") from None
+                acc = row[i_acc]
+                if acc_cast is not None:
+                    try:
+                        acc = acc_cast(acc)
+                    except ValueError:
+                        raise rows.error(f"bad acc {acc!r} for rid {rid}") from None
+                rids.append(rid)
+                accs.append(acc)
+                try:
+                    measures.append(_parse_measure(row[i_m]))
+                except MalformedCsv as exc:
+                    raise rows.error(str(exc)) from None
         n = len(rids)
         # n rids inside 0..N-1 with no rid twice are a permutation.
         if n and (min(rids) < 0 or max(rids) >= n or np.bincount(rids).max() > 1):

@@ -22,10 +22,10 @@ import json
 import os
 import sys
 from collections.abc import Mapping
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -490,42 +490,69 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
     return out.getvalue() if dest is None else None
 
 
-def import_table(source) -> CliqueTable:
-    """Read a table back from a file object (streamed; open it with
-    newline=""), an os.PathLike path, or CSV text.
+class CsvInput(AbstractContextManager):
+    """One CSV input read by the package's one rule, in a `with`: a path is
+    opened as UTF-8 with newline="", text is wrapped likewise and a file
+    object (opened with newline="") is read as is.  RFC 4180 quoting;
+    lines end at "\\n", "\\r\\n" or "\\r" and quoted line breaks are kept.
+    The header is the first row of `reader` (or read by `columns`);
+    iterating then gives the rows after it, blank lines skipped.
+    `error` names the last physical line read and, for a path, the file;
+    a csv.Error leaving the `with` becomes such a MalformedCsv."""
 
-    Nodes and entries are the CSV's strings, an empty field is NULL.
-    Raises MalformedCsv on a bad header or duplicate node,
-    InconsistentArity on a short or long row.
-    """
-    if isinstance(source, os.PathLike):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return import_table(fh)
-    reader = csv.reader(source if hasattr(source, "read") else io.StringIO(source, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedCsv("empty input: missing header") from None
-    if not header or header[0] != "node":
-        raise MalformedCsv(f"bad header {header!r}: first column must be 'node'")
-    k = len(header) - 1
-    if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
-        raise MalformedCsv(f"bad header {header!r}: color columns must be c1..c{k}")
-    nodes: dict[Node, None] = {}
-    records = []
-    for lineno, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != k + 1:
-            raise InconsistentArity(
-                f"line {lineno}: expected {k + 1} fields, got {len(record)}"
-            )
-        node = record[0]
-        if node in nodes:
-            raise MalformedCsv(f"line {lineno}: duplicate node {node!r}")
-        nodes[node] = None
-        records.append(record)
-    columns = list(zip(*records))[1:] or [()] * k
+    def __init__(self, source):
+        self._where = f"{os.fspath(source)} " if isinstance(source, os.PathLike) else ""
+        if self._where:
+            source = self._file = open(source, encoding="utf-8", newline="")
+        elif isinstance(source, str):
+            source = io.StringIO(source, newline="")
+        self.reader = csv.reader(source)
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self._where:
+            self._file.close()
+        if isinstance(exc, csv.Error):
+            raise self.error(str(exc)) from None
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return filter(None, self.reader)  # csv.reader reads a blank line as []
+
+    def columns(self, kind: str, required: Sequence[str]) -> list[int]:
+        """Position of each required name in the header row; the last
+        column of a repeated name wins, a missing name is MalformedCsv."""
+        where = {name: i for i, name in enumerate(next(self.reader, None) or [])}
+        for name in required:
+            if name not in where:
+                raise MalformedCsv(f"{kind} CSV is missing column {name!r}")
+        return [where[name] for name in required]
+
+    def error(self, text: str, cls: type[Exception] = MalformedCsv) -> Exception:
+        return cls(f"{self._where}line {self.reader.line_num}: {text}")
+
+
+def import_table(source) -> CliqueTable:
+    """Read a table back from a `CsvInput` source (a path, text or a file
+    object, streamed).  Nodes and entries are the CSV's strings, an empty
+    field is NULL.  A bad header or duplicate node is MalformedCsv, a short
+    or long row InconsistentArity; a row's error names its line."""
+    with CsvInput(source) as rows:
+        header = next(rows.reader, None)
+        if header is None:
+            raise MalformedCsv("empty input: missing header")
+        if not header or header[0] != "node":
+            raise MalformedCsv(f"bad header {header!r}: first column must be 'node'")
+        k = len(header) - 1
+        if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
+            raise MalformedCsv(f"bad header {header!r}: color columns must be c1..c{k}")
+        nodes: dict[Node, list[str]] = {}
+        for record in rows:
+            if len(record) != k + 1:
+                raise rows.error(f"expected {k + 1} fields, got {len(record)}", InconsistentArity)
+            node = record[0]
+            if node in nodes:
+                raise rows.error(f"duplicate node {node!r}")
+            nodes[node] = record
+    columns = islice(zip(*nodes.values()), 1, None) if nodes else [()] * k  # zip builds one column per step
     postings = Postings.from_codes(len(nodes), _code_columns(len(nodes), columns, ""))
     return CliqueTable.from_postings(nodes, postings)
 

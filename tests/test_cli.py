@@ -615,6 +615,89 @@ def test_a_short_row_exits_one_naming_its_line(tmp_path, capsys, command, order)
     assert captured.err == f"error: {data} line 3: short row, {width - 1} of {width} fields\n"
 
 
+@pytest.mark.parametrize("text", ["rid,acc,m\n0,8,1\n1,9\n", "acc,m,rid\n8,1,0\n9,1\n"], ids=["plain", "permuted"])
+@pytest.mark.parametrize("command", ["query", "query-tree"])
+def test_a_short_fact_row_exits_one_naming_its_line(tmp_path, capsys, command, text):
+    clique = str(tmp_path / "clique.csv")
+    assert main(["build", "tree", "--levels", "4", "--out", clique]) == 0
+    facts = write(tmp_path / "fact.csv", text)
+    capsys.readouterr()
+    argv = {
+        "query": ["query", "--fact", facts, "--clique", clique, "--expr", "c1='1'"],
+        "query-tree": ["query-tree", "--levels", "4", "--k", "5", "--fact", facts],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {facts} line 3: short row, 2 of 3 fields\n"
+
+
+def test_a_node_holding_a_crlf_joins_its_fact_rows(tmp_path, capsys):
+    """The table and the fact file both keep the quoted "\r\n" of node
+    "a\r\nb", so both fact rows resolve."""
+    clique = tmp_path / "t.csv"
+    export_table(CliqueTable(1, {"a\r\nb": ("x",), "c": ("x",)}), clique)
+    facts = tmp_path / "fact.csv"
+    facts.write_bytes(b'rid,acc,m\n0,"a\r\nb",5\n1,c,7\n')
+    query = ["query", "--fact", str(facts), "--clique", str(clique), "--expr", "c1='x'"]
+    assert main(query + ["--sum"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["rows"], payload["sum"]) == (2, 12)
+    assert main(query + ["--check"]) == 0
+    assert capsys.readouterr().out == "rid\n0\n1\n"
+
+
+def test_function_and_interval_files_keep_a_quoted_crlf(tmp_path, capsys):
+    data = tmp_path / "iv.csv"
+    data.write_bytes(b'id,x,y\n"i\r\n0",0,1\nj,5,6\n')
+    assert main(["query-intervals", "--data", str(data), "--a", "0", "--b", "1"]) == 0
+    assert capsys.readouterr().out == "i\r\n0\n"
+    function = tmp_path / "f.csv"
+    function.write_bytes(b'entry,node\r\n"g\r\n1","a\r\nb"\r\n"g\r\n1",c\r\n')
+    table = tmp_path / "t.csv"
+    assert main(["materialize", "--function", str(function), "--out", str(table)]) == 0
+    assert dict(import_table(table).rows) == {"a\r\nb": ("g\r\n1",), "c": ("g\r\n1",)}
+
+
+# One well-formed corpus of every CSV kind.  Its quoted fields hold line
+# breaks of their own, kept verbatim whatever ends the lines.
+ENDED_CORPUS = {
+    "function": ["entry,node", 'g1,"p\r\nq"', "g1,b", "g2,b", '"g\n3",c', "g2,c"],
+    "intervals": ["id,x,y", "i0,0,1", '"i\r\n1",0.5,2', "i2,3,4", "i3,1,1"],
+    "fact": ["rid,acc,m", '2,"p\r\nq",1', "0,b,2", "1,c,3", "3,zz,4", '4,"p\r\nq",2.5'],
+    "table": ["node,c1,c2", '"p\r\nq",g1,', "b,g1,g2", 'c,"g\n3",g2'],
+    "tree_fact": ["acc,m,rid", "5,1,0", "10,2,2", "11,3,1", "3,4,3"],
+}
+ENDED_COMMANDS = {
+    "build-intervals": ["build", "intervals", "--data", "{intervals}"],
+    "query-intervals": ["query-intervals", "--data", "{intervals}", "--a", "0.7", "--b", "1"],
+    "query-intervals-bucketed": ["query-intervals", "--bucketed", "--data", "{intervals}", "--a", "0", "--b", "3"],
+    "color": ["color", "--function", "{function}"],
+    "materialize": ["materialize", "--function", "{function}"],
+    "index": ["index", "--fact", "{fact}", "--clique", "{table}"],
+    "query": ["query", "--fact", "{fact}", "--clique", "{table}", "--expr", "c1='g1' & !c2='g2'"],
+    "query-sum": ["query", "--fact", "{fact}", "--clique", "{table}", "--expr", "c2='g2'", "--sum"],
+    "query-check": ["query", "--fact", "{fact}", "--clique", "{table}", "--expr", "c1='g\n3' | c1='g1'", "--check"],
+    "query-tree": ["query-tree", "--levels", "4", "--k", "5", "--fact", "{tree_fact}"],
+    "export": ["export", "--table", "{table}", "--compact-colors"],
+}
+
+
+@pytest.mark.parametrize("command", list(ENDED_COMMANDS))
+def test_every_line_ending_prints_the_same_output(tmp_path, capsys, command):
+    """Each command that reads CSV, over the corpus written with "\n",
+    "\r\n" and "\r" line endings: same exit code, same stdout."""
+    paths = {kind: tmp_path / f"{kind}.csv" for kind in ENDED_CORPUS}
+    results = []
+    for eol in ["\n", "\r\n", "\r"]:
+        for kind, lines in ENDED_CORPUS.items():
+            paths[kind].write_bytes((eol.join(lines) + eol).encode())
+        code = main([arg.format(**paths) for arg in ENDED_COMMANDS[command]])
+        results.append((code, capsys.readouterr().out))
+    assert results[0][0] == 0 and results[0][1]
+    assert results[1:] == results[:1] * 2
+
+
 def reorder(text, names):
     """The CSV text with its columns in the order `names`; a name the header
     lacks is a column of filler."""
@@ -656,7 +739,7 @@ def test_query_sum_rejects_a_non_finite_measure(tmp_path, capsys, bad, other):
         warnings.simplefilter("always")
         assert main(["query", "--fact", facts, "--clique", clique, "--expr", "c3='4'", "--sum"]) == 1
     err = _no_traceback(capsys)
-    assert err.splitlines() == [f"error: measure {bad!r} is not finite"]
+    assert err.splitlines() == [f"error: {facts} line 2: measure {bad!r} is not finite"]
     assert "Warning" not in err and not caught
 
 

@@ -4,8 +4,9 @@ nothing, whatever one input file holds while the others are well formed.
 Each input kind draws either raw bytes or text shaped like the format (its
 header, with named columns in any order and now and then one extra, then
 rows of tokens that mix numbers, non-finite and out-of-range values, quotes
-and line breaks), so that the parsers get past the header; sidecars also
-draw JSON numbers that are not integers or do not fit one.
+and quoted line breaks, every line ended by one of "\n", "\r\n" and
+"\r"), so that the parsers get past the header; sidecars also draw JSON
+numbers that are not integers or do not fit one.
 """
 
 import pytest
@@ -55,7 +56,7 @@ def header(names):
     """The names in any order, now and then with one extra column (a filler
     or a repeated name) anywhere among them."""
     extra = st.lists(st.sampled_from(["note", *names]), max_size=1)
-    return extra.flatmap(lambda more: st.permutations(names + more)).map(lambda cols: ",".join(cols) + "\n")
+    return extra.flatmap(lambda more: st.permutations(names + more)).map(",".join)
 
 
 HEADERS = {
@@ -63,11 +64,12 @@ HEADERS = {
     "function": header(["entry", "node"]),
     "intervals": header(["id", "x", "y"]),
     "fact": header(["rid", "acc", "m"]),
-    "table": st.just("node,c1,c2\n"),
+    "table": st.just("node,c1,c2"),
 }
 
 TOKENS = ["0", "1", "2", "5", "-1", "2.5", "-0", "1e400", "nan", "inf", "-inf", "1_0", " 7 ",
-          "99999999999999999999", "", "a", "b", "g1", '"', '"x,y"', "\r", "\x00", "é"]
+          "99999999999999999999", "", "a", "b", "g1", '"', '"x,y"', "\r", "\x00", "é",
+          '"a\nb"', '"a\r\nb"', '"\r"']
 
 JSON_NUMBERS = ["0", "1", "2", "-1", "2.7", "1e400", "-1e400", "Infinity", "NaN", "true", "null",
                 '"2"', "99999999999999999999", "[1]", "{}"]
@@ -78,8 +80,9 @@ field = st.one_of(st.sampled_from(TOKENS), st.text(max_size=4))
 def shaped(kind):
     sep = "\t" if kind == "edges" else ","
     row = st.lists(field, min_size=1, max_size=4).map(sep.join)
-    body = st.lists(row, max_size=6).map("\n".join)
-    return st.tuples(HEADERS[kind], body).map(lambda parts: "".join(parts).encode())
+    eol = st.sampled_from(["\n", "\r\n", "\r"])
+    parts = st.tuples(eol, HEADERS[kind], st.lists(row, max_size=6))
+    return parts.map(lambda p: p[0].join([p[1], *p[2]]).encode())
 
 
 number = st.one_of(st.sampled_from(JSON_NUMBERS), st.integers().map(str))

@@ -255,17 +255,18 @@ def reference_csv(t):
 
 def reference_import(text):
     """import_table as it was, for a well-formed header: a node -> tuple of
-    cells dict, then the row-major coder."""
-    reader = csv.reader(io.StringIO(text))
+    cells dict, then the row-major coder.  A row's error names its last
+    physical line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     k = len(next(reader)) - 1
     rows = {}
-    for lineno, record in enumerate(reader, start=2):
+    for record in reader:
         if not record:
             continue
         if len(record) != k + 1:
-            raise InconsistentArity(f"line {lineno}: expected {k + 1} fields, got {len(record)}")
+            raise InconsistentArity(f"line {reader.line_num}: expected {k + 1} fields, got {len(record)}")
         if record[0] in rows:
-            raise MalformedCsv(f"line {lineno}: duplicate node {record[0]!r}")
+            raise MalformedCsv(f"line {reader.line_num}: duplicate node {record[0]!r}")
         rows[record[0]] = tuple(NULL if v == "" else v for v in record[1:])
     return list(rows), *reference_coding(k, rows)
 
@@ -298,6 +299,7 @@ tables = st.integers(0, 4).flatmap(
 @example((1, {"": ("x\ry",), 'q"': (None,), "é\n": ("",)}))
 @example((3, {}))
 @example((3, {1: (1.5, -2, None), " s ": ("a,b", 1.0, 'q"')}))
+@example((0, {"a\rb": (), "c\r\nd": (), 1: (), "1": ()}))
 @settings(max_examples=300, deadline=None)
 def test_table_csv_matches_the_row_wise_coder_writer_and_reader(table):
     k, rows = table

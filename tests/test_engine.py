@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliqueindex.bitset import CompressedBitset, union
-from cliqueindex.cli import _load_fact
 from cliqueindex.corpus import random_expr, random_function
 from cliqueindex.engine import (
     _parse_measure,
@@ -125,31 +124,70 @@ def test_from_csv_acc_cast():
         FactTable.from_csv("rid,acc,m\n0,x,1\n", acc_cast=int)
 
 
-# -- query mini-language ---------------------------------------------------------
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_from_csv_reads_every_line_ending_and_keeps_quoted_breaks(tmp_path, eol):
+    text = eol.join(["rid,acc,m", '0,"a\r\nb",1', "1,b,2", '2,"\r",3', ""])
+    path = tmp_path / "fact.csv"
+    path.write_bytes(text.encode())
+    for source in (text, path):
+        fact = FactTable.from_csv(source)
+        assert fact.accs == ["a\r\nb", "b", "\r"]
+        assert fact.measures == [1, 2, 3]
 
 
-def reference_from_csv(text, acc_cast=None):
-    """(accs, measures) in rid order, read through csv.DictReader."""
-    reader = csv.DictReader(io.StringIO(text))
-    fields = reader.fieldnames or []
+@pytest.mark.parametrize("text, message", [
+    ("rid,acc,m\n0,a\n", "line 2: short row, 2 of 3 fields"),
+    ("acc,m,rid\na,1\n", "line 2: short row, 2 of 3 fields"),
+    ('rid,acc,m\n0,"a\nb",1\n\n1,b\n', "line 5: short row, 2 of 3 fields"),
+    ("rid,acc,m\n0,a,1\nr,b,1\n", "line 3: bad rid 'r'"),
+    ("rid,acc,m\n0,a,1\n1,b,one\n", "line 3: measure 'one' is not numeric"),
+])
+def test_from_csv_names_the_line_of_a_bad_row(tmp_path, text, message):
+    with pytest.raises(MalformedCsv) as exc:
+        FactTable.from_csv(text)
+    assert str(exc.value) == message
+    path = tmp_path / "fact.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedCsv) as exc:
+        FactTable.from_csv(path)
+    assert str(exc.value) == f"{path} {message}"
+
+
+def reference_from_csv(text, acc_cast=None, where=""):
+    """(accs, measures) in rid order, read through csv.DictReader; a row's
+    error names its line, after `where`."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    names = reader.fieldnames or []
+    # Each row's field count, for a short row's message: DictReader's rows
+    # as lists, after the header.
+    lengths = map(len, filter(None, csv.reader(io.StringIO(text, newline=""))))
+    next(lengths, None)
     for required in ("rid", "acc", "m"):
-        if required not in fields:
+        if required not in names:
             raise MalformedCsv(f"fact CSV is missing column {required!r}")
+    width = max(len(names) - names[::-1].index(name) for name in ("rid", "acc", "m"))
+
+    def error(text):
+        return MalformedCsv(f"{where}line {reader.line_num}: {text}")
+
     rows = []
-    for record in reader:
+    for record, fields in zip(reader, lengths):
+        if None in (record["rid"], record["acc"], record["m"]):
+            raise error(f"short row, {fields} of {width} fields")
         try:
             rid = int(record["rid"])
-        except (TypeError, ValueError):
-            raise MalformedCsv(f"bad rid {record.get('rid')!r}") from None
-        if record["acc"] is None or record["m"] is None:
-            raise MalformedCsv(f"short row for rid {rid}")
+        except ValueError:
+            raise error(f"bad rid {record['rid']!r}") from None
         acc = record["acc"]
         if acc_cast is not None:
             try:
                 acc = acc_cast(acc)
             except ValueError:
-                raise MalformedCsv(f"bad acc {acc!r} for rid {rid}") from None
-        rows.append((rid, acc, _parse_measure(record["m"])))
+                raise error(f"bad acc {acc!r} for rid {rid}") from None
+        try:
+            rows.append((rid, acc, _parse_measure(record["m"])))
+        except MalformedCsv as exc:
+            raise error(str(exc)) from None
     if sorted(r[0] for r in rows) != list(range(len(rows))):
         raise MalformedCsv("rids are not contiguous 0..N-1")
     rows.sort(key=lambda r: r[0])
@@ -159,20 +197,22 @@ def reference_from_csv(text, acc_cast=None):
 @st.composite
 def fact_csvs(draw):
     """Fact CSV text: rid, acc and m among extra (possibly repeated) columns
-    in any order, shuffled rids, int and float measures, and now and then a
-    blank line, a short row, a bad value or a rid out of place."""
+    in any order, shuffled rids, int and float measures, lines ended by
+    "\n", "\r\n" or "\r", quoted fields holding line breaks, and now and
+    then a blank line, a short row, a bad value or a rid out of place."""
     names = draw(st.permutations(["rid", "acc", "m"] + draw(st.lists(
         st.sampled_from(["x", "note", "acc", "m"]), max_size=2))))
     n = draw(st.integers(min_value=0, max_value=12))
     rids = draw(st.permutations(range(n)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     cells = {
         "rid": lambda rid: str(rid),
-        "acc": lambda rid: draw(st.sampled_from(["7", "a", "b c", "", "-3"])),
+        "acc": lambda rid: draw(st.sampled_from(["7", "a", "b c", "", "-3", '"a\nb"', '"a\r\nb"', '"\r"'])),
         "m": lambda rid: draw(st.one_of(st.integers(-9, 9).map(str), st.sampled_from(["2.5", "1e3", "-0.5"]))),
     }
     lines = [",".join(names)]
     for rid in rids:
-        row = [cells.get(name, lambda _: "z")(rid) for name in names]
+        row = [cells.get(name, lambda _: draw(st.sampled_from(["z", '"y\r\nz"'])))(rid) for name in names]
         fault = draw(st.integers(0, 40))
         if fault == 0:
             row[names.index("rid")] = draw(st.sampled_from(["-1", str(n), "r", str(rids[0])]))
@@ -185,7 +225,7 @@ def fact_csvs(draw):
         lines.append(",".join(row))
         if draw(st.integers(0, 8)) == 0:
             lines.append("")
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
 @pytest.fixture(scope="module")
@@ -196,22 +236,25 @@ def fact_path(tmp_path_factory):
 @given(text=fact_csvs(), acc_cast=st.sampled_from([None, int]))
 @settings(max_examples=300, deadline=None)
 def test_from_csv_matches_the_dictreader_reading(fact_path, text, acc_cast):
-    """The text, and a file holding it opened as the CLI opens it (and
-    streamed), read as DictReader read them: same values, same errors."""
-    fact_path.write_text(text, encoding="utf-8")
-    reads = (lambda: FactTable.from_csv(text, acc_cast), lambda: _load_fact(str(fact_path), acc_cast))
-    try:
-        want = reference_from_csv(text, acc_cast)
-    except MalformedCsv as exc:
-        for read in reads:
-            with pytest.raises(MalformedCsv) as got:
-                read()
-            assert str(got.value) == str(exc)
-        return
-    for read in reads:
-        fact = read()
-        assert fact.accs == want[0]
-        assert [(type(m), m) for m in fact.measures] == [(type(m), m) for m in want[1]]
+    """The text, a file holding it read as a path, and the same file opened
+    with newline="" read as DictReader reads them: same values, same errors,
+    a row's error naming its line (and for the path, the file)."""
+    fact_path.write_bytes(text.encode())
+    with open(fact_path, encoding="utf-8", newline="") as fh:
+        for source, where in ((text, ""), (fact_path, f"{fact_path} "), (fh, "")):
+            try:
+                want = reference_from_csv(text, acc_cast, where)
+            except MalformedCsv as exc:
+                with pytest.raises(MalformedCsv) as got:
+                    FactTable.from_csv(source, acc_cast)
+                assert str(got.value) == str(exc)
+                continue
+            fact = FactTable.from_csv(source, acc_cast)
+            assert fact.accs == want[0]
+            assert [(type(m), m) for m in fact.measures] == [(type(m), m) for m in want[1]]
+
+
+# -- query mini-language ---------------------------------------------------------
 
 
 def test_parse_atom():

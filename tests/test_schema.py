@@ -199,6 +199,19 @@ def test_import_reads_lone_carriage_return_line_endings(tmp_path):
                 assert dict(import_table(source).rows) == {"a": ("x",), "b": (NULL,)}
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ('node,c1\n"u\nv",a\nw\n', InconsistentArity, "line 4: expected 2 fields, got 1"),
+    ('node,c1\r"u\r\nv",a\r\r"u\r\nv",b\r', MalformedCsv, "line 6: duplicate node 'u\\r\\nv'"),
+])
+def test_import_names_the_physical_line_after_a_quoted_line_break(tmp_path, text, error, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    for source, where in ((text, ""), (path, f"{path} ")):
+        with pytest.raises(error) as exc:
+            import_table(source)
+        assert str(exc.value) == where + message
+
+
 def test_import_rejects_bad_header():
     with pytest.raises(MalformedCsv):
         import_table("id,c1\nu,a\n")
