@@ -15,6 +15,10 @@ array-form views of a posting index's shared, read-only id arrays,
 whatever their size; no operation writes into an operand.  A column's IN
 list whose postings' runs do not interleave is their concatenation
 (`schema.Postings.union_of`), so it too stays an array at any size.
+The n / DENSE_FRACTION rule governs the form of sets built here and of
+unions, not row expansion: `engine._expand` picks its route from node
+sets to fact rows by its own measured costs, and its array answers may
+hold up to half the rows.
 """
 
 from __future__ import annotations

@@ -485,6 +485,19 @@ def _verify_engine(rng: random.Random, scale: float):
     for k in range(1, 1 << n_levels):  # the one-pass IN list against the scanned Or of its atoms
         want = scan.rid_array(Or(tuple(Atom(level(k), p) for p in ancestor_path(k))))
         yield np.array_equal(tree_fact_query(k, idx).to_array(), want), f"tree_fact_query k={k}"
+    # Subtree ORs on 100 k rows with counts on both sides of n / 4, n / 2
+    # and the 2^15 rows from which engine._expand copies CSR runs.
+    n_levels, rows = 8, 100_000
+    clique = build_tree_schema(n_levels)
+    accs = np.random.default_rng(rng.getrandbits(32)).integers(1 << (n_levels - 1), 1 << n_levels, size=rows)
+    fact = FactTable(accs.tolist(), [0] * rows)
+    idx = build_index(fact, clique)
+    scan = ScanOracle(fact, clique)
+    for q in range(2, n_levels + 1):
+        h = 1 << (q - 1)
+        for m in sorted({1, 2, h // 4, h // 4 + 1, h // 3 + 1, h // 2 - 1, h // 2, h // 2 + 1} & set(range(1, h + 1))):
+            expr = Or(tuple(Atom(q, p) for p in rng.sample(range(h, 2 * h), m)))
+            yield np.array_equal(evaluate(expr, idx).to_array(), scan.rid_array(expr)), f"subtree OR {format_query(expr)}"
 
 
 def cmd_verify(args) -> int:

@@ -885,3 +885,29 @@ def test_input_that_is_not_utf8_exits_one(fact_csv, tmp_path, capsys, command):
     }[command]
     assert main(argv) == 1
     assert "error" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("kind", ["fact", "table", "function", "interval"])
+def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, kind):
+    """The bad byte sits past the text layer's first decoded chunk and
+    after a quoted line break, so it is found on the physical line 3004."""
+    header, first, row = {
+        "fact": ("rid,acc,m", '0,"a\nb",1', "{i},8,1"),
+        "table": ("node,c1", '"a\nb",x', "n{i},x"),
+        "function": ("entry,node", 'e,"a\nb"', "e{i},n{i}"),
+        "interval": ("id,x,y", '"a\nb",0,1', "i{i},0,1"),
+    }[kind]
+    text = "\n".join([header, first] + [row.format(i=i) for i in range(1, 3001)]) + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text.encode() + b"\xff,0,1\n")
+    table = tmp_path / "t.csv"
+    assert main(["build", "tree", "--levels", "4", "--out", str(table)]) == 0
+    argv = {
+        "fact": ["query", "--fact", str(bad), "--clique", str(table), "--expr", "c1='1'"],
+        "table": ["export", "--table", str(bad)],
+        "function": ["materialize", "--function", str(bad)],
+        "interval": ["build", "intervals", "--data", str(bad)],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert _no_traceback(capsys) == f"error: {bad} line 3004: byte 0xff is not UTF-8 (invalid start byte)\n"

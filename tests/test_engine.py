@@ -2,12 +2,15 @@ import csv
 import io
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliqueindex import engine
 from cliqueindex.bitset import CompressedBitset, union
+from cliqueindex.cli import _verify_engine
 from cliqueindex.corpus import random_expr, random_function
 from cliqueindex.engine import (
     _parse_measure,
@@ -25,6 +28,7 @@ from cliqueindex.engine import (
     Not,
     Or,
     parse_query,
+    QueryStats,
     _resolve_codes,
     row_count,
     ScanOracle,
@@ -38,7 +42,7 @@ from cliqueindex.errors import (
     MeasureOverflow,
 )
 from cliqueindex.intersection import build_intersection_graph, greedy_color
-from cliqueindex.schema import CliqueTable, NULL, Postings, materialize
+from cliqueindex.schema import CliqueTable, NULL, PostingIndex, Postings, materialize
 from cliqueindex.tree import build_tree_schema
 
 
@@ -492,6 +496,96 @@ def test_stats_count_atom_postings(tree_setup):
 def test_index_byte_size_positive(tree_setup):
     _, _, idx = tree_setup
     assert idx.byte_size() > 0
+
+
+# -- node set -> rows (engine._expand) -----------------------------------------
+
+
+def rows_through_acc(nodes, idx):
+    """The route the others are checked against: the node set as a slot
+    mask read through acc."""
+    mask = np.zeros(idx.postings.n, dtype=bool)
+    mask[nodes.to_array()] = True
+    return np.flatnonzero(mask.take(idx.acc))
+
+
+@st.composite
+def expand_cases(draw):
+    """A PostingIndex over N nodes holding 0-40 rows each (zero often, so
+    runs span row-less nodes) in a drawn rid order, slot N holding the
+    unresolved rows; a node set over the N + 1 slots in either form; and a
+    run gate and cut around the set's row count."""
+    n_nodes = draw(st.integers(1, 24))
+    sizes = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 3, 17, 40]), min_size=n_nodes + 1, max_size=n_nodes + 1)))
+    acc = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(np.repeat(np.arange(n_nodes + 1), sizes))
+    idx = PostingIndex(Postings(n_nodes, []), acc)
+    slots = n_nodes + 1
+    shape = draw(st.sampled_from(["any", "empty", "one", "all", "range"]))
+    if shape == "any":
+        chosen = sorted(draw(st.sets(st.integers(0, n_nodes))))
+    elif shape == "range":  # abutting slices
+        lo = draw(st.integers(0, n_nodes))
+        chosen = list(range(lo, draw(st.integers(lo, slots))))
+    else:
+        chosen = {"empty": [], "one": [draw(st.integers(0, n_nodes))], "all": list(range(slots))}[shape]
+    ids = np.array(chosen, dtype=np.int32)
+    if draw(st.booleans()):
+        nodes = CompressedBitset(slots, ids=ids)
+    else:
+        mask = np.zeros(slots, dtype=bool)
+        mask[ids] = True
+        nodes = CompressedBitset(slots, mask=mask)
+    count = int(sizes[ids].sum())
+    gate = draw(st.sampled_from([1, max(count, 1), count + 1]))
+    cut = draw(st.integers(1, 128))
+    return idx, nodes, gate, cut
+
+
+@given(expand_cases())
+@settings(max_examples=400, deadline=None)
+def test_expand_matches_the_mask_through_acc(case):
+    idx, nodes, gate, cut = case
+    rows_before = idx.rows.copy()
+    stats = QueryStats()
+    with mock.patch.multiple(engine, _RUN_GATE=gate, _RUN_CUT=cut):
+        got = engine._expand(nodes, idx, stats)
+    want = rows_through_acc(nodes, idx)
+    assert np.array_equal(got.to_array(), want)
+    assert stats.ids_touched == len(want)
+    assert stats.bytes_touched == (idx.acc.nbytes if got.mask is not None else 4 * len(want))
+    assert np.array_equal(idx.rows, rows_before)
+
+
+@given(levels=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       gate=st.sampled_from([1, 8, 10 ** 9]), cut=st.sampled_from([1, 4, 64]))
+@settings(max_examples=150, deadline=None)
+def test_expand_routes_match_the_scan(levels, seed, gate, cut):
+    """Random queries on tree tables whose facts sit mostly on leaves, so
+    the internal nodes hold no rows; some accs are internal or unresolved."""
+    rng = random.Random(seed)
+    clique = build_tree_schema(levels)
+    leaf, top = 1 << (levels - 1), (1 << levels) - 1
+    accs = [rng.choice([rng.randint(leaf, top)] * 6 + [rng.randint(1, top), 10 ** 9]) for _ in range(rng.randint(0, 300))]
+    fact = FactTable(accs, [0] * len(accs))
+    idx = build_index(fact, clique)
+    scan = ScanOracle(fact, clique)
+    with mock.patch.multiple(engine, _RUN_GATE=gate, _RUN_CUT=cut):
+        for _ in range(10):
+            q = random_expr(rng, clique)
+            assert np.array_equal(evaluate(q, idx).to_array(), scan.rid_array(q)), format_query(q)
+
+
+def test_verify_engine_suite_crosses_every_expand_threshold(monkeypatch):
+    """verify's engine suite, from Random(7), agrees with the scan and expands
+    100 k-row node sets on both sides of n / 4, the 2^15-row run gate and
+    n / 2, some of them by the run copy."""
+    rows, runs, expanded, answered = engine._rows, engine._runs, [], []
+    monkeypatch.setattr(engine, "_rows", lambda nodes, idx, count: expanded.append((count, idx.n)) or rows(nodes, idx, count))
+    monkeypatch.setattr(engine, "_runs", lambda *args: answered.append(runs(*args)) or answered[-1])
+    assert all(ok for ok, _ in _verify_engine(random.Random(7), 1.0))
+    bands = {sum(count >= cut for cut in (n / 4, engine._RUN_GATE, n / 2)) for count, n in expanded if n == 100_000}
+    assert bands == {0, 1, 2, 3}
+    assert any(r is not None for r in answered)
 
 
 # -- bench ---------------------------------------------------------------------
