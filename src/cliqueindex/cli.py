@@ -1,19 +1,24 @@
 """Command-line front door.
 
 Machine output (CSV or JSON) goes to stdout or --out; prose goes to
-stderr.  Exit codes: 0 success, 1 domain error (cycle, malformed input,
-bad usage), 2 verification failure (an oracle comparison found a
-mismatch, the strongest failure class).
+stderr.  Every output is UTF-8 with \\n line ends, and every id list
+writes each id as a CSV field (quoted when it holds a comma, a double
+quote, \\r or \\n; the empty id as "").  An output is opened only once
+its answer exists, so a command that exits 1 leaves an existing --out
+file as it was (`build tree` streams, and opens its output first).
+Exit codes: 0 success, 1 domain error (cycle, malformed input, bad
+usage), 2 verification failure (an oracle comparison found a mismatch,
+the strongest failure class).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
 from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +82,14 @@ from .schema import (
     CliqueTable,
     CsvInput,
     compact_colors,
+    csv_lines,
     export_table,
     import_table,
     materialize,
     read_sidecar,
     recover_coloring,
+    sidecar_payload,
     verify_schema,
-    write_sidecar,
     write_table_csv,
 )
 from .tree import (
@@ -110,6 +116,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_stream(path):
+    """The one way an output is opened: the path as UTF-8 with newline=""
+    (each "\\n" written as is), else stdout."""
     return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
 
 
@@ -123,13 +131,17 @@ def _emit_json(payload, path) -> None:
         fh.write("\n")
 
 
+def _emit_ids(ids, path) -> None:
+    """One id per line, each written as a CSV field (schema.csv_lines)."""
+    with _out_stream(path) as fh:
+        fh.writelines(csv_lines([i] for i in ids))
+
+
 # -- ingestion helpers ---------------------------------------------------------
 
 
 def _load_digraph(path: str):
-    with open(path, encoding="utf-8") as fh:
-        edges, isolated = read_edge_list(fh)
-    return build_digraph(edges, isolated=isolated)
+    return build_digraph(*read_edge_list(Path(path)))
 
 
 def _csv_rows(path: str, kind: str, required: tuple[str, ...]):
@@ -185,16 +197,13 @@ def _load_source(args):
 
 def cmd_build_dag(args) -> int:
     g = _load_digraph(args.edges)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for u in g.nodes:
-                fh.write(f"{u}\t\n")
-            for s, t in g.edges:
-                fh.write(f"{s}\t{t}\n")
-        _note(f"wrote normalized edge list to {args.out}")
     payload = {"nodes": len(g.nodes), "edges": len(g.edges)}
     if g.nodes:
         payload["max_down_set"] = max_down_set_size(g)
+    if args.out:
+        with _out_stream(args.out) as fh:
+            fh.writelines(chain((f"{u}\t\n" for u in g.nodes), (f"{s}\t{t}\n" for s, t in g.edges)))
+        _note(f"wrote normalized edge list to {args.out}")
     _emit_json(payload, None)
     return EXIT_OK
 
@@ -202,19 +211,12 @@ def cmd_build_dag(args) -> int:
 def cmd_build_intervals(args) -> int:
     records = _load_intervals(args.data)
     s = build_endpoint_schema(records)
-    export_table(s.clique, args.out or sys.stdout)
+    with _out_stream(args.out) as fh:
+        export_table(s.clique, fh)
     sidecar = _sidecar_path(args)
     if sidecar:
-        write_sidecar(
-            sidecar,
-            s.coloring,
-            {
-                "source": args.data,
-                "kind": "interval-endpoints",
-                "window": s.window,
-                "escalations": s.escalations,
-            },
-        )
+        provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.window, "escalations": s.escalations}
+        _emit_json(sidecar_payload(s.coloring, provenance), sidecar)
     _note(
         f"{len(records)} intervals, {len(s.entries)} entries, k={s.coloring.k}, "
         f"window={s.window}, escalations={s.escalations}"
@@ -262,7 +264,7 @@ def cmd_color(args) -> int:
             clique_lower_bound=clique_lower_bound(f),
         )
         _note(f"colored {len(f)} {f'{args.map} sets' if args.edges else 'entries'} with k={coloring.k}")
-    write_sidecar(args.out, coloring, provenance)
+    _emit_json(sidecar_payload(coloring, provenance), args.out)
     return EXIT_OK
 
 
@@ -294,11 +296,12 @@ def cmd_materialize(args) -> int:
     if not verdict:
         _note(f"verification FAILED at entry {verdict.entry!r}")
         return EXIT_VERIFY
-    export_table(table, args.out or sys.stdout)
+    with _out_stream(args.out) as fh:
+        export_table(table, fh)
     sidecar = _sidecar_path(args)
     if sidecar:
         provenance.update(verified=True, clique_lower_bound=clique_lower_bound(f))
-        write_sidecar(sidecar, coloring, provenance)
+        _emit_json(sidecar_payload(coloring, provenance), sidecar)
     _note(
         f"materialized {len(table)} rows x {table.k} columns, verified, "
         f"k={table.k} >= lower bound {clique_lower_bound(f)}"
@@ -349,10 +352,7 @@ def cmd_query(args) -> int:
         }
         _emit_json(payload, args.out)
     else:
-        with _out_stream(args.out) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rid"])
-            writer.writerows([rid] for rid in evaluate(expr, idx))
+        _emit_ids(chain(["rid"], evaluate(expr, idx).to_array().tolist()), args.out)
     return EXIT_OK
 
 
@@ -365,9 +365,7 @@ def cmd_query_intervals(args) -> int:
     else:
         s = build_endpoint_schema(records)
         ids = interval_query(s, a, b)
-    with _out_stream(args.out) as fh:
-        for i in sorted(ids, key=str):
-            fh.write(f"{i}\n")
+    _emit_ids(sorted(ids, key=str), args.out)
     return EXIT_OK
 
 
@@ -379,9 +377,7 @@ def cmd_query_tree(args) -> int:
         ids = tree_fact_query(args.k, build_index(fact, schema)).to_array()
     else:
         ids = overlap_query(args.k, schema)
-    with _out_stream(args.out) as fh:
-        for i in ids.tolist():
-            fh.write(f"{i}\n")
+    _emit_ids(ids.tolist(), args.out)
     return EXIT_OK
 
 
@@ -572,7 +568,8 @@ def cmd_export(args) -> int:
     table = import_table(Path(args.table))
     if args.compact_colors:
         table, _ = compact_colors(table)
-    export_table(table, args.out or sys.stdout)
+    with _out_stream(args.out) as fh:
+        export_table(table, fh)
     _note(f"{len(table)} rows x {table.k} columns")
     return EXIT_OK
 

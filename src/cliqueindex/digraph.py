@@ -17,6 +17,8 @@ runs on dense integer handles and bitmask sets.
 from __future__ import annotations
 
 import io
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Sequence
@@ -40,6 +42,7 @@ from .intersection import (
     greedy_color,
     mask_positions,
 )
+from .schema import _first_undecodable_line, _not_utf8
 
 NodeId = Hashable
 
@@ -172,30 +175,40 @@ def build_digraph(
 
 
 def read_edge_list(source) -> tuple[list[tuple[str, str]], list[str]]:
-    """Parse the tab-separated edge-list format.
+    """Parse the tab-separated edge-list format from a path (read as UTF-8,
+    lines ending at "\\n", "\\r\\n" or "\\r"), text, bytes or a text file object.
 
     One `source<TAB>target` edge per line; `#` starts a comment line; a line
     `node<TAB>` with empty target declares an isolated node.  Returns
-    (edges, isolated).
+    (edges, isolated).  A malformed line is MalformedCsv naming the line
+    and, for a path, the file, and so is a byte that is not UTF-8; only a
+    path can be reread to find that byte's line, so other sources name none.
     """
-    if isinstance(source, (str, bytes)):
-        fh = io.StringIO(source.decode() if isinstance(source, bytes) else source)
-    else:
-        fh = source
+    path = isinstance(source, os.PathLike)
+    name = os.fspath(source) if path else "edge list"
     edges: list[tuple[str, str]] = []
     isolated: list[str] = []
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise MalformedCsv(f"edge list line {lineno}: expected 'source<TAB>target', got {line!r}")
-        src, tgt = parts
-        if tgt == "":
-            isolated.append(src)
-        else:
-            edges.append((src, tgt))
+    lineno = 0
+    try:
+        if isinstance(source, bytes):
+            source = source.decode()
+        text = io.StringIO(source) if isinstance(source, str) else source
+        with open(source, encoding="utf-8") if path else nullcontext(text) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0]:
+                    raise MalformedCsv(f"{name} line {lineno}: expected 'source<TAB>target', got {line!r}")
+                src, tgt = parts
+                if tgt == "":
+                    isolated.append(src)
+                else:
+                    edges.append((src, tgt))
+    except UnicodeDecodeError as exc:
+        line = f" line {_first_undecodable_line(source) or lineno + 1}" if path else ""
+        raise MalformedCsv(f"{name}{line}: {_not_utf8(exc)}") from None
     return edges, isolated
 
 

@@ -21,9 +21,8 @@ import io
 import json
 import os
 import re
-import sys
 from collections.abc import Mapping
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -461,19 +460,26 @@ def write_table_csv(fh, k: int, blocks: Iterable[np.ndarray], texts: Sequence[st
         fh.write(line * len(cells) % tuple(fields.ravel().tolist()))
 
 
+def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
+    """Each row as one line of CSV text ending in "\\n", the package's one
+    output rule for a field: csv.writer's minimal quoting under a "\\r\\n"
+    terminator, so that a field holding a lone "\\r" is quoted as well as one
+    holding "\\n", '"' or ",", and a row of one empty field reads '""'."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    for row in rows:
+        writer.writerow(row)
+        yield lines.pop()[:-2] + "\n"
+
+
 def export_table(t: CliqueTable, dest=None) -> str | None:
-    """Write the table through write_table_csv, each distinct node and entry
-    escaped once by csv.writer.  With dest None, returns the CSV text;
-    otherwise writes to the given path or file object.
-    """
+    """Write the table through write_table_csv to the text file object dest,
+    each distinct node and entry escaped once by csv_lines; with dest None,
+    return the CSV text."""
     # One row per node, then per entry, padded to two fields unless k is 0:
     # csv.writer quotes an empty field only when it is a row's only field.
-    # The "\r\n" terminator makes it quote a lone "\r" as well as "\n".
-    rows: list[str] = []
     pad = [repeat("")] * min(t.k, 1)
-    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
-    writer.writerows(zip(chain(t._nodes.tolist(), *t.entries), *pad))
-    texts = [row[: -2 - len(pad)] for row in rows]
+    texts = [line[: -1 - len(pad)] for line in csv_lines(zip(chain(t._nodes.tolist(), *t.entries), *pad))]
     # Block cell v stands for texts[v - 1]: node position j is j + 1, and
     # the transpose's entry number g is len(t) + 1 + g.
     indptr, cells, column = t._transpose
@@ -486,10 +492,8 @@ def export_table(t: CliqueTable, dest=None) -> str | None:
         ints[column[g] + 1, np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))] = g + len(t) + 1
         return ints
 
-    blocks = map(block, range(0, len(t), BLOCK_ROWS))
     out = io.StringIO() if dest is None else dest
-    with nullcontext(out) if hasattr(out, "write") else open(out, "w", encoding="utf-8") as fh:
-        write_table_csv(fh, t.k, blocks, texts)
+    write_table_csv(out, t.k, map(block, range(0, len(t), BLOCK_ROWS)), texts)
     return out.getvalue() if dest is None else None
 
 
@@ -509,6 +513,11 @@ def _first_undecodable_line(path) -> int | None:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    """A decode error's text: its first bad byte and why."""
+    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+
+
 class CsvInput(AbstractContextManager):
     """One CSV input read by the package's one rule, in a `with`: a path is
     opened as UTF-8 with newline="", text is wrapped likewise and a file
@@ -517,8 +526,10 @@ class CsvInput(AbstractContextManager):
     The header is the first row of `reader` (or read by `columns`);
     iterating then gives the rows after it, blank lines skipped.
     `error` names the last physical line read and, for a path, the file;
-    a csv.Error leaving the `with` becomes such a MalformedCsv, and so does
-    a path's UnicodeDecodeError, naming the line of the first bad byte."""
+    a csv.Error leaving the `with` becomes such a MalformedCsv.  So does a
+    UnicodeDecodeError: for a path it names the line of the first bad byte,
+    found by rereading the file, and for a file object, which cannot be
+    reread, no line."""
 
     def __init__(self, source):
         self._where = f"{os.fspath(source)} " if isinstance(source, os.PathLike) else ""
@@ -533,10 +544,9 @@ class CsvInput(AbstractContextManager):
             self._file.close()
         if isinstance(exc, csv.Error):
             raise self.error(str(exc)) from None
-        if isinstance(exc, UnicodeDecodeError) and self._where:
-            text = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            line = _first_undecodable_line(self._file.name) or self.reader.line_num
-            raise MalformedCsv(f"{self._where}line {line}: {text}") from None
+        if isinstance(exc, UnicodeDecodeError):
+            line = self._where and f"line {_first_undecodable_line(self._file.name) or self.reader.line_num}: "
+            raise MalformedCsv(f"{self._where}{line}{_not_utf8(exc)}") from None
 
     def __iter__(self) -> Iterator[list[str]]:
         return filter(None, self.reader)  # csv.reader reads a blank line as []
@@ -581,17 +591,10 @@ def import_table(source) -> CliqueTable:
     return CliqueTable.from_postings(nodes, postings)
 
 
-def write_sidecar(path, c: EntryColoring, provenance: dict) -> None:
-    """JSON sidecar giving k, the entry -> color map, and provenance notes;
-    written to stdout when no path is given."""
-    payload = {
-        "k": c.k,
-        "coloring": {str(e): i for e, i in c.assignment.items()},
-        "provenance": provenance,
-    }
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def sidecar_payload(c: EntryColoring, provenance: dict) -> dict:
+    """The JSON sidecar that read_sidecar reads: k, the entry -> color map
+    (entries as strings) and provenance notes."""
+    return {"k": c.k, "coloring": {str(e): i for e, i in c.assignment.items()}, "provenance": provenance}
 
 
 def read_sidecar(path) -> tuple[EntryColoring, dict]:
@@ -605,6 +608,8 @@ def read_sidecar(path) -> tuple[EntryColoring, dict]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedCsv(f"sidecar {path}: not JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedCsv(f"sidecar {path}: {_not_utf8(exc)}") from None
     try:
         k, assignment = payload["k"], dict(payload["coloring"].items())
         provenance = payload.get("provenance", {})

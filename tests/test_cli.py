@@ -636,7 +636,7 @@ def test_a_node_holding_a_crlf_joins_its_fact_rows(tmp_path, capsys):
     """The table and the fact file both keep the quoted "\r\n" of node
     "a\r\nb", so both fact rows resolve."""
     clique = tmp_path / "t.csv"
-    export_table(CliqueTable(1, {"a\r\nb": ("x",), "c": ("x",)}), clique)
+    clique.write_text(export_table(CliqueTable(1, {"a\r\nb": ("x",), "c": ("x",)})), encoding="utf-8", newline="")
     facts = tmp_path / "fact.csv"
     facts.write_bytes(b'rid,acc,m\n0,"a\r\nb",5\n1,c,7\n')
     query = ["query", "--fact", str(facts), "--clique", str(clique), "--expr", "c1='x'"]
@@ -651,7 +651,7 @@ def test_function_and_interval_files_keep_a_quoted_crlf(tmp_path, capsys):
     data = tmp_path / "iv.csv"
     data.write_bytes(b'id,x,y\n"i\r\n0",0,1\nj,5,6\n')
     assert main(["query-intervals", "--data", str(data), "--a", "0", "--b", "1"]) == 0
-    assert capsys.readouterr().out == "i\r\n0\n"
+    assert capsys.readouterr().out == '"i\r\n0"\n'
     function = tmp_path / "f.csv"
     function.write_bytes(b'entry,node\r\n"g\r\n1","a\r\nb"\r\n"g\r\n1",c\r\n')
     table = tmp_path / "t.csv"
@@ -857,7 +857,7 @@ def test_csv_field_over_the_csv_limit_exits_one(tmp_path, capsys, argv, header):
 def test_export_of_a_table_holding_carriage_returns_is_byte_stable(tmp_path):
     table = CliqueTable(2, {"a\rb": ("x\r\ny", None), "c\nd": (None, "z\r"), "plain": ("\r", "q")})
     first, second, third = (tmp_path / f"{name}.csv" for name in ("first", "second", "third"))
-    export_table(table, first)
+    first.write_text(export_table(table), encoding="utf-8", newline="")
     assert main(["export", "--table", str(first), "--out", str(second)]) == 0
     assert main(["export", "--table", str(second), "--out", str(third)]) == 0
     data = first.read_bytes()
@@ -911,3 +911,59 @@ def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, kind):
     capsys.readouterr()
     assert main(argv) == 1
     assert _no_traceback(capsys) == f"error: {bad} line 3004: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+ODD_IDS = ["a\nb", "c,d", "e\rf", ""]
+
+
+def test_ids_that_need_quoting_read_back_through_csv(tmp_path, capsys):
+    """query-intervals prints each id as a CSV field, the empty id as '""',
+    and build intervals writes them as table nodes by the same rule."""
+    data = tmp_path / "iv.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["id", "x", "y"]] + [[i, 0, 1] for i in ODD_IDS])
+    argv = ["query-intervals", "--data", str(data), "--a", "0", "--b", "1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == '""\n"a\nb"\n"c,d"\n"e\rf"\n'
+    assert list(csv.reader(io.StringIO(printed, newline=""))) == [[i] for i in sorted(ODD_IDS)]
+    out, table = tmp_path / "ids.csv", tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+    assert main(["build", "intervals", "--data", str(data), "--out", str(table)]) == 0
+    with open(table, encoding="utf-8", newline="") as fh:
+        assert sorted(row[0] for row in list(csv.reader(fh))[1:]) == sorted(ODD_IDS)
+
+
+def test_a_failing_query_leaves_its_out_file_as_it_was(tmp_path, capsys, fact_csv):
+    """The rids, --sum and --check: the output is opened only once the
+    answer exists."""
+    clique, out = tmp_path / "t.csv", tmp_path / "answer.csv"
+    assert main(["build", "tree", "--levels", "4", "--out", str(clique)]) == 0
+    out.write_bytes(b"kept\r\n")
+    capsys.readouterr()
+    argv = ["query", "--fact", fact_csv, "--clique", str(clique), "--expr", "c999='n0'", "--out", str(out)]
+    for extra in [], ["--sum"], ["--check"]:
+        assert main(argv + extra) == 1
+        assert _no_traceback(capsys) == "error: column c999 outside 1..c4\n"
+        assert out.read_bytes() == b"kept\r\n"
+
+
+def test_build_dag_names_the_file_and_line_of_a_bad_edge_list(tmp_path, capsys):
+    """Lines end in "\r" and "\r\n" and the bad byte sits past the text
+    layer's first decoded chunk, so only a reread finds its line."""
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"a\tb\r" + b"".join(b"n%d\tm%d\r\n" % (i, i) for i in range(3000)) + b"\xff\tq\n")
+    assert main(["build", "dag", "--edges", str(bad)]) == 1
+    assert _no_traceback(capsys) == f"error: {bad} line 3002: byte 0xff is not UTF-8 (invalid start byte)\n"
+    bad.write_bytes(b"a\tb\rb\tc\td\n")
+    assert main(["build", "dag", "--edges", str(bad)]) == 1
+    assert _no_traceback(capsys) == f"error: {bad} line 2: expected 'source<TAB>target', got 'b\\tc\\td'\n"
+
+
+def test_a_sidecar_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    function = write(tmp_path / "f.csv", "entry,node\ng1,a\n")
+    sidecar = tmp_path / "c.json"
+    sidecar.write_bytes(b'{"k": 1, "coloring": {"g\xff": 1}}')
+    assert main(["materialize", "--function", function, "--coloring", str(sidecar)]) == 1
+    assert _no_traceback(capsys) == f"error: sidecar {sidecar}: byte 0xff is not UTF-8 (invalid start byte)\n"

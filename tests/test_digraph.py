@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -444,3 +445,18 @@ def test_read_edge_list_rejects_malformed_line():
 def test_pair_edges_constant_is_consistent(pair_dag):
     assert set(pair_dag.nodes) == PAIR_NODES
     assert len(pair_dag.edges) == len(PAIR_EDGES)
+
+
+def test_read_edge_list_names_a_path_and_not_a_file_object(tmp_path):
+    """Both name the line of a malformed edge; a byte that is not UTF-8
+    is MalformedCsv too, and only a path can be reread to find its line."""
+    path = tmp_path / "e.tsv"
+    path.write_bytes(b"a\tb\rb\tc\td\n")
+    with pytest.raises(MalformedCsv, match=rf"^{re.escape(str(path))} line 2: expected"):
+        read_edge_list(path)
+    path.write_bytes(b"a\tb\r\n# \xff\n")
+    with pytest.raises(MalformedCsv, match=rf"^{re.escape(str(path))} line 2: byte 0xff is not UTF-8"):
+        read_edge_list(path)
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(MalformedCsv, match=r"^edge list: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+            read_edge_list(fh)

@@ -29,7 +29,6 @@ from cliqueindex.engine import (
     Or,
     parse_query,
     QueryStats,
-    _resolve_codes,
     row_count,
     ScanOracle,
     selectivity,
@@ -356,10 +355,21 @@ def test_not_includes_unresolved_rows():
     assert scan.rid_array(Not(Atom(3, 4))).tolist() == [1, 2]
 
 
+def test_scan_oracle_codes_only_the_columns_its_atoms_read():
+    clique = build_tree_schema(4)
+    fact = FactTable([8, 9, 3, 99], [1, 1, 1, 1])
+    scan = ScanOracle(fact, clique)
+    assert scan.rid_array(And((Atom(3, 4), Not(Atom(4, 9))))).tolist() == [0]
+    assert sorted(scan._codes) == [3, 4]
+    codes = clique.entry_codes[1]
+    assert scan.row_codes(2).tolist() == [codes[2], codes[2], codes[3], -1]
+
+
 def fact_row_postings(fact, clique):
     """The fact-row posting index node-space evaluation replaced: each
     column's postings copied into rid space, one row code per fact row."""
-    return Postings.from_codes(fact.n, zip(clique.entry_codes, _resolve_codes(fact, clique)))
+    scan = ScanOracle(fact, clique)
+    return Postings.from_codes(fact.n, ((codes, scan.row_codes(i)) for i, codes in enumerate(clique.entry_codes, 1)))
 
 
 def fact_row_evaluate(q, postings):

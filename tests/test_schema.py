@@ -1,4 +1,6 @@
 import io
+import json
+import re
 
 import pytest
 
@@ -19,8 +21,8 @@ from cliqueindex.schema import (
     NULL,
     read_sidecar,
     recover_coloring,
+    sidecar_payload,
     verify_schema,
-    write_sidecar,
 )
 
 
@@ -184,7 +186,7 @@ def test_csv_round_trip_keeps_carriage_returns_and_newlines(tmp_path):
         text = export_table(t)
         assert dict(import_table(text).rows) == dict(t.rows)
         dest = tmp_path / "t.csv"
-        export_table(t, dest)
+        dest.write_text(text, encoding="utf-8", newline="")
         assert dict(import_table(dest).rows) == dict(t.rows)
         with open(dest, encoding="utf-8", newline="") as fh:
             assert dict(import_table(fh).rows) == dict(t.rows)
@@ -271,8 +273,20 @@ def test_sidecar_round_trip(tmp_path):
     f = fn(a={1, 2}, b={2, 3})
     c = colored(f)
     path = tmp_path / "c.json"
-    write_sidecar(path, c, {"origin": "unit-test"})
+    path.write_text(json.dumps(sidecar_payload(c, {"origin": "unit-test"})), encoding="utf-8")
     back, meta = read_sidecar(path)
     assert back.k == c.k
     assert back.assignment == c.assignment
     assert meta["origin"] == "unit-test"
+
+
+def test_a_file_object_that_is_not_utf8_is_malformed_csv(tmp_path):
+    """Only a path can be reread to find the bad byte's line, so a file
+    object's error names none."""
+    dest = tmp_path / "t.csv"
+    dest.write_bytes(b"node,c1\na,x\n\xff,y\n")
+    with open(dest, encoding="utf-8", newline="") as fh:
+        with pytest.raises(MalformedCsv, match=r"^byte 0xff is not UTF-8 \(invalid start byte\)$"):
+            import_table(fh)
+    with pytest.raises(MalformedCsv, match=rf"^{re.escape(str(dest))} line 3: byte 0xff is not UTF-8"):
+        import_table(dest)
