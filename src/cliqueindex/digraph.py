@@ -16,9 +16,7 @@ runs on dense integer handles and bitmask sets.
 
 from __future__ import annotations
 
-import io
-import os
-from contextlib import nullcontext
+import csv
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Sequence
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import (
     CycleDetected,
     EmptyDigraph,
-    MalformedCsv,
     TooLargeForExact,
     UnknownNode,
 )
@@ -42,7 +39,7 @@ from .intersection import (
     greedy_color,
     mask_positions,
 )
-from .schema import _first_undecodable_line, _not_utf8
+from .schema import CsvInput
 
 NodeId = Hashable
 
@@ -174,41 +171,33 @@ def build_digraph(
     return AcyclicDigraph(nodes, edges)
 
 
-def read_edge_list(source) -> tuple[list[tuple[str, str]], list[str]]:
-    """Parse the tab-separated edge-list format from a path (read as UTF-8,
-    lines ending at "\\n", "\\r\\n" or "\\r"), text, bytes or a text file object.
+class EdgeListDialect(csv.excel_tab):
+    quoting = csv.QUOTE_NONE  # tab-separated, `"` an ordinary character
 
-    One `source<TAB>target` edge per line; `#` starts a comment line; a line
-    `node<TAB>` with empty target declares an isolated node.  Returns
-    (edges, isolated).  A malformed line is MalformedCsv naming the line
-    and, for a path, the file, and so is a byte that is not UTF-8; only a
-    path can be reread to find that byte's line, so other sources name none.
+
+def read_edge_list(source) -> tuple[list[tuple[str, str]], list[str]]:
+    """Parse the tab-separated edge-list format from a `CsvInput` source (a
+    path, text or a file object), read in EdgeListDialect.
+
+    One `source<TAB>target` edge per line; `#` starts a comment line and a
+    blank line is skipped; a line `node<TAB>` with empty target declares an
+    isolated node.  Returns (edges, isolated).  A malformed line is
+    MalformedCsv naming its line and, for a path, the file.
     """
-    path = isinstance(source, os.PathLike)
-    name = os.fspath(source) if path else "edge list"
     edges: list[tuple[str, str]] = []
     isolated: list[str] = []
-    lineno = 0
-    try:
-        if isinstance(source, bytes):
-            source = source.decode()
-        text = io.StringIO(source) if isinstance(source, str) else source
-        with open(source, encoding="utf-8") if path else nullcontext(text) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0]:
-                    raise MalformedCsv(f"{name} line {lineno}: expected 'source<TAB>target', got {line!r}")
-                src, tgt = parts
-                if tgt == "":
-                    isolated.append(src)
-                else:
-                    edges.append((src, tgt))
-    except UnicodeDecodeError as exc:
-        line = f" line {_first_undecodable_line(source) or lineno + 1}" if path else ""
-        raise MalformedCsv(f"{name}{line}: {_not_utf8(exc)}") from None
+    with CsvInput(source, EdgeListDialect) as rows:
+        for fields in rows:
+            line = "\t".join(fields)
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            if len(fields) != 2 or not fields[0]:
+                raise rows.error(f"expected 'source<TAB>target', got {line!r}")
+            src, tgt = fields
+            if tgt == "":
+                isolated.append(src)
+            else:
+                edges.append((src, tgt))
     return edges, isolated
 
 

@@ -520,9 +520,10 @@ def _not_utf8(exc: UnicodeDecodeError) -> str:
 
 class CsvInput(AbstractContextManager):
     """One CSV input read by the package's one rule, in a `with`: a path is
-    opened as UTF-8 with newline="", text is wrapped likewise and a file
-    object (opened with newline="") is read as is.  RFC 4180 quoting;
-    lines end at "\\n", "\\r\\n" or "\\r" and quoted line breaks are kept.
+    opened as UTF-8 (a leading BOM dropped) with newline="", text is wrapped
+    likewise and a file object (opened with newline="") is read as is.  The
+    csv dialect (RFC 4180 by default; the edge list passes its own) splits
+    lines at "\\n", "\\r\\n" or "\\r", keeping quoted line breaks.
     The header is the first row of `reader` (or read by `columns`);
     iterating then gives the rows after it, blank lines skipped.
     `error` names the last physical line read and, for a path, the file;
@@ -531,13 +532,13 @@ class CsvInput(AbstractContextManager):
     found by rereading the file, and for a file object, which cannot be
     reread, no line."""
 
-    def __init__(self, source):
+    def __init__(self, source, dialect="excel"):
         self._where = f"{os.fspath(source)} " if isinstance(source, os.PathLike) else ""
         if self._where:
-            source = self._file = open(source, encoding="utf-8", newline="")
+            source = self._file = open(source, encoding="utf-8-sig", newline="")
         elif isinstance(source, str):
             source = io.StringIO(source, newline="")
-        self.reader = csv.reader(source)
+        self.reader = csv.reader(source, dialect)
 
     def __exit__(self, kind, exc, tb) -> None:
         if self._where:
@@ -603,7 +604,7 @@ def read_sidecar(path) -> tuple[EntryColoring, dict]:
     provenance object.  k and the colors must be JSON integers (not 2.7,
     true or 1e400), each color in 1..k, and k at most the entry count: a
     proper coloring needs no more, and k sizes the table that is built."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -667,6 +667,7 @@ ENDED_CORPUS = {
     "fact": ["rid,acc,m", '2,"p\r\nq",1', "0,b,2", "1,c,3", "3,zz,4", '4,"p\r\nq",2.5'],
     "table": ["node,c1,c2", '"p\r\nq",g1,', "b,g1,g2", 'c,"g\n3",g2'],
     "tree_fact": ["acc,m,rid", "5,1,0", "10,2,2", "11,3,1", "3,4,3"],
+    "edges": ["# a comment", "r\ta", "r\tb", "", "a\tc", 'b\t"q', "lonely\t"],
 }
 ENDED_COMMANDS = {
     "build-intervals": ["build", "intervals", "--data", "{intervals}"],
@@ -680,6 +681,9 @@ ENDED_COMMANDS = {
     "query-check": ["query", "--fact", "{fact}", "--clique", "{table}", "--expr", "c1='g\n3' | c1='g1'", "--check"],
     "query-tree": ["query-tree", "--levels", "4", "--k", "5", "--fact", "{tree_fact}"],
     "export": ["export", "--table", "{table}", "--compact-colors"],
+    "build-dag": ["build", "dag", "--edges", "{edges}"],
+    "color-edges": ["color", "--edges", "{edges}", "--map", "ancestors"],
+    "materialize-edges": ["materialize", "--edges", "{edges}"],
 }
 
 
@@ -697,6 +701,35 @@ def test_every_line_ending_prints_the_same_output(tmp_path, capsys, command):
     assert results[0][0] == 0 and results[0][1]
     assert results[1:] == results[:1] * 2
 
+
+
+# Each input kind, a command that reads it ("{}" the file under test) and
+# the file's text.
+BOM_INPUTS = {
+    "edges": (["materialize", "--edges", "{}"], "r\ta\nr\tb\na\tc\n"),
+    "function": (["materialize", "--function", "{}"], "entry,node\ng1,a\ng1,b\ng2,b\n"),
+    "intervals": (["query-intervals", "--data", "{}", "--a", "0", "--b", "1"], "id,x,y\ni0,0,1\ni1,2,3\n"),
+    "fact": (["query", "--fact", "{}", "--clique", "{table}", "--expr", "c1='g1'", "--sum"], "rid,acc,m\n0,a,1\n1,b,2\n"),
+    "table": (["export", "--table", "{}"], "node,c1,c2\na,g1,\nb,g1,g2\n"),
+    "sidecar": (["materialize", "--function", "{function}", "--coloring", "{}"], '{"k": 2, "coloring": {"g1": 1, "g2": 2}}'),
+}
+
+
+@pytest.mark.parametrize("kind", list(BOM_INPUTS))
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, kind):
+    """A file that starts with a UTF-8 byte-order mark prints exactly what
+    the same file without it prints."""
+    argv, text = BOM_INPUTS[kind]
+    table = write(tmp_path / "t.csv", BOM_INPUTS["table"][1])
+    function = write(tmp_path / "f.csv", BOM_INPUTS["function"][1])
+    data = tmp_path / f"{kind}.in"
+    results = []
+    for bom in [b"", b"\xef\xbb\xbf"]:
+        data.write_bytes(bom + text.encode())
+        code = main([arg.format(data, table=table, function=function) for arg in argv])
+        results.append((code, *capsys.readouterr()))
+    assert results[0][0] == 0 and results[0][1]
+    assert results[1] == results[0]
 
 def reorder(text, names):
     """The CSV text with its columns in the order `names`; a name the header

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import re
@@ -442,6 +443,26 @@ def test_read_edge_list_rejects_malformed_line():
     assert "2" in str(exc.value)
 
 
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r", "mixed"], ids=["lf", "crlf", "cr", "mixed"])
+def test_read_edge_list_splits_lines_alike_from_text_a_path_and_a_file_object(tmp_path, eol):
+    """One input rule: the same bytes give the same edges whichever source
+    holds them, and `"` is an ordinary character."""
+    lines = ["# comment", "a\tb", "", "b\tc", '"q\t"r', "lonely\t", "  ", "c\td"]
+    ends = ["\n", "\r\n", "\r"] * 3 if eol == "mixed" else [eol] * len(lines)
+    text = "".join(line + end for line, end in zip(lines, ends))
+    path = tmp_path / "e.tsv"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_file = read_edge_list(fh)
+    expected = ([("a", "b"), ("b", "c"), ('"q', '"r'), ("c", "d")], ["lonely"])
+    assert read_edge_list(text) == read_edge_list(path) == from_file == expected
+
+
+def test_read_edge_list_rejects_a_field_over_the_csv_field_limit():
+    with pytest.raises(MalformedCsv, match=r"^line 2: field larger than field limit"):
+        read_edge_list("a\tb\nc\t" + "d" * (csv.field_size_limit() + 1) + "\n")
+
 def test_pair_edges_constant_is_consistent(pair_dag):
     assert set(pair_dag.nodes) == PAIR_NODES
     assert len(pair_dag.edges) == len(PAIR_EDGES)
@@ -458,5 +479,5 @@ def test_read_edge_list_names_a_path_and_not_a_file_object(tmp_path):
     with pytest.raises(MalformedCsv, match=rf"^{re.escape(str(path))} line 2: byte 0xff is not UTF-8"):
         read_edge_list(path)
     with open(path, encoding="utf-8") as fh:
-        with pytest.raises(MalformedCsv, match=r"^edge list: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+        with pytest.raises(MalformedCsv, match=r"^byte 0xff is not UTF-8 \(invalid start byte\)$"):
             read_edge_list(fh)
