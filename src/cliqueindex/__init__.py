@@ -52,14 +52,12 @@ from .engine import (
     evaluate_with_stats,
     format_query,
     parse_query,
-    selectivity,
 )
 from .errors import (
     CliqueIndexError,
     ColorCollision,
     CycleDetected,
     EmptyDigraph,
-    EmptyFactTable,
     EmptyInput,
     InconsistentArity,
     InvalidRange,
@@ -100,7 +98,6 @@ from .tree import (
     build_tree_schema,
     entry_members,
     extent,
-    iter_tree_rows,
     level,
     map_point_to_leaf,
     map_range_to_cover,

@@ -1,29 +1,29 @@
 """Row-id sets over a dense universe 0..n-1, in one of two numpy forms.
 
 A set is either a sorted array of unique ids or a bool mask of length n.
-The form follows the container rule of Chambi, Lemire, Kaser & Godin,
-*Better bitmap performance with Roaring bitmaps* (SPE 2016), applied to
-the whole universe: a set built from ids is an array below n / DENSE_FRACTION
-ids and a mask at or above it, and a union is an array when its operands
-are arrays holding fewer ids than that in total.  Roaring cuts where both
-containers take the same space: here a byte of mask per row against four
-per int32 id, n / 4, which is also where a union costs the same by sort as
-through a mask (measured at 100k and 500k rows).  A complement is always
-a mask.  An intersection with an array operand, and a difference from an
-array, are arrays, since they can only shrink it.  Posting lists are
-array-form views of a posting index's shared, read-only id arrays,
-whatever their size; no operation writes into an operand.  A column's IN
-list whose postings' runs do not interleave is their concatenation
-(`schema.Postings.union_of`), so it too stays an array at any size.
-The n / DENSE_FRACTION rule governs the form of sets built here and of
-unions, not row expansion: `engine._expand` picks its route from node
-sets to fact rows by its own measured costs, and its array answers may
-hold up to half the rows.
+Sets come from posting views, unions, intersections and complements,
+never from loose ids.  Posting lists are array-form views of a posting
+index's shared, read-only id arrays, whatever their size; no operation
+writes into an operand.  A union follows the container rule of Chambi,
+Lemire, Kaser & Godin, *Better bitmap performance with Roaring bitmaps*
+(SPE 2016), applied to the whole universe: it is an array when its
+operands are arrays holding fewer than n / DENSE_FRACTION ids in total,
+and a mask otherwise.  Roaring cuts where both containers take the same
+space: here a byte of mask per row against four per int32 id, n / 4,
+which is also where a union costs the same by sort as through a mask
+(measured at 100k and 500k rows).  A complement is always a mask.  An
+intersection with an array operand is an array, since it can only shrink
+it.  A column's IN list whose postings' runs do not interleave is their
+concatenation (`schema.Postings.union_of`), so it too stays an array at
+any size.  The n / DENSE_FRACTION rule governs the form of unions, not
+row expansion: `engine._expand` picks its route from node sets to fact
+rows by its own measured costs, and its array answers may hold up to half
+the rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,23 +63,6 @@ class CompressedBitset:
     def empty(cls, n: int) -> "CompressedBitset":
         return cls(n, ids=np.empty(0, dtype=np.int64))
 
-    @classmethod
-    def full(cls, n: int) -> "CompressedBitset":
-        return cls(n, mask=np.ones(n, dtype=bool))
-
-    @classmethod
-    def from_ids(cls, n: int, ids: Iterable[int]) -> "CompressedBitset":
-        return cls.from_sorted_array(n, np.unique(np.fromiter(ids, dtype=np.int64)))
-
-    @classmethod
-    def from_sorted_array(cls, n: int, ids: np.ndarray) -> "CompressedBitset":
-        """From an ascending unique int array, in the form its size calls for."""
-        if len(ids) and (ids[0] < 0 or ids[-1] >= n):
-            raise ValueError(f"row ids outside universe 0..{n - 1}")
-        if not _is_dense(len(ids), n):
-            return cls(n, ids=ids)
-        return cls(n, mask=_scatter(np.zeros(n, dtype=bool), ids, True))
-
     # -- algebra ---------------------------------------------------------------
 
     def _has(self, values: np.ndarray) -> np.ndarray:
@@ -109,12 +92,6 @@ class CompressedBitset:
     def __or__(self, other: "CompressedBitset") -> "CompressedBitset":
         return union(self.n, (self, other))
 
-    def __sub__(self, other: "CompressedBitset") -> "CompressedBitset":
-        _check(self.n, other)
-        if self.ids is not None:
-            return CompressedBitset(self.n, ids=np.compress(~other._has(self.ids), self.ids))
-        return self & other.complement()
-
     def complement(self) -> "CompressedBitset":
         """All row ids of the universe not in this set, as a mask."""
         if self.mask is not None:
@@ -131,25 +108,16 @@ class CompressedBitset:
     def __len__(self) -> int:
         return self.cardinality()
 
-    def __contains__(self, rid: int) -> bool:
-        return 0 <= rid < self.n and bool(self._has(np.array([rid]))[0])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompressedBitset):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.to_array(), other.to_array())
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_array().tolist())
 
     def to_array(self) -> np.ndarray:
         """Ascending row ids as a new int64 array."""
         if self.ids is not None:
             return self.ids.astype(np.int64)
         return np.flatnonzero(self.mask).astype(np.int64, copy=False)
-
-    def to_ids(self) -> list[int]:
-        return self.to_array().tolist()
 
     def byte_size(self) -> int:
         """Bytes of the id array or mask behind this set."""

@@ -125,10 +125,14 @@ def _note(text: str) -> None:
     print(text, file=sys.stderr)
 
 
+def _write_json(payload, fh) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _emit_json(payload, path) -> None:
     with _out_stream(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(payload, fh)
 
 
 def _emit_ids(ids, path) -> None:
@@ -172,9 +176,15 @@ def _load_function(path: str) -> SetValuedFunction:
     return SetValuedFunction.from_pairs(pair for _, pair in _csv_rows(path, "function", ("entry", "node")))
 
 
-def _sidecar_path(args):
-    """--sidecar, else the --out table path plus .sidecar.json, else none."""
-    return args.sidecar or (args.out + ".sidecar.json" if args.out else None)
+def _emit_table(table: CliqueTable, payload, args) -> None:
+    """Export the table to --out and the sidecar payload to --sidecar, else
+    to the --out path plus .sidecar.json, else nowhere.  The sidecar is
+    opened first, so a sidecar that cannot be opened leaves --out as it was."""
+    path = args.sidecar or (args.out + ".sidecar.json" if args.out else None)
+    with _out_stream(path) if path else nullcontext() as side, _out_stream(args.out) as fh:
+        export_table(table, fh)
+        if side is not None:
+            _write_json(payload, side)
 
 
 def _load_source(args):
@@ -211,12 +221,8 @@ def cmd_build_dag(args) -> int:
 def cmd_build_intervals(args) -> int:
     records = _load_intervals(args.data)
     s = build_endpoint_schema(records)
-    with _out_stream(args.out) as fh:
-        export_table(s.clique, fh)
-    sidecar = _sidecar_path(args)
-    if sidecar:
-        provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.window, "escalations": s.escalations}
-        _emit_json(sidecar_payload(s.coloring, provenance), sidecar)
+    provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.window, "escalations": s.escalations}
+    _emit_table(s.clique, sidecar_payload(s.coloring, provenance), args)
     _note(
         f"{len(records)} intervals, {len(s.entries)} entries, k={s.coloring.k}, "
         f"window={s.window}, escalations={s.escalations}"
@@ -296,12 +302,8 @@ def cmd_materialize(args) -> int:
     if not verdict:
         _note(f"verification FAILED at entry {verdict.entry!r}")
         return EXIT_VERIFY
-    with _out_stream(args.out) as fh:
-        export_table(table, fh)
-    sidecar = _sidecar_path(args)
-    if sidecar:
-        provenance.update(verified=True, clique_lower_bound=clique_lower_bound(f))
-        _emit_json(sidecar_payload(coloring, provenance), sidecar)
+    provenance.update(verified=True, clique_lower_bound=clique_lower_bound(f))
+    _emit_table(table, sidecar_payload(coloring, provenance), args)
     _note(
         f"materialized {len(table)} rows x {table.k} columns, verified, "
         f"k={table.k} >= lower bound {clique_lower_bound(f)}"
@@ -438,6 +440,9 @@ def _verify_intervals(rng: random.Random, scale: float):
         records = corpus.random_intervals(rng, rng.randint(1, 60))
         s = build_endpoint_schema(records)
         schemas = bucketed_schema(records)
+        yield bool(verify_schema(s.function, s.clique, s.coloring)), f"corpus #{i} schema verify"
+        for j, t in enumerate(schemas):
+            yield bool(verify_schema(t.function, t.clique, t.coloring)), f"corpus #{i} bucket #{j} schema verify"
         span = 1200
         for _ in range(20):
             a = rng.uniform(-10, span)

@@ -147,9 +147,6 @@ class AcyclicDigraph:
         i = self._require(u)
         return self._unmask(self._all_anc_masks()[i])
 
-    def topological_order(self) -> tuple[NodeId, ...]:
-        return tuple(self.nodes[i] for i in self._topo)
-
     def __len__(self) -> int:
         return len(self.nodes)
 

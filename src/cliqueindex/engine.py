@@ -26,21 +26,28 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .bitset import DENSE_FRACTION, CompressedBitset, union
-from .errors import EmptyFactTable, MalformedCsv, MalformedExpr, MeasureOverflow, OutOfRange
+from .errors import MalformedCsv, MalformedExpr, MeasureOverflow, OutOfRange
 from .schema import CliqueTable, CsvInput, PostingIndex
 
 
+# CSV number syntax: an optional sign, ASCII digits with an optional
+# fraction, and an optional exponent; no digit-group underscores, no padding.
+_CSV_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _parse_measure(text: str):
+    # A plain digit string, most measures, needs no pattern match.
+    if not (text.isascii() and text.isdigit()) and _CSV_NUMBER.fullmatch(text) is None:
+        # float() reads these words; name them for what they would do to a sum
+        finite = text.lstrip("+-").lower() not in ("nan", "inf", "infinity")
+        raise MalformedCsv(f"measure {text!r} is not {'numeric' if finite else 'finite'}")
     try:
         return int(text)
-    except ValueError:
-        try:
-            value = float(text)
-        except ValueError:
-            raise MalformedCsv(f"measure {text!r} is not numeric") from None
-        if not math.isfinite(value):  # nan, inf and 1e999 would poison every sum
-            raise MalformedCsv(f"measure {text!r} is not finite")
-        return value
+    except ValueError:  # a fraction or an exponent, or more digits than int() reads
+        value = float(text)
+    if not math.isfinite(value):  # 1e999 would poison every sum
+        raise MalformedCsv(f"measure {text!r} is not finite")
+    return value
 
 
 class FactTable:
@@ -78,9 +85,10 @@ class FactTable:
         text or a file object, streamed); extra columns are ignored; rids
         must be a permutation of 0..N-1 (rows may arrive in any order).
         acc_cast converts the acc strings when the clique table's nodes
-        are typed.  A bad row is MalformedCsv naming its line.  Measures
-        are read with Python's int() then float() syntax, so `1_0` reads 10
-        and ` 7 ` reads 7."""
+        are typed.  A bad row is MalformedCsv naming its line.  A measure
+        is CSV number syntax (an optional sign, ASCII digits, an optional
+        fraction and exponent), read as an int when it has neither; `1_0`,
+        ` 7 ` and `nan` are MalformedCsv."""
         rids, accs, measures = [], [], []
         with CsvInput(source) as rows:
             i_rid, i_acc, i_m = rows.columns("fact", ("rid", "acc", "m"))
@@ -494,13 +502,6 @@ class ScanOracle:
         """Row-at-a-time sum, left to right over the matching rids."""
         measures = self.fact.measures
         return sum(measures[rid] for rid in self.rid_array(q).tolist())
-
-
-def selectivity(q, idx: PostingIndex, fact: FactTable) -> float:
-    """Fraction of fact rows the query touches."""
-    if fact.n == 0:
-        raise EmptyFactTable("selectivity is undefined on an empty fact table")
-    return row_count(q, idx) / fact.n
 
 
 # -- bench --------------------------------------------------------------------

@@ -67,10 +67,6 @@ class MalformedExpr(CliqueIndexError):
     pass
 
 
-class EmptyFactTable(CliqueIndexError):
-    pass
-
-
 class MeasureOverflow(CliqueIndexError):
     pass
 

@@ -193,37 +193,12 @@ class IntersectionGraph:
         """Neighbour positions of position p, ascending."""
         return self.indices[self.indptr[p]:self.indptr[p + 1]]
 
-    def degree(self, e: Entry) -> int:
-        return self.row(self.position[e]).size
-
-    def has_edge(self, a: Entry, b: Entry) -> bool:
-        row = self.row(self.position[a])
-        q = self.position.get(b)
-        if q is None:
-            return False
-        i = int(np.searchsorted(row, q))
-        return bool(i < row.size and row[i] == q)
-
     def edge_count(self) -> int:
         return self.indices.size // 2
 
     def input_positions(self) -> np.ndarray:
         """Positions of `vertices`, in vertex order."""
         return np.fromiter(map(self.position.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
-
-    def edges(self) -> Iterable[tuple[Entry, Entry]]:
-        """Each edge once as (u, v), u before v in `vertices`; grouped by u
-        in vertex order, v ascending within a group."""
-        n = len(self.order)
-        seq = np.empty(n, dtype=np.int64)
-        seq[self.input_positions()] = np.arange(n)
-        src = np.repeat(np.arange(n), np.diff(self.indptr))
-        keep = seq[src] < seq[self.indices]
-        src, dst = src[keep], self.indices[keep]
-        by_u = np.argsort(seq[src], kind="stable")
-        order = self.order
-        for a, b in zip(src[by_u].tolist(), dst[by_u].tolist()):
-            yield order[a], order[b]
 
 
 def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +217,15 @@ class EntryColoring:
     k: int
 
     def is_proper(self, g: IntersectionGraph) -> bool:
-        return all(
-            self.assignment[u] != self.assignment[v] for u, v in g.edges()
-        )
+        """No edge of g joins two vertices of one color: one comparison of
+        the colors at both ends of every CSR edge.  A vertex with an edge
+        and no color is KeyError; an isolated vertex needs no color."""
+        degree = np.diff(g.indptr)
+        colors = np.zeros(len(g.order), dtype=np.int64)
+        held = np.flatnonzero(degree)
+        order, assignment = g.order, self.assignment
+        colors[held] = np.fromiter((assignment[order[p]] for p in held.tolist()), dtype=np.int64, count=held.size)
+        return not np.any(np.repeat(colors, degree) == colors[g.indices])
 
 
 def mask_positions(mask: int) -> np.ndarray:
@@ -314,10 +295,6 @@ def _order_positions(g: IntersectionGraph, order: str) -> np.ndarray:
     if order == "smallest-last":
         return _smallest_last_positions(g)
     raise ValueError(f"unknown order {order!r}; expected one of {GREEDY_ORDERS}")
-
-
-def coloring_order(g: IntersectionGraph, order: str) -> list[Entry]:
-    return [g.order[p] for p in _order_positions(g, order).tolist()]
 
 
 def greedy_color(g: IntersectionGraph, order: str = "smallest-last") -> EntryColoring:

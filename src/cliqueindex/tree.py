@@ -129,13 +129,6 @@ def iter_tree_blocks(n: int) -> Iterator[np.ndarray]:
     return (np.vstack([ids, _tree_cells(ids, n)]) for ids in blocks)
 
 
-def iter_tree_rows(n: int) -> Iterator[tuple[int, tuple]]:
-    """Stream (id, cells) pairs in id order without materializing the table."""
-    for block in iter_tree_blocks(n):
-        for k, *row in block.T.tolist():
-            yield k, tuple(row)
-
-
 def _tree_column(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Column q's posting offsets and ids, written in closed form.
 

@@ -11,7 +11,7 @@ from cliqueindex.cli import main
 from cliqueindex.engine import MAX_QUERY_DEPTH, ScanOracle
 from cliqueindex.errors import OutOfRange
 from cliqueindex.schema import CliqueTable, export_table, import_table
-from cliqueindex.tree import build_tree_schema, iter_tree_blocks, iter_tree_rows
+from cliqueindex.tree import build_tree_schema, iter_tree_blocks
 
 from conftest import GOLDEN_TREE_4, PAIR_EDGES
 
@@ -47,12 +47,13 @@ def test_build_tree_golden(tmp_path, capsys):
 
 
 def reference_tree_csv(n):
-    """The per-row writer the block writer replaced."""
+    """The per-row writer the block writer replaced, each cell k's level-q
+    ancestor k >> (L(k) - q) or k itself below its level L(k)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node"] + [f"c{i}" for i in range(1, n + 1)])
-    for k, cells in iter_tree_rows(n):
-        writer.writerow([k, *cells])
+    for k in range(1, 1 << n):
+        writer.writerow([k, *(k >> max(k.bit_length() - q, 0) for q in range(1, n + 1))])
     return buf.getvalue()
 
 
@@ -505,6 +506,16 @@ def test_verify_quick(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mismatches"] == 0
     assert len(payload["sections"]) == 7
+
+
+def test_verify_checks_every_interval_schema_and_bucket(capsys):
+    """Besides 20 queries of three comparisons per corpus, the interval suite
+    verifies each corpus's endpoint schema and the schema of each bucket."""
+    assert main(["verify", "--quick", "--seed", "7"]) == 0
+    section = json.loads(capsys.readouterr().out)["sections"][4]
+    assert section["section"] == "interval-queries-vs-scan" and section["mismatches"] == 0
+    corpora = max(1, int(25 * 0.25))
+    assert section["comparisons"] >= corpora * (20 * 3 + 2)
 
 
 def test_bench_non_timing_columns_deterministic(tmp_path):
@@ -980,6 +991,27 @@ def test_a_failing_query_leaves_its_out_file_as_it_was(tmp_path, capsys, fact_cs
         assert main(argv + extra) == 1
         assert _no_traceback(capsys) == "error: column c999 outside 1..c4\n"
         assert out.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize("command", ["materialize", "build intervals"])
+@pytest.mark.parametrize("sidecar", ["nodir/s.json", None], ids=["sidecar", "default"])
+def test_a_sidecar_that_cannot_be_opened_leaves_the_table_as_it_was(tmp_path, capsys, command, sidecar):
+    """The sidecar, given or defaulted to <out>.sidecar.json, is opened before
+    the table, so the table keeps its bytes when the sidecar cannot be opened."""
+    if command == "materialize":
+        argv = ["materialize", "--function", write(tmp_path / "f.csv", "entry,node\ng1,a\ng2,a\n")]
+    else:
+        argv = ["build", "intervals", "--data", write(tmp_path / "iv.csv", "id,x,y\na,0,2\nb,1,3\n")]
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"kept\r\n")
+    if sidecar is None:
+        (tmp_path / "t.csv.sidecar.json").mkdir()  # a directory cannot be opened for writing
+    else:
+        argv += ["--sidecar", str(tmp_path / sidecar)]
+    assert main(argv + ["--out", str(table)]) == 1
+    err = _no_traceback(capsys)
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert table.read_bytes() == b"kept\r\n"
 
 
 def test_build_dag_names_the_file_and_line_of_a_bad_edge_list(tmp_path, capsys):

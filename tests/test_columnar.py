@@ -39,7 +39,7 @@ from cliqueindex.schema import (
     materialize,
     recover_coloring,
 )
-from cliqueindex.tree import ancestor_path, build_tree_schema, iter_tree_rows, level
+from cliqueindex.tree import ancestor_path, build_tree_schema, level
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -168,7 +168,7 @@ def test_fact_postings_hold_the_rows_whose_acc_cell_is_the_entry(seed):
                     want.setdefault((i, v), set()).add(rid)
     idx = build_index(fact, t)
     atoms = [Atom(i, v) for i, column in enumerate(t.entries, start=1) for v in column]
-    got = {(a.col, a.entry): ids for a in atoms if (ids := set(evaluate(a, idx).to_ids()))}
+    got = {(a.col, a.entry): ids for a in atoms if (ids := set(evaluate(a, idx).to_array().tolist()))}
     assert got == want
     assert idx.unresolved == accs.count("absent")
     scan = ScanOracle(fact, t)
@@ -196,15 +196,13 @@ def reference_tree_row(k, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13], ids=TABLE_LAYOUT)
 def test_tree_rows_match_the_cell_by_cell_formula(n):
     want = {k: reference_tree_row(k, n) for k in range(1, 1 << n)}
-    assert list(iter_tree_rows(n)) == list(want.items())
-    if n <= 8:
-        assert build_tree_schema(n).rows == want
+    assert list(build_tree_schema(n).rows.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8], ids=TABLE_LAYOUT)
 def test_tree_columns_match_the_rows_constructor(n):
     built = build_tree_schema(n)
-    converted = CliqueTable(n, dict(iter_tree_rows(n)))
+    converted = CliqueTable(n, {k: reference_tree_row(k, n) for k in range(1, 1 << n)})
     assert built.rows == converted.rows
     assert built.null_count() == converted.null_count()
     for q in range(1, n + 1):
@@ -218,8 +216,8 @@ def test_tree_table_exports_the_row_generators_csv():
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node"] + [f"c{q}" for q in range(1, 13)])
-    for k, cells in iter_tree_rows(12):
-        writer.writerow([k, *cells])
+    for k in range(1, 1 << 12):
+        writer.writerow([k, *reference_tree_row(k, 12)])
     assert export_table(build_tree_schema(12)) == buf.getvalue()
 
 
@@ -463,7 +461,7 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
     assert idx.acc.tolist() == np.where(acc_pos < 0, len(order), acc_pos).tolist()
     for i, (column, (offsets, ids)) in enumerate(zip(entries, dense_postings(entries, fact_codes)), start=1):
         for code, entry in enumerate(column):
-            assert evaluate(Atom(i, entry), idx).to_ids() == ids[offsets[code]:offsets[code + 1]].tolist()
+            assert evaluate(Atom(i, entry), idx).to_array().tolist() == ids[offsets[code]:offsets[code + 1]].tolist()
     assert idx.unresolved == accs.count("absent")
 
 
@@ -508,13 +506,13 @@ def test_tree_in_lists_match_the_union_of_their_atoms(n):
 def test_in_list_drops_empty_postings_and_sorts_interleaved_runs():
     ids = np.array([0, 4, 2, 6, 7, 1, 3], dtype=np.int32)
     postings = Postings(8, [({"a": 0, "b": 1, "none": 2, "c": 3, "d": 4}, np.array([0, 2, 4, 4, 5, 7]), ids)])
-    assert postings.union_of(1, ["b", "a"]).to_ids() == [0, 2, 4, 6]
-    assert postings.union_of(1, ["c", "none", "b", "b"]).to_ids() == [2, 6, 7]
-    assert postings.union_of(1, ["d", "c"]).to_ids() == [1, 3, 7]
-    assert postings.union_of(1, ["none", "x"]).to_ids() == []
-    assert postings.union_of(1, []).to_ids() == []
+    assert postings.union_of(1, ["b", "a"]).to_array().tolist() == [0, 2, 4, 6]
+    assert postings.union_of(1, ["c", "none", "b", "b"]).to_array().tolist() == [2, 6, 7]
+    assert postings.union_of(1, ["d", "c"]).to_array().tolist() == [1, 3, 7]
+    assert postings.union_of(1, ["none", "x"]).to_array().tolist() == []
+    assert postings.union_of(1, []).to_array().tolist() == []
     single = postings.union_of(1, ["none", "c", "c"])
-    assert single.to_ids() == [7] and np.shares_memory(single.ids, ids)
+    assert single.to_array().tolist() == [7] and np.shares_memory(single.ids, ids)
     for entries in (["a", "b", "c", "d"], ["none"], ["c", "d", "none"]):
         assert_in_list_matches(postings, 1, entries)
     with pytest.raises(KeyError):

@@ -40,7 +40,7 @@ from conftest import PAIR_EDGES, PAIR_NODES
 def test_empty_edge_list_gives_empty_digraph():
     g = build_digraph([])
     assert len(g) == 0
-    assert list(g.topological_order()) == []
+    assert g.nodes == () and g.edges == ()
 
 
 def test_isolated_nodes_are_kept():
@@ -142,14 +142,6 @@ def test_closures_on_chain():
     assert g.descendants_and_self("a") == {"a", "b", "c", "d"}
     assert g.ancestors_and_self("d") == {"a", "b", "c", "d"}
     assert max_down_set_size(g) == 4
-
-
-def test_topological_order_respects_edges(rng):
-    for _ in range(20):
-        g = random_dag(rng)
-        pos = {u: i for i, u in enumerate(g.topological_order())}
-        for u, v in g.edges:
-            assert pos[u] < pos[v]
 
 
 def bfs_closure(edges, u, forward=True):

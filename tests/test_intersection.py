@@ -8,7 +8,6 @@ from cliqueindex.errors import TooLargeForExact
 from cliqueindex.intersection import (
     build_intersection_graph,
     clique_lower_bound,
-    coloring_order,
     EntryColoring,
     exact_chromatic,
     GREEDY_ORDERS,
@@ -59,16 +58,14 @@ def test_from_pairs_groups_by_entry():
 def test_edges_exactly_where_images_overlap():
     f = fn(a={1, 2}, b={2, 3}, c={4})
     g = build_intersection_graph(f)
-    assert g.has_edge("a", "b")
-    assert not g.has_edge("a", "c")
-    assert not g.has_edge("b", "c")
+    assert dict(g.adj) == {"a": ["b"], "b": ["a"], "c": []}
     assert g.edge_count() == 1
 
 
 def test_empty_images_are_isolated():
     f = fn(a={1}, b=set())
     g = build_intersection_graph(f)
-    assert g.degree("b") == 0
+    assert g.adj["b"] == [] and g.row(g.position["b"]).size == 0
     assert greedy_color(g).k == 1
 
 
@@ -106,17 +103,14 @@ def test_matches_pairwise_oracle(f):
     adj = reference_adj(f)
     assert fast.vertices == slow.vertices == f.entries
     assert fast.adj == slow.adj == adj
-    assert list(fast.edges()) == reference_edges(f.entries, adj)
     assert fast.edge_count() == len(reference_edges(f.entries, adj))
     for a in f.entries:
-        assert fast.degree(a) == len(adj[a])
-        for b in f.entries:
-            assert fast.has_edge(a, b) == (b in adj[a])
+        assert [fast.order[q] for q in fast.row(fast.position[a]).tolist()] == adj[a]
 
 
 def test_single_entry_and_empty_function():
     g = build_intersection_graph(fn(a={1, 2}))
-    assert dict(g.adj) == {"a": []} and list(g.edges()) == []
+    assert dict(g.adj) == {"a": []} and g.edge_count() == 0
     assert greedy_color(g).assignment == {"a": 1}
     empty = build_intersection_graph(SetValuedFunction((), {}))
     assert dict(empty.adj) == {} and empty.edge_count() == 0
@@ -173,9 +167,10 @@ def test_orders_and_first_fit_match_the_set_code(f):
     g = build_intersection_graph(f)
     adj = reference_adj(f)
     for order in GREEDY_ORDERS:
-        assert coloring_order(g, order) == reference_order(f.entries, adj, order)
+        # the assignment lists the vertices in coloring order
         assignment, k = reference_first_fit(f.entries, adj, order)
         c = greedy_color(g, order)
+        assert list(c.assignment) == reference_order(f.entries, adj, order)
         assert list(c.assignment.items()) == list(assignment.items())
         assert c.k == k
 
@@ -188,9 +183,9 @@ def test_mixed_entry_types_are_rejected():
 def test_pair_digraph_descendant_and_ancestor_functions(pair_dag):
     desc = build_intersection_graph(descendant_set_function(pair_dag))
     # sources covering a common sink overlap: 12 meets 13, 14, 23, 24
-    assert desc.has_edge(12, 13)
-    assert desc.has_edge(12, 24)
-    assert not desc.has_edge(12, 34)
+    assert 13 in desc.adj[12]
+    assert 24 in desc.adj[12]
+    assert 34 not in desc.adj[12]
     anc = build_intersection_graph(ancestor_set_function(pair_dag))
     assert exact_chromatic(anc) == 4
 
@@ -254,3 +249,40 @@ def test_is_proper_detects_collision():
     g = build_intersection_graph(f)
     assert not EntryColoring({"a": 1, "b": 1}, 1).is_proper(g)
     assert EntryColoring({"a": 1, "b": 2}, 2).is_proper(g)
+
+
+def edge_walk_is_proper(assignment, vertices, adj):
+    """The edge-at-a-time check the CSR comparison replaced."""
+    return all(assignment[u] != assignment[v] for u, v in reference_edges(vertices, adj))
+
+
+@st.composite
+def colorings(draw):
+    """A function, its graph and a coloring that may hit an edge's two ends
+    with one color and may leave vertices uncolored, isolated ones included."""
+    f = draw(st.one_of(functions(nodes=8), tied_functions()))
+    g = build_intersection_graph(f)
+    assignment = dict(greedy_color(g, draw(st.sampled_from(GREEDY_ORDERS))).assignment)
+    edges = [(u, v) for u in f.entries for v in g.adj[u]]
+    if edges and draw(st.booleans()):  # one collision on one edge
+        u, v = draw(st.sampled_from(edges))
+        assignment[v] = assignment[u]
+    for e in f.entries:
+        if draw(st.integers(0, 5)) == 0:
+            assignment[e] = draw(st.integers(1, 3))
+        elif draw(st.integers(0, 7)) == 0:
+            del assignment[e]
+    return f, g, assignment
+
+
+@given(colorings())
+@settings(max_examples=300, deadline=None)
+def test_is_proper_matches_the_edge_walk(case):
+    f, g, assignment = case
+    adj = reference_adj(f)
+    coloring = EntryColoring(assignment, max(assignment.values(), default=0))
+    if all(e in assignment for e in f.entries if adj[e]):
+        assert coloring.is_proper(g) == edge_walk_is_proper(assignment, f.entries, adj)
+    else:
+        with pytest.raises(KeyError):
+            coloring.is_proper(g)

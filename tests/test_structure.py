@@ -1,7 +1,8 @@
 """The package keeps one input rule and one output rule: only the CSV
 reader (with its rereader for decode errors) and the sidecar reader open an
 input, only the CLI's output opener opens an output, and no module imports
-another module's private names."""
+another module's private names.  Every name the package exports is used by
+the package or the benchmark, or is a construction of the paper."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,15 @@ from pathlib import Path
 import cliqueindex
 
 MODULES = sorted(Path(cliqueindex.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+# Exports that nothing in the package or the benchmark calls, kept on purpose.
+PAPER_CONSTRUCTIONS = {
+    "tree_entry_function": "the (p, q) entries whose coloring is the tree schema",
+    "tree_coloring": "the coloring by q that makes the tree schema n columns wide",
+    "naive_overlap_function": "the first-attempt function whose graph is complete",
+    "map_point_to_leaf": "maps a point onto the tree grid, for interval queries through the tree",
+    "map_range_to_cover": "the dyadic cover of a range, for interval queries through the tree",
+}
 OPENERS = {
     "schema.CsvInput.__init__",
     "schema._first_undecodable_line",
@@ -53,3 +63,31 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _references(node, enclosing, out):
+    """Every Name and Attribute below node, except a def's or class's own
+    name inside its body."""
+    for child in ast.iter_child_nodes(node):
+        inner = enclosing
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = enclosing | {child.name}
+        if isinstance(child, ast.Name) and child.id not in enclosing:
+            out.add(child.id)
+        if isinstance(child, ast.Attribute) and child.attr not in enclosing:
+            out.add(child.attr)
+        _references(child, inner, out)
+
+
+def test_every_export_is_used_or_a_paper_construction():
+    init = Path(cliqueindex.__file__)
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in [m for m in MODULES if m != init] + PERFBENCH:
+        _references(ast.parse(path.read_text(encoding="utf-8")), frozenset(), used)
+    assert PERFBENCH and sorted(exported - used) == sorted(PAPER_CONSTRUCTIONS)

@@ -18,7 +18,6 @@ from cliqueindex.tree import (
     entry_members,
     extent,
     iter_tree_blocks,
-    iter_tree_rows,
     level,
     map_point_to_leaf,
     map_range_to_cover,
@@ -90,12 +89,6 @@ def test_single_level_table():
     assert t.rows == {1: (1,)}
 
 
-def test_iter_rows_matches_schema():
-    for n in (1, 2, 3, 5):
-        t = build_tree_schema(n)
-        assert dict(iter_tree_rows(n)) == t.rows
-
-
 def test_schema_has_no_nulls_up_to_ten_levels():
     for n in range(1, 11):
         t = build_tree_schema(n)
@@ -106,7 +99,7 @@ def test_schema_has_no_nulls_up_to_ten_levels():
 def test_both_variants_verify():
     # the closed-form build and the same rows through the rows constructor
     for n in range(1, 7):
-        for t in (build_tree_schema(n), CliqueTable(n, dict(iter_tree_rows(n)))):
+        for t in (build_tree_schema(n), CliqueTable(n, dict(build_tree_schema(n).rows))):
             assert verify_tree_schema(t, n), n
 
 
@@ -279,9 +272,9 @@ def test_tree_fact_query_matches_brute_force():
     fact = FactTable(accs, [1] * 500)
     idx = build_index(fact, t)
     for k in (1, 2, 5, 8, 20, 31):
-        got = set(tree_fact_query(k, idx))
+        got = tree_fact_query(k, idx).to_array().tolist()
         # accs are leaves, so overlap means k sits on the acc's root path
-        want = {r for r, acc in enumerate(accs) if k in ancestor_path(acc)}
+        want = [r for r, acc in enumerate(accs) if k in ancestor_path(acc)]
         assert got == want, k
 
 
