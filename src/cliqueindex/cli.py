@@ -14,10 +14,12 @@ the strongest failure class).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from itertools import chain
 from pathlib import Path
 
@@ -176,15 +178,52 @@ def _load_function(path: str) -> SetValuedFunction:
     return SetValuedFunction.from_pairs(pair for _, pair in _csv_rows(path, "function", ("entry", "node")))
 
 
+@contextmanager
+def _replacing(paths):
+    """One stream per path (None: stdout) that replace their files together:
+    each file is written to a temporary sibling, and the siblings are
+    renamed over their files only once every stream is written and closed.
+    Two paths to one file, a path that is a directory, or a sibling that
+    cannot be opened raise before anything is written; on any failure the
+    siblings are removed, so every file keeps its bytes."""
+    targets = [path and os.path.realpath(path) for path in paths]
+    named = list(filter(None, targets))
+    if len(set(named)) < len(named):
+        raise CliqueIndexError(f"two outputs name one file: {', '.join(filter(None, paths))}")
+    for path, target in zip(paths, targets):
+        if target and os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tag = os.urandom(4).hex()
+    temps = [target and f"{target}.{tag}.tmp" for target in targets]
+    try:
+        with ExitStack() as stack:
+            streams = []
+            for path, temp in zip(paths, temps):
+                try:
+                    streams.append(stack.enter_context(_out_stream(temp)))
+                except OSError as exc:
+                    exc.filename = path  # name the file asked for, not its sibling
+                    raise
+            yield streams
+        for temp, target in zip(temps, targets):
+            if temp:
+                os.replace(temp, target)
+    finally:
+        for temp in filter(None, temps):
+            with suppress(OSError):  # renamed, never made, or not removable
+                os.remove(temp)
+
+
 def _emit_table(table: CliqueTable, payload, args) -> None:
     """Export the table to --out and the sidecar payload to --sidecar, else
-    to the --out path plus .sidecar.json, else nowhere.  The sidecar is
-    opened first, so a sidecar that cannot be opened leaves --out as it was."""
-    path = args.sidecar or (args.out + ".sidecar.json" if args.out else None)
-    with _out_stream(path) if path else nullcontext() as side, _out_stream(args.out) as fh:
-        export_table(table, fh)
-        if side is not None:
-            _write_json(payload, side)
+    to the --out path plus .sidecar.json, else nowhere.  Both files are
+    replaced together (_replacing), so a command that fails leaves both as
+    they were."""
+    sidecar = args.sidecar or (args.out + ".sidecar.json" if args.out else None)
+    with _replacing([args.out, sidecar] if sidecar else [args.out]) as streams:
+        export_table(table, streams[0])
+        if sidecar:
+            _write_json(payload, streams[1])
 
 
 def _load_source(args):

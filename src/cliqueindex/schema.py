@@ -57,7 +57,9 @@ class Postings(Mapping):
     Each column is a tuple (entry_code, offsets, ids): entry_code maps an
     entry to its code, ids holds the column's positions grouped by code
     (read-only int32, ascending within a code), and code c's posting is
-    the zero-copy view ids[offsets[c]:offsets[c + 1]].  union_of answers a
+    the zero-copy view ids[offsets[c]:offsets[c + 1]].  ids_of is the one
+    (column, entry) lookup; [] and get wrap its view as a CompressedBitset,
+    and column_preimage decodes it directly.  union_of answers a
     column's IN list in one pass; when its postings' runs do not
     interleave, the answer stays an array at any size.  from_codes builds
     the columns from int32 code arrays over the positions.
@@ -83,13 +85,24 @@ class Postings(Mapping):
             out.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
         return cls(n, out)
 
-    def __getitem__(self, key) -> CompressedBitset:
-        col, entry = key
+    def ids_of(self, col: int, entry: Entry) -> np.ndarray | None:
+        """Column col's posting of entry as its read-only id view, or None
+        for a column outside 1..k or an entry the column does not hold."""
         if not 1 <= col <= len(self.columns):
-            raise KeyError(key)
+            return None
         entry_code, offsets, ids = self.columns[col - 1]
-        code = entry_code[entry]
-        return CompressedBitset(self.n, ids=ids[offsets[code]:offsets[code + 1]])
+        code = entry_code.get(entry)
+        return None if code is None else ids[offsets[code]:offsets[code + 1]]
+
+    def __getitem__(self, key) -> CompressedBitset:
+        ids = self.ids_of(*key)
+        if ids is None:
+            raise KeyError(key)
+        return CompressedBitset(self.n, ids=ids)
+
+    def get(self, key, default=None):
+        ids = self.ids_of(*key)
+        return default if ids is None else CompressedBitset(self.n, ids=ids)
 
     def union_of(self, col: int, entries: Iterable[Entry]) -> CompressedBitset:
         """Column col's IN list in one pass: the union of the entries'
@@ -278,9 +291,9 @@ class CliqueTable:
         return len(self) * self.k - sum(len(ids) for _, _, ids in self.postings.columns)
 
     def column_preimage(self, i: int, e: Entry) -> set:
-        """Nodes whose column i holds entry e: its posting."""
-        posting = self.postings.get((i, e))
-        return set() if posting is None else set(self._nodes.take(posting.ids).tolist())
+        """Nodes whose column i holds entry e: its posting, as a new set."""
+        ids = self.postings.ids_of(i, e)
+        return set() if ids is None else set(self._nodes.take(ids).tolist())
 
     def __len__(self) -> int:
         return len(self._nodes)

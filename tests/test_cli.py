@@ -996,8 +996,8 @@ def test_a_failing_query_leaves_its_out_file_as_it_was(tmp_path, capsys, fact_cs
 @pytest.mark.parametrize("command", ["materialize", "build intervals"])
 @pytest.mark.parametrize("sidecar", ["nodir/s.json", None], ids=["sidecar", "default"])
 def test_a_sidecar_that_cannot_be_opened_leaves_the_table_as_it_was(tmp_path, capsys, command, sidecar):
-    """The sidecar, given or defaulted to <out>.sidecar.json, is opened before
-    the table, so the table keeps its bytes when the sidecar cannot be opened."""
+    """The sidecar, given or defaulted to <out>.sidecar.json, cannot be
+    opened, so the table keeps its bytes."""
     if command == "materialize":
         argv = ["materialize", "--function", write(tmp_path / "f.csv", "entry,node\ng1,a\ng2,a\n")]
     else:
@@ -1012,6 +1012,33 @@ def test_a_sidecar_that_cannot_be_opened_leaves_the_table_as_it_was(tmp_path, ca
     err = _no_traceback(capsys)
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert table.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize("command", ["materialize", "build intervals"])
+def test_a_table_that_cannot_be_opened_leaves_the_sidecar_as_it_was(tmp_path, capsys, command):
+    """Table and sidecar are replaced together: when --out cannot be
+    written or names the sidecar's file, an existing sidecar keeps its
+    bytes and no temporary file is left behind; when both can be written,
+    both are, and nothing else."""
+    if command == "materialize":
+        argv = ["materialize", "--function", write(tmp_path / "f.csv", "entry,node\ng1,a\ng2,a\n")]
+    else:
+        argv = ["build", "intervals", "--data", write(tmp_path / "iv.csv", "id,x,y\na,0,2\nb,1,3\n")]
+    sidecar = tmp_path / "s.json"
+    sidecar.write_bytes(b"kept\r\n")
+    before = sorted(tmp_path.iterdir())
+    argv += ["--sidecar", str(sidecar)]
+    assert main(argv + ["--out", str(tmp_path / "nodir" / "t.csv")]) == 1
+    assert _no_traceback(capsys) == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir' / 't.csv'}'\n"
+    assert sidecar.read_bytes() == b"kept\r\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert main(argv + ["--out", str(sidecar)]) == 1
+    assert _no_traceback(capsys) == f"error: two outputs name one file: {sidecar}, {sidecar}\n"
+    assert sidecar.read_bytes() == b"kept\r\n"
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["k"] == 2
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8").startswith("node,c1,c2\n")
+    assert sorted(tmp_path.iterdir()) == sorted(before + [tmp_path / "t.csv"])
 
 
 def test_build_dag_names_the_file_and_line_of_a_bad_edge_list(tmp_path, capsys):

@@ -276,9 +276,21 @@ def snapshot(s):
     )
 
 
+def assert_fresh_answer(want, query, *args):
+    """The answer is want, and clearing it leaves the next one as it was:
+    no answer aliases the table's state."""
+    answer = query(*args)
+    assert answer == want
+    answer.clear()
+    assert query(*args) == want
+
+
 def assert_matches_reference(intervals):
     """Compare every field, the table and stab and range answers with the
-    reference builder; where it raises ColorCollision, the same message."""
+    reference builder; where it raises ColorCollision, the same message.
+    Each range query's branches are the intervals with x <= b < y and those
+    with a <= y <= b, so they are disjoint when no two intervals share an
+    id, and each answer is fresh."""
     try:
         want = reference_endpoint_schema(intervals)
     except ColorCollision as exc:
@@ -291,12 +303,19 @@ def assert_matches_reference(intervals):
     assert verify_schema(s.function, s.clique, s.coloring)
     points = sorted({v for r in intervals for v in (r.x, r.y)})
     probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[0] - 1, points[-1] + 1]
+    distinct = len({r.id for r in intervals}) == len(intervals)
     for p in probes:
-        assert stabbing_query(s, p) == oracle_interval_intersections(intervals, p, p)
+        assert_fresh_answer(oracle_interval_intersections(intervals, p, p), stabbing_query, s, p)
     for a in probes[::3]:
         for b in probes:
             if a <= b:
-                assert interval_query(s, a, b) == oracle_interval_intersections(intervals, a, b)
+                want = oracle_interval_intersections(intervals, a, b)
+                first, second = interval_query_branches(s, a, b)
+                assert first == {r.id for r in intervals if r.x <= b < r.y}
+                assert second == {r.id for r in intervals if a <= r.y <= b}
+                assert first | second == want
+                assert not (distinct and first & second)
+                assert_fresh_answer(want, interval_query, s, a, b)
 
 
 # Few distinct values, so that (x, y) pairs, upper endpoints and ids tie;

@@ -159,6 +159,23 @@ def test_column_preimage():
     assert t.column_preimage(2, "zzz") == set()
 
 
+def test_lookups_outside_the_table_find_nothing():
+    """Columns 0 and k + 1 and an entry a column does not hold: ids_of
+    gives None, get its default, [] KeyError and column_preimage set()."""
+    t = CliqueTable(2, {1: ("a", NULL), 2: ("a", "b"), 3: (NULL, "b")})
+    postings, missing = t.postings, object()
+    assert postings.ids_of(1, "a").tolist() == [0, 1]
+    assert postings.get((1, "a")).ids.tolist() == [0, 1]
+    for col, entry in [(0, "a"), (3, "b"), (1, "b"), (2, "zzz")]:
+        assert postings.ids_of(col, entry) is None
+        assert postings.get((col, entry)) is None
+        assert postings.get((col, entry), missing) is missing
+        assert (col, entry) not in postings
+        with pytest.raises(KeyError):
+            postings[col, entry]
+        assert t.column_preimage(col, entry) == set()
+
+
 def test_csv_round_trip_preserves_nulls():
     t = CliqueTable(2, {"u": ("a", NULL), "v": (NULL, "b")})
     text = export_table(t)
