@@ -89,9 +89,6 @@ class CompressedBitset:
             a, b = b, a
         return CompressedBitset(self.n, ids=np.compress(b._has(a.ids), a.ids))
 
-    def __or__(self, other: "CompressedBitset") -> "CompressedBitset":
-        return union(self.n, (self, other))
-
     def complement(self) -> "CompressedBitset":
         """All row ids of the universe not in this set, as a mask."""
         if self.mask is not None:
@@ -104,9 +101,6 @@ class CompressedBitset:
         if self.ids is not None:
             return len(self.ids)
         return int(np.count_nonzero(self.mask))
-
-    def __len__(self) -> int:
-        return self.cardinality()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompressedBitset):

@@ -59,12 +59,13 @@ from .engine import (
     aggregate_sum,
     bench,
     build_index,
+    check_csv_number,
     evaluate,
     format_query,
     parse_query,
     row_count,
 )
-from .errors import CliqueIndexError, EmptyDigraph
+from .errors import CliqueIndexError, EmptyDigraph, MalformedCsv
 from .intersection import (
     GREEDY_ORDERS,
     EntryColoring,
@@ -163,13 +164,16 @@ def _csv_rows(path: str, kind: str, required: tuple[str, ...]):
 
 
 def _load_intervals(path: str) -> list[IntervalRecord]:
+    """Intervals from `id,x,y` CSV: each endpoint is held to the measures'
+    number rule (engine.check_csv_number), then read by float()."""
     records = []
     for rows, (i, x, y) in _csv_rows(path, "interval", ("id", "x", "y")):
         try:
-            bounds = float(x), float(y)
-        except ValueError:
-            raise rows.error(f"endpoints {x!r}, {y!r} are not numbers") from None
-        records.append(IntervalRecord(i, *bounds))
+            check_csv_number(x, "endpoint")
+            check_csv_number(y, "endpoint")
+        except MalformedCsv as exc:
+            raise rows.error(str(exc)) from None
+        records.append(IntervalRecord(i, float(x), float(y)))
     return records
 
 

@@ -46,10 +46,11 @@ class IntervalRecord:
 class EndpointSchema:
     """Materialized endpoint schema over one interval collection.
 
-    The build also passes the upper endpoints in ascending order (ties in
-    the order of intervals) and their ids, which range queries bisect."""
+    It keeps no copy of the intervals: each interval's id is a node of the
+    function and the clique table.  The build also passes the upper
+    endpoints in ascending order (ties in the order of intervals) and
+    their ids, which range queries bisect."""
 
-    intervals: tuple[IntervalRecord, ...]
     entries: tuple  # distinct endpoint values, ascending
     function: SetValuedFunction
     coloring: EntryColoring
@@ -122,7 +123,6 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     order = np.lexsort((held, y, x))
     held = held[order]
     nodes = tuple(map(ids.__getitem__, order[np.unique(held, return_index=True)[1]].tolist()))
-    records = tuple(map(records.__getitem__, order.tolist()))
 
     values = np.empty(2 * len(records), dtype=dtype)
     values[0::2], values[1::2] = x[order], y[order]
@@ -139,7 +139,7 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     clique = materialize(f, coloring, nodes)
     by_y = order[np.argsort(y[order], kind="stable")].tolist()  # ties keep (x, y, id) order
     y_order = list(map(ys.__getitem__, by_y)), list(map(ids.__getitem__, by_y))
-    return EndpointSchema(records, entries, f, coloring, clique, window, 0, *y_order)
+    return EndpointSchema(entries, f, coloring, clique, window, 0, *y_order)
 
 
 def _straddling(s: EndpointSchema, a, b) -> set:

@@ -35,12 +35,20 @@ from .schema import CliqueTable, CsvInput, PostingIndex
 _CSV_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
+def check_csv_number(text: str, what: str) -> None:
+    """The package's one number rule for CSV fields, measures and interval
+    endpoints: MalformedCsv naming text as what unless it is CSV number
+    syntax.  float() reads the words nan and inf; they are named as not
+    finite."""
+    if _CSV_NUMBER.fullmatch(text) is None:
+        finite = text.lstrip("+-").lower() not in ("nan", "inf", "infinity")
+        raise MalformedCsv(f"{what} {text!r} is not {'numeric' if finite else 'finite'}")
+
+
 def _parse_measure(text: str):
     # A plain digit string, most measures, needs no pattern match.
-    if not (text.isascii() and text.isdigit()) and _CSV_NUMBER.fullmatch(text) is None:
-        # float() reads these words; name them for what they would do to a sum
-        finite = text.lstrip("+-").lower() not in ("nan", "inf", "infinity")
-        raise MalformedCsv(f"measure {text!r} is not {'numeric' if finite else 'finite'}")
+    if not (text.isascii() and text.isdigit()):
+        check_csv_number(text, "measure")
     try:
         return int(text)
     except ValueError:  # a fraction or an exponent, or more digits than int() reads
@@ -71,7 +79,8 @@ class FactTable:
                     arr = np.asarray(self.measures, dtype=np.int64)
                 except OverflowError:
                     arr = None
-                if arr is None or (self.n and int(np.abs(arr).max()) * self.n >= 2**62):
+                # Exact ints: np.abs(-2**63) wraps to -2**63 in int64.
+                if arr is None or (self.n and max(-int(arr.min()), int(arr.max())) * self.n >= 2**62):
                     self._measure_data = ("pyint", None)
                 else:
                     self._measure_data = ("int", arr)
@@ -302,9 +311,9 @@ def _nodes(q, idx: PostingIndex, stats: QueryStats | None) -> CompressedBitset:
     if isinstance(q, Atom):
         if not 1 <= q.col <= idx.k:
             raise MalformedExpr(f"column c{q.col} outside 1..c{idx.k}")
-        posting = idx.postings.get((q.col, q.entry))
-        if posting is None:
-            posting = CompressedBitset.empty(idx.postings.n)
+        ids = idx.postings.ids_of(q.col, q.entry)
+        n = idx.postings.n
+        posting = CompressedBitset.empty(n) if ids is None else CompressedBitset(n, ids=ids)
         if stats is not None:
             stats.postings_touched += 1
             stats.ids_touched += posting.cardinality()
@@ -479,7 +488,7 @@ class ScanOracle:
         if isinstance(q, Atom):
             if not 1 <= q.col <= self.k:
                 raise MalformedExpr(f"column c{q.col} outside 1..c{self.k}")
-            code = self.clique.entry_codes[q.col - 1].get(q.entry, -2)
+            code = self.clique.entries[q.col - 1].get(q.entry, -2)
             return self.row_codes(q.col) == code
         if isinstance(q, And):
             out = self._mask(q.items[0])

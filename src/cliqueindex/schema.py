@@ -51,18 +51,19 @@ def _sorted_ids(values: Iterable) -> list:
         return sorted(values, key=repr)
 
 
-class Postings(Mapping):
+class Postings:
     """(column, entry) -> id set over positions 0..n-1, stored by column.
 
     Each column is a tuple (entry_code, offsets, ids): entry_code maps an
-    entry to its code, ids holds the column's positions grouped by code
-    (read-only int32, ascending within a code), and code c's posting is
-    the zero-copy view ids[offsets[c]:offsets[c + 1]].  ids_of is the one
-    (column, entry) lookup; [] and get wrap its view as a CompressedBitset,
-    and column_preimage decodes it directly.  union_of answers a
-    column's IN list in one pass; when its postings' runs do not
-    interleave, the answer stays an array at any size.  from_codes builds
-    the columns from int32 code arrays over the positions.
+    entry to its code and iterates in code order, ids holds the column's
+    positions grouped by code (read-only int32, ascending within a code),
+    and code c's posting is the zero-copy view
+    ids[offsets[c]:offsets[c + 1]].  A posting is read two ways only:
+    ids_of gives one (column, entry)'s view, and union_of a column's IN
+    list in one pass; when its postings' runs do not interleave, the
+    answer stays an array at any size.  len is the number of (column,
+    entry) postings.  from_codes builds the columns from int32 code arrays
+    over the positions.
     """
 
     def __init__(self, n: int, columns: Iterable[tuple[dict, np.ndarray, np.ndarray]]):
@@ -94,16 +95,6 @@ class Postings(Mapping):
         code = entry_code.get(entry)
         return None if code is None else ids[offsets[code]:offsets[code + 1]]
 
-    def __getitem__(self, key) -> CompressedBitset:
-        ids = self.ids_of(*key)
-        if ids is None:
-            raise KeyError(key)
-        return CompressedBitset(self.n, ids=ids)
-
-    def get(self, key, default=None):
-        ids = self.ids_of(*key)
-        return default if ids is None else CompressedBitset(self.n, ids=ids)
-
     def union_of(self, col: int, entries: Iterable[Entry]) -> CompressedBitset:
         """Column col's IN list in one pass: the union of the entries'
         postings, absent and repeated entries and empty postings dropped.
@@ -125,11 +116,6 @@ class Postings(Mapping):
             return CompressedBitset(self.n, ids=np.concatenate(runs))
         return union(self.n, [CompressedBitset(self.n, ids=run) for run in runs])
 
-    def __iter__(self):
-        for col, (entry_code, _, _) in enumerate(self.columns, start=1):
-            for entry in entry_code:
-                yield col, entry
-
     def __len__(self) -> int:
         return sum(len(entry_code) for entry_code, _, _ in self.columns)
 
@@ -139,13 +125,13 @@ class PostingIndex:
     postings (a semijoin through the table, in place of a bitmap join
     index that copies each posting into row space).
 
-    postings holds each (column, entry)'s node positions, the table's
-    column arrays read as sets over the N + 1 node slots.  acc[r] is row
-    r's node position, N for a row that references no node (it is
-    unresolved and in no posting).  Node slot j's rows, ascending, are
-    rows[indptr[j]:indptr[j + 1]] for j in 0..N, from one stable argsort
-    of acc, and counts[j] is their number.  acc, rows, indptr and counts
-    are read-only.
+    postings is the table's columns, shared and not copied, read over the
+    N + 1 node slots: ids_of gives one (column, entry)'s node positions and
+    union_of a column's IN list.  acc[r] is row r's node position, N for a
+    row that references no node (it is unresolved and in no posting).
+    Node slot j's rows, ascending, are rows[indptr[j]:indptr[j + 1]] for j
+    in 0..N, from one stable argsort of acc, and counts[j] is their
+    number.  acc, rows, indptr and counts are read-only.
     """
 
     def __init__(self, postings: Postings, acc: np.ndarray):
@@ -190,16 +176,16 @@ def _code_columns(n: int, columns: Iterable[Sequence], null=NULL) -> Iterator[tu
 class CliqueTable:
     """k color columns over an ordered node domain, stored as their postings.
 
-    entries[i] lists column i + 1's entries in code order, each held by
-    some node, and entry_codes[i] maps them back to codes; postings holds
-    the column postings over node positions, the table's only cell storage,
-    and rows, cell and export read a node -> cells transpose built from it
-    on first use.  Queries answer in positions: column_preimage alone
-    decodes them to nodes.  CliqueTable(k, rows) converts node -> k
-    cells, for small tables; builders pass from_postings the stored form,
-    converting code columns one at a time with Postings.from_codes or,
-    when the layout is known (build_tree_schema), writing the columns.
-    Immutable by convention.
+    postings holds the column postings over node positions, the table's
+    only cell storage, and entries[i] is column i + 1's entry -> code map
+    in it (not a copy), iterated in code order; each entry is held by some
+    node.  rows, cell and export read a node -> cells transpose built from
+    the postings on first use.  Queries answer in positions:
+    column_preimage alone decodes them to nodes.  CliqueTable(k, rows)
+    converts node -> k cells, for small tables; builders pass from_postings
+    the stored form, converting code columns one at a time with
+    Postings.from_codes or, when the layout is known (build_tree_schema),
+    writing the columns.  Immutable by convention.
     """
 
     def __init__(self, k: int, rows: Mapping[Node, tuple]):
@@ -218,8 +204,7 @@ class CliqueTable:
     def _init(self, nodes: Iterable[Node], postings: Postings) -> None:
         self._nodes = np.fromiter(nodes, dtype=object, count=postings.n)
         self.k = len(postings.columns)
-        self.entry_codes = [entry_code for entry_code, _, _ in postings.columns]
-        self.entries = [list(entry_code) for entry_code in self.entry_codes]
+        self.entries = [entry_code for entry_code, _, _ in postings.columns]
         self.postings = postings
 
     @cached_property
@@ -283,9 +268,6 @@ class CliqueTable:
         out.fill(-1)
         out[ids] = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
         return out
-
-    def nodes(self) -> tuple:
-        return tuple(self._nodes.tolist())
 
     def null_count(self) -> int:
         return len(self) * self.k - sum(len(ids) for _, _, ids in self.postings.columns)
@@ -410,9 +392,8 @@ def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> Ver
     row_of = np.fromiter(map(t.position.get, f.nodes, repeat(-1)), dtype=np.int64, count=len(f.nodes))
     none = np.empty(0, dtype=np.int32)
     for i, e in enumerate(f.entries):
-        posting = t.postings.get((c.assignment[e], e))
-        got = none if posting is None else posting.ids
-        if not np.array_equal(got, np.sort(row_of[f.row(i)])):
+        got = t.postings.ids_of(c.assignment[e], e)
+        if not np.array_equal(none if got is None else got, np.sort(row_of[f.row(i)])):
             recovered = t.column_preimage(c.assignment[e], e)
             expected = f.image[e]
             return VerifyResult(False, e, frozenset(expected - recovered), frozenset(recovered - expected))
@@ -420,7 +401,7 @@ def verify_schema(f: SetValuedFunction, t: CliqueTable, c: EntryColoring) -> Ver
     for e in f.entries:
         by_color.setdefault(c.assignment[e], set()).add(e)
     strays = [
-        (int(t.postings[i, value].ids[0]), i, value)
+        (int(t.postings.ids_of(i, value)[0]), i, value)
         for i, column in enumerate(t.entries, start=1)
         for value in column
         if value not in by_color.get(i, ())

@@ -58,7 +58,7 @@ def test_boolean_algebra_matches_sets(case):
     a, b, c = bits(n, a_ids), bits(n, b_ids), bits(n, c_ids)
     # the drawn sizes decide the forms, so every pairing of forms occurs
     assert members(a & b) == sorted(a_ids & b_ids)
-    assert members(a | b) == sorted(a_ids | b_ids)
+    assert members(union(n, [a, b])) == sorted(a_ids | b_ids)
     assert members(a & b.complement()) == sorted(a_ids - b_ids)
     assert members(union(n, [a, b, c])) == sorted(a_ids | b_ids | c_ids)
     assert members(a.complement()) == sorted(set(range(n)) - a_ids)
@@ -72,8 +72,7 @@ def test_boolean_algebra_matches_sets(case):
 def test_cardinality_and_membership(case):
     n, a_ids, _, _ = case
     a = bits(n, a_ids)
-    assert a.cardinality() == len(a) == len(a_ids)
-    assert bool(a) == bool(a_ids)
+    assert a.cardinality() == len(a_ids)
     assert a == bits(n, a_ids) and a != bits(n, a_ids ^ {0})
 
 
@@ -99,7 +98,7 @@ def test_empty_and_full():
     assert f.cardinality() == n
     assert f.complement() == e
     assert (f & e) == e
-    assert (f | e) == f
+    assert union(n, [f, e]) == f
     assert (f & f.complement()) == e
 
 
@@ -113,7 +112,7 @@ def test_complement_covers_the_whole_universe():
 def test_mismatched_universes_rejected():
     a = CompressedBitset.empty(8)
     b = CompressedBitset.empty(9)
-    for op in (a.__and__, a.__or__):
+    for op in (a.__and__, lambda b: union(8, [a, b])):
         with pytest.raises(ValueError):
             op(b)
 
@@ -146,11 +145,11 @@ def test_postings_are_read_only_and_survive_evaluation():
     accs = rng.integers(1 << (levels - 1), 1 << levels, size=rows).tolist()
     idx = build_index(FactTable(accs, [1] * rows), build_tree_schema(levels))
     keys = [(1, 1), (2, 2), (8, accs[0])]  # all rows, about half, a few
-    before = {key: idx.postings[key].ids.copy() for key in keys}
+    before = {key: idx.postings.ids_of(*key).copy() for key in keys}
     acc, rows = idx.acc.copy(), idx.rows.copy()
     leaf = evaluate(Atom(*keys[2]), idx).ids  # one node: a view of its CSR slice
     assert np.shares_memory(leaf, idx.rows)
-    for ids in [idx.postings[key].ids for key in keys] + [idx.acc, idx.rows, leaf]:
+    for ids in [idx.postings.ids_of(*key) for key in keys] + [idx.acc, idx.rows, leaf]:
         assert not ids.flags.writeable
         with pytest.raises(ValueError):
             ids[0] = 0
@@ -165,5 +164,5 @@ def test_postings_are_read_only_and_survive_evaluation():
     ):
         evaluate(q, idx).to_array()
     for key in keys:
-        assert np.array_equal(idx.postings[key].ids, before[key])
+        assert np.array_equal(idx.postings.ids_of(*key), before[key])
     assert np.array_equal(idx.acc, acc) and np.array_equal(idx.rows, rows)

@@ -260,7 +260,7 @@ def test_materialize_function_csv(tmp_path):
     assert main(["materialize", "--function", fn_csv, "--out", str(out)]) == 0
     t = import_table(out)
     assert t.k == 2
-    assert set(t.nodes()) == {"a", "b", "c"}
+    assert set(t.rows) == {"a", "b", "c"}
 
 
 def test_query_sum_and_check(fact_csv, tmp_path, capsys):
@@ -278,6 +278,15 @@ def test_query_sum_and_check(fact_csv, tmp_path, capsys):
     assert payload["rows"] == len(want_rows)
     assert payload["sum"] == sum(int(r["m"]) for r in want_rows)
     assert abs(payload["selectivity"] - len(want_rows) / 300) < 1e-12
+
+
+def test_query_sum_of_the_int64_minimum_is_exact_and_checks(tmp_path, capsys):
+    clique = str(tmp_path / "clique.csv")
+    assert main(["build", "tree", "--levels", "2", "--out", clique]) == 0
+    facts = write(tmp_path / "fact.csv", "rid,acc,m\n0,1,-9223372036854775808\n1,1,-1\n")
+    capsys.readouterr()
+    assert main(["query", "--fact", facts, "--clique", clique, "--expr", "c1='1'", "--sum", "--check"]) == 0
+    assert json.loads(capsys.readouterr().out)["sum"] == -(2 ** 63) - 1
 
 
 def test_query_sum_json_on_readme_toy(tmp_path, capsys):
@@ -594,6 +603,26 @@ def test_interval_csv_non_numeric_endpoint_names_the_line(tmp_path, capsys):
     data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,abc,2\n")
     assert main(["query-intervals", "--data", data, "--a", "0", "--b", "5"]) == 1
     assert "line 3" in _no_traceback(capsys)
+
+
+@pytest.mark.parametrize("x, y, bad, why", [
+    ("1_0", "20", "1_0", "numeric"),
+    (" 3 ", "4", " 3 ", "numeric"),
+    ("3", "\u0664", "\u0664", "numeric"),
+    ("+nan", "4", "+nan", "finite"),
+])
+def test_interval_csv_endpoints_follow_the_measures_number_rule(tmp_path, capsys, x, y, bad, why):
+    # float() reads each bad endpoint; the measures' CSV number syntax does not
+    data = write(tmp_path / "iv.csv", f"id,x,y\na,0,1\nb,{x},{y}\n")
+    assert main(["query-intervals", "--data", data, "--a", "3.5", "--b", "3.5"]) == 1
+    assert _no_traceback(capsys).splitlines() == [f"error: {data} line 3: endpoint {bad!r} is not {why}"]
+
+
+def test_interval_csv_reads_every_csv_number_form(tmp_path, capsys):
+    data = write(tmp_path / "iv.csv", "id,x,y\na,-.5,1.\nb,+2,2.5e0\nc,1E1,12\n")
+    for a, want in [("0", {"a"}), ("2.25", {"b"}), ("11", {"c"})]:
+        assert main(["query-intervals", "--data", data, "--a", a, "--b", a]) == 0
+        assert set(capsys.readouterr().out.split()) == want
 
 
 # Each command that reads a header-keyed CSV: the input kind and the argv

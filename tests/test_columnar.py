@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cliqueindex import schema
-from cliqueindex.bitset import union
+from cliqueindex.bitset import CompressedBitset, union
 from cliqueindex.corpus import random_function, random_intervals
 from cliqueindex.endpoints import build_endpoint_schema
 from cliqueindex.engine import Atom, FactTable, ScanOracle, build_index, evaluate
@@ -235,7 +235,7 @@ def reference_coding(k, rows):
 def table_codes(t):
     """Each node's per-column code, rebuilt from the decoded rows and the
     table's entry codes, as a (k, N) array, -1 for NULL."""
-    codes = [[-1 if v is NULL else ec[v] for ec, v in zip(t.entry_codes, row)] for row in t.rows.values()]
+    codes = [[-1 if v is NULL else ec[v] for ec, v in zip(t.entries, row)] for row in t.rows.values()]
     return np.array(codes, dtype=np.int32).reshape(len(t), t.k).T
 
 
@@ -310,7 +310,7 @@ def test_table_csv_matches_the_row_wise_coder_writer_and_reader(table):
 
     def imported(source):
         back = import_table(source)
-        return list(back.rows), back.entries, table_codes(back)
+        return list(back.rows), [list(column) for column in back.entries], table_codes(back)
 
     want = _imported(lambda: reference_import(text))
     assert _imported(lambda: imported(text)) == want
@@ -471,14 +471,15 @@ def test_sparse_table_reads_what_the_dense_matrix_read(case, seed):
 def assert_in_list_matches(postings, col, entries):
     """union_of(col, entries) holds the ascending unique ids of bitset.union
     over the entries' posting views; one non-empty posting is its view."""
-    views = [p for p in (postings.get((col, e)) for e in entries) if p is not None]
+    found = {e: ids for e in entries if (ids := postings.ids_of(col, e)) is not None}
+    views = [CompressedBitset(postings.n, ids=ids) for ids in found.values()]
     want = union(postings.n, views).to_array() if views else np.empty(0, dtype=np.int64)
     got = postings.union_of(col, entries)
     assert got.n == postings.n
     ids = got.to_array()
     assert np.array_equal(ids, want), (col, entries)
     assert (ids[1:] > ids[:-1]).all()
-    nonempty = {e for e in entries if postings.get((col, e)) is not None and len(postings[col, e])}
+    nonempty = [e for e, ids in found.items() if len(ids)]
     if len(nonempty) == 1:
         assert np.shares_memory(got.ids, postings.columns[col - 1][2])
 
@@ -498,7 +499,7 @@ def test_tree_in_lists_match_the_union_of_their_atoms(n):
         if q > 1:  # siblings' subtrees interleave: the union fallback
             assert_in_list_matches(postings, q, range(1 << (q - 1), 1 << q))
     if n >= 3:  # column 2's entries 2 and 3, subtrees 2 4 5 8.. and 3 6 7..., interleave
-        two, three = postings[2, 2].ids, postings[2, 3].ids
+        two, three = postings.ids_of(2, 2), postings.ids_of(2, 3)
         assert two[0] < three[0] < two[-1]
         assert_in_list_matches(postings, 2, [2, 3])
 
@@ -534,7 +535,7 @@ def in_lists(draw):
     filled = [i for i, column in enumerate(t.entries, start=1) if column]
     assume(filled)
     col = draw(st.sampled_from(filled))
-    entries = draw(st.lists(st.sampled_from(t.entries[col - 1]), min_size=1, max_size=8))
+    entries = draw(st.lists(st.sampled_from(list(t.entries[col - 1])), min_size=1, max_size=8))
     absent = draw(st.lists(st.sampled_from(["absent", -99]), max_size=2))
     return t.postings, col, draw(st.permutations(entries + absent))
 

@@ -184,7 +184,7 @@ def test_bucketed_schema_splits_by_length(rng):
     assert len(buckets) >= 2
     covered = set()
     for schema in buckets:
-        ids = {r.id for r in schema.intervals}
+        ids = set(schema.function.nodes)
         assert not ids & covered
         covered |= ids
     assert covered == {r.id for r in ivs}
@@ -195,7 +195,7 @@ def test_zero_length_intervals_get_their_own_bucket():
     buckets = bucketed_schema(ivs)
     assert len(buckets) == 2
     # zero-length bucket sorts first
-    assert {r.id for r in buckets[0].intervals} == {"i0"}
+    assert buckets[0].function.nodes == ("i0",)
 
 
 def test_bucketed_query_equals_plain(rng):
@@ -243,7 +243,6 @@ def reference_endpoint_schema(intervals):
         postings.append(([repr(entries[j]) for j in held], offsets, sum((images[j] for j in held), [])))
     order = sorted(range(len(ys)), key=ys.__getitem__)  # stable: ties keep input order
     return SimpleNamespace(
-        intervals=[repr(r) for r in records],
         entries=[(type(e), repr(e)) for e in entries],
         nodes=[(type(n), repr(n)) for n in nodes],
         indptr=indptr.tolist(),
@@ -260,7 +259,6 @@ def snapshot(s):
     """The schema's fields in the reference's form: values and ids by type
     and repr, so that -0.0 and 0.0 or 1, 1.0 and True differ."""
     return SimpleNamespace(
-        intervals=[repr(r) for r in s.intervals],
         entries=[(type(e), repr(e)) for e in s.entries],
         nodes=[(type(n), repr(n)) for n in s.function.nodes],
         indptr=s.function.indptr.tolist(),
@@ -299,7 +297,7 @@ def assert_matches_reference(intervals):
         return
     s = build_endpoint_schema(intervals)
     assert vars(snapshot(s)) == vars(want)
-    assert s.clique.nodes() == s.function.nodes
+    assert tuple(s.clique.rows) == s.function.nodes
     assert verify_schema(s.function, s.clique, s.coloring)
     points = sorted({v for r in intervals for v in (r.x, r.y)})
     probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[0] - 1, points[-1] + 1]
@@ -394,7 +392,7 @@ def test_upper_endpoint_order_matches_on_many_ties(values):
     intervals = many_ties(4, values)
     assert_matches_reference(intervals)
     s = build_endpoint_schema(intervals)
-    by_y = sorted(s.intervals, key=attrgetter("y"))
+    by_y = sorted(sorted(intervals, key=attrgetter("x", "y", "id")), key=attrgetter("y"))
     assert [(type(r.y), repr(r.y)) for r in by_y] == [(type(y), repr(y)) for y in s._ys]
     assert [(type(r.id), repr(r.id)) for r in by_y] == [(type(i), repr(i)) for i in s._y_ids]
 

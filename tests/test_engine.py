@@ -368,7 +368,7 @@ def test_scan_oracle_codes_only_the_columns_its_atoms_read():
     scan = ScanOracle(fact, clique)
     assert scan.rid_array(And((Atom(3, 4), Not(Atom(4, 9))))).tolist() == [0]
     assert sorted(scan._codes) == [3, 4]
-    codes = clique.entry_codes[1]
+    codes = clique.entries[1]
     assert scan.row_codes(2).tolist() == [codes[2], codes[2], codes[3], -1]
 
 
@@ -376,13 +376,13 @@ def fact_row_postings(fact, clique):
     """The fact-row posting index node-space evaluation replaced: each
     column's postings copied into rid space, one row code per fact row."""
     scan = ScanOracle(fact, clique)
-    return Postings.from_codes(fact.n, ((codes, scan.row_codes(i)) for i, codes in enumerate(clique.entry_codes, 1)))
+    return Postings.from_codes(fact.n, ((codes, scan.row_codes(i)) for i, codes in enumerate(clique.entries, 1)))
 
 
 def fact_row_evaluate(q, postings):
     if isinstance(q, Atom):
-        posting = postings.get((q.col, q.entry))
-        return CompressedBitset.empty(postings.n) if posting is None else posting
+        ids = postings.ids_of(q.col, q.entry)
+        return CompressedBitset.empty(postings.n) if ids is None else CompressedBitset(postings.n, ids=ids)
     if isinstance(q, And):
         out = fact_row_evaluate(q.items[0], postings)
         for item in q.items[1:]:
@@ -409,7 +409,7 @@ def test_node_space_matches_the_fact_row_postings(seed, kind, layout):
     domain = sorted(f.node_domain()) + ["spare"]  # a node no entry holds
     clique = materialize(f, greedy_color(build_intersection_graph(f)), domain)
     if layout == "table rows":  # row j references node j
-        accs = list(clique.nodes())
+        accs = list(clique.rows)
     else:
         # Skewed acc frequencies, so that node sets expand to one node's
         # rows, to few rows and to many; "absent" rows are unresolved.
@@ -460,6 +460,17 @@ def test_aggregate_sum_huge_ints_are_exact():
     idx = build_index(fact, clique)
     q = Or((Atom(3, 4), Atom(3, 5)))
     assert aggregate_sum(q, idx, fact) == 2 ** 70 + 1
+
+
+def test_aggregate_sum_of_the_int64_minimum_is_exact():
+    # np.abs(-2**63) is -2**63 in int64: a bound taken from it would pass
+    # these measures as safe int64 sums, and their sum would wrap
+    clique = build_tree_schema(2)
+    fact = FactTable([1, 1], [-(2 ** 63), -1])
+    idx = build_index(fact, clique)
+    assert fact.measure_data()[0] == "pyint"
+    assert aggregate_sum(Atom(1, 1), idx, fact) == -(2 ** 63) - 1
+    assert fact.measure_sum(evaluate(Atom(1, 1), idx).to_array()) == -(2 ** 63) - 1
 
 
 def test_aggregate_sum_float_overflow_raises():

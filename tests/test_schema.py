@@ -24,6 +24,7 @@ from cliqueindex.schema import (
     sidecar_payload,
     verify_schema,
 )
+from cliqueindex.tree import build_tree_schema
 
 
 def fn(**images):
@@ -47,7 +48,7 @@ def test_materialize_single_entry():
 def test_materialize_domain_defaults_to_image_union():
     f = fn(a={3, 1}, b={2})
     t = materialize(f, colored(f))
-    assert list(t.nodes()) == [1, 2, 3]
+    assert list(t.rows) == [1, 2, 3]
 
 
 def test_materialize_explicit_domain_adds_null_rows():
@@ -139,6 +140,23 @@ def test_compact_colors_noop_when_all_used():
     assert remap == {1: 1}
 
 
+def test_entries_are_the_postings_entry_maps_not_copies():
+    f = fn(a={1, 2}, b={2, 3}, c={4})
+    rows = CliqueTable(3, {1: (NULL, "a", NULL), 2: ("b", "a", NULL), 3: ("b", NULL, NULL)})
+    tables = [
+        materialize(f, colored(f)),
+        import_table("node,c1,c2\nu,a,\nv,a,b\n"),
+        build_tree_schema(4),
+        rows,
+        compact_colors(rows)[0],
+    ]
+    for t in tables:
+        assert len(t.entries) == len(t.postings.columns) == t.k
+        for i, (entry_code, offsets, _) in enumerate(t.postings.columns):
+            assert t.entries[i] is entry_code
+            assert list(entry_code.values()) == list(range(len(offsets) - 1))  # code order
+
+
 def test_table_arity_is_checked():
     with pytest.raises(InconsistentArity):
         CliqueTable(2, {1: ("a",)})
@@ -161,19 +179,20 @@ def test_column_preimage():
 
 def test_lookups_outside_the_table_find_nothing():
     """Columns 0 and k + 1 and an entry a column does not hold: ids_of
-    gives None, get its default, [] KeyError and column_preimage set()."""
+    gives None and column_preimage set(); union_of finds no ids for an
+    absent entry and raises KeyError for a column outside 1..k."""
     t = CliqueTable(2, {1: ("a", NULL), 2: ("a", "b"), 3: (NULL, "b")})
-    postings, missing = t.postings, object()
+    postings = t.postings
     assert postings.ids_of(1, "a").tolist() == [0, 1]
-    assert postings.get((1, "a")).ids.tolist() == [0, 1]
+    assert postings.union_of(1, ["a"]).to_array().tolist() == [0, 1]
     for col, entry in [(0, "a"), (3, "b"), (1, "b"), (2, "zzz")]:
         assert postings.ids_of(col, entry) is None
-        assert postings.get((col, entry)) is None
-        assert postings.get((col, entry), missing) is missing
-        assert (col, entry) not in postings
-        with pytest.raises(KeyError):
-            postings[col, entry]
         assert t.column_preimage(col, entry) == set()
+    for col, entry in [(1, "b"), (2, "zzz")]:
+        assert postings.union_of(col, [entry]).cardinality() == 0
+    for col in (0, 3):
+        with pytest.raises(KeyError):
+            postings.union_of(col, ["a"])
 
 
 def test_csv_round_trip_preserves_nulls():
@@ -276,7 +295,7 @@ def test_import_skips_blank_lines_and_codes_cast_entries_once():
     t = import_table("node,c1,c2\n\nu,a,\n\n\nv,,b\n\n")
     assert t.rows == {"u": ("a", NULL), "v": (NULL, "b")}
     t = import_table("node,c1\nu,1\nv,1\nw,\n")
-    assert t.entries == [["1"]]
+    assert [list(column) for column in t.entries] == [["1"]]
     assert len(t.postings) == 1
     assert t.column_preimage(1, "1") == {"u", "v"}
 

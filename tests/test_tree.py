@@ -120,12 +120,12 @@ def test_closed_form_codes_match_unique_coding():
         want = unique_coded_postings(n)
         assert t.postings.n == want.n and len(t.postings.columns) == len(want.columns) == n
         # real dicts keep union_of's lookups in C; each column owns its map
-        assert all(type(entry_code) is dict for entry_code in t.entry_codes)
-        assert len({id(entry_code) for entry_code in t.entry_codes}) == n
+        assert all(type(entry_code) is dict for entry_code in t.entries)
+        assert len({id(entry_code) for entry_code in t.entries}) == n
         for q, (got_col, want_col) in enumerate(zip(t.postings.columns, want.columns), start=1):
             (entry_code, offsets, ids), (want_code, want_offsets, want_ids) = got_col, want_col
             assert list(entry_code.items()) == list(want_code.items()), (n, q)
-            assert t.entries[q - 1] == list(range(1, 2**q))
+            assert list(t.entries[q - 1]) == list(range(1, 2**q))
             assert all(type(e) is int for e in t.entries[q - 1])
             assert offsets.dtype == want_offsets.dtype and np.array_equal(offsets, want_offsets), (n, q)
             assert ids.dtype == want_ids.dtype == np.int32 and np.array_equal(ids, want_ids), (n, q)
