@@ -65,7 +65,7 @@ from .engine import (
     parse_query,
     row_count,
 )
-from .errors import CliqueIndexError, EmptyDigraph, MalformedCsv
+from .errors import CliqueIndexError, EmptyDigraph, InvalidRange, MalformedCsv
 from .intersection import (
     GREEDY_ORDERS,
     EntryColoring,
@@ -165,15 +165,16 @@ def _csv_rows(path: str, kind: str, required: tuple[str, ...]):
 
 def _load_intervals(path: str) -> list[IntervalRecord]:
     """Intervals from `id,x,y` CSV: each endpoint is held to the measures'
-    number rule (engine.check_csv_number), then read by float()."""
+    number rule (engine.check_csv_number), then read by float().  A row's
+    error, MalformedCsv or IntervalRecord's InvalidRange, names its line."""
     records = []
     for rows, (i, x, y) in _csv_rows(path, "interval", ("id", "x", "y")):
         try:
             check_csv_number(x, "endpoint")
             check_csv_number(y, "endpoint")
-        except MalformedCsv as exc:
-            raise rows.error(str(exc)) from None
-        records.append(IntervalRecord(i, float(x), float(y)))
+            records.append(IntervalRecord(i, float(x), float(y)))
+        except (MalformedCsv, InvalidRange) as exc:
+            raise rows.error(str(exc), type(exc)) from None
     return records
 
 
@@ -264,11 +265,11 @@ def cmd_build_dag(args) -> int:
 def cmd_build_intervals(args) -> int:
     records = _load_intervals(args.data)
     s = build_endpoint_schema(records)
-    provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.window, "escalations": s.escalations}
+    provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.coloring.k, "escalations": s.escalations}
     _emit_table(s.clique, sidecar_payload(s.coloring, provenance), args)
     _note(
         f"{len(records)} intervals, {len(s.entries)} entries, k={s.coloring.k}, "
-        f"window={s.window}, escalations={s.escalations}"
+        f"window={s.coloring.k}, escalations={s.escalations}"
     )
     return EXIT_OK
 
@@ -436,7 +437,7 @@ def _verify_intersection(rng: random.Random, scale: float):
         f = corpus.random_function(rng, max_entries=20, max_nodes=25)
         fast = build_intersection_graph(f)
         slow = oracle_intersection_graph(f)
-        yield fast.adj == slow.adj, f"function #{i}"
+        yield fast.adj == slow, f"function #{i}"
 
 
 def _verify_degeneracy(rng: random.Random, scale: float):

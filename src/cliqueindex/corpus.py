@@ -50,7 +50,7 @@ def random_function(
     for i in range(n_entries):
         size = min(n_nodes, int(rng.expovariate(1 / 3)))
         image[f"e{i}"] = frozenset(rng.sample(nodes, size))
-    return SetValuedFunction(tuple(image.keys()), image)
+    return SetValuedFunction.from_images(image)
 
 
 def random_intervals(

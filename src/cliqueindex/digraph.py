@@ -150,9 +150,6 @@ class AcyclicDigraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __contains__(self, u: NodeId) -> bool:
-        return u in self._index
-
 
 def build_digraph(
     edge_list: Iterable[tuple[NodeId, NodeId]],
@@ -275,20 +272,23 @@ def hypergraph_degeneracy(h: DownHypergraph) -> int:
 def peel_degeneracy(h: DownHypergraph) -> int:
     """Lower bound on the degeneracy along one min-degree removal chain, with
     no size limit.  Restriction-and-dedup can break the monotonicity the
-    graph argument relies on, so the chain value is never reported as exact."""
+    graph argument relies on, so the chain value is never reported as exact.
+
+    Each step counts every vertex's degree in one bincount of the distinct
+    restrictions' positions and removes the live vertex of least degree,
+    the lowest on a tie."""
     edge_masks = _edge_masks(h)
-    alive = (1 << len(h.vertices)) - 1
+    n = len(h.vertices)
+    alive = (1 << n) - 1
     best = 0
     while alive:
-        restrictions = {em & alive for em in edge_masks}
-        restrictions = [r for r in restrictions if r.bit_count() >= 2]
-        worst_u, worst_d = -1, None
-        for u in mask_positions(alive).tolist():
-            d = sum(1 for r in restrictions if (r >> u) & 1)
-            if worst_d is None or d < worst_d:
-                worst_u, worst_d = u, d
-        best = max(best, worst_d)
-        alive &= ~(1 << worst_u)
+        restrictions = [r for r in {em & alive for em in edge_masks} if r.bit_count() >= 2]
+        members = np.concatenate([np.empty(0, dtype=np.intp), *map(mask_positions, restrictions)])
+        degree = np.bincount(members, minlength=n)
+        live = mask_positions(alive)
+        u = int(live[degree[live].argmin()])
+        best = max(best, int(degree[u]))
+        alive &= ~(1 << u)
     return best
 
 
@@ -377,7 +377,7 @@ def _closure_function(g: AcyclicDigraph, masks: tuple[int, ...]) -> SetValuedFun
     bounds = indptr.tolist()
     for i, m in enumerate(masks):
         indices[bounds[i]:bounds[i + 1]] = mask_positions(m)
-    return SetValuedFunction.from_csr(g.nodes, g.nodes, indptr, indices)
+    return SetValuedFunction(g.nodes, g.nodes, indptr, indices)
 
 
 def descendant_set_function(g: AcyclicDigraph) -> SetValuedFunction:

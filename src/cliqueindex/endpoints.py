@@ -47,7 +47,8 @@ class EndpointSchema:
     """Materialized endpoint schema over one interval collection.
 
     It keeps no copy of the intervals: each interval's id is a node of the
-    function and the clique table.  The build also passes the upper
+    function and the clique table.  The coloring's k is the window, the
+    longest straddled-entry run.  The build also passes the upper
     endpoints in ascending order (ties in the order of intervals) and
     their ids, which range queries bisect."""
 
@@ -55,7 +56,6 @@ class EndpointSchema:
     function: SetValuedFunction
     coloring: EntryColoring
     clique: CliqueTable
-    window: int  # longest straddled-entry run, which is k
     escalations: int  # always 0; the sidecar, the CLI report and perfbench's set-up check read it
     _ys: list = field(repr=False)
     _y_ids: list = field(repr=False)
@@ -132,14 +132,14 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     window = max(1, int(run.max()))
 
     indptr, indices = _straddle_csr(start, run, held, len(entries), len(nodes))
-    f = SetValuedFunction.from_csr(entries, nodes, indptr, indices)
+    f = SetValuedFunction(entries, nodes, indptr, indices)
 
     colors = (np.arange(len(entries)) % window + 1).tolist()
     coloring = EntryColoring(dict(zip(entries, colors)), window)
     clique = materialize(f, coloring, nodes)
     by_y = order[np.argsort(y[order], kind="stable")].tolist()  # ties keep (x, y, id) order
     y_order = list(map(ys.__getitem__, by_y)), list(map(ids.__getitem__, by_y))
-    return EndpointSchema(entries, f, coloring, clique, window, 0, *y_order)
+    return EndpointSchema(entries, f, coloring, clique, 0, *y_order)
 
 
 def _straddling(s: EndpointSchema, a, b) -> set:

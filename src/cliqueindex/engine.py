@@ -150,9 +150,6 @@ class FactTable:
             raise MeasureOverflow(f"measure sum overflowed: {total!r}")
         return total
 
-    def __len__(self) -> int:
-        return self.n
-
 
 # -- boolean expressions -----------------------------------------------------
 
@@ -528,8 +525,6 @@ BENCH_COLUMNS = (
     "scan_ms",
     "speedup",
 )
-
-TIMING_COLUMNS = ("index_ms", "scan_ms", "speedup")
 
 
 @dataclass(frozen=True)

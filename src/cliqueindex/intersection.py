@@ -52,7 +52,9 @@ DEFAULT_CHROMATIC_CAP = 20
 class RowView(Mapping):
     """Read-only mapping over the owner's `keys` whose row `decode(key)` computes
     on each read, raising KeyError for an unknown key.  Owners make a fresh
-    view per access (f.image, g.adj, t.rows), so none holds a reference cycle."""
+    view per access (f.image, g.adj, t.rows), so none holds a reference cycle.
+    A view equals a dict with the same items, as any Mapping does, so verify
+    compares g.adj with the graph oracle's dict directly."""
 
     def __init__(self, keys: Sequence, decode: Callable):
         self._keys, self._decode = keys, decode
@@ -75,30 +77,24 @@ class SetValuedFunction:
     indices[indptr[i]:indptr[i + 1]], the int32 positions of its nodes in
     ascending order; `indptr` holds the len(entries) + 1 int64 offsets.
     Empty images are permitted; such entries are isolated in the
-    intersection graph.  SetValuedFunction(entries, image), from_pairs and
-    from_images convert hashable node sets once; builders call from_csr.
+    intersection graph.  The constructor takes these four; from_images
+    converts hashable node sets once, and from_pairs goes through it.
     `image` decodes one entry to a frozenset when read.  Immutable: both
     arrays are read-only.
     """
 
-    def __init__(self, entries: Iterable[Entry], image: Mapping[Entry, Iterable[Node]]):
-        entries = tuple(entries)
-        if len(set(entries)) != len(entries):
-            raise ValueError("entry identifiers must be distinct")
-        missing = [e for e in entries if e not in image]
-        if missing:
-            raise ValueError(f"entries without an image: {missing[:3]}")
-        position: dict[Node, int] = {}  # first-seen node order
-        rows = [sorted(position.setdefault(u, len(position)) for u in frozenset(image[e])) for e in entries]
-        self._init(entries, tuple(position), *_csr(rows))
+    def __init__(self, entries: tuple[Entry, ...], nodes: tuple[Node, ...], indptr: np.ndarray, indices: np.ndarray):
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.entries, self.nodes, self.indptr, self.indices = entries, nodes, indptr, indices
 
     @classmethod
-    def from_csr(
-        cls, entries: tuple[Entry, ...], nodes: tuple[Node, ...], indptr: np.ndarray, indices: np.ndarray
-    ) -> "SetValuedFunction":
-        f = cls.__new__(cls)
-        f._init(entries, nodes, indptr, indices)
-        return f
+    def from_images(cls, image: Mapping[Entry, Iterable[Node]]) -> "SetValuedFunction":
+        """The entries are the mapping's keys, in order, and the nodes are
+        numbered in first-seen order."""
+        position: dict[Node, int] = {}
+        rows = [sorted(position.setdefault(u, len(position)) for u in frozenset(nodes)) for nodes in image.values()]
+        return cls(tuple(image), tuple(position), *_csr(rows))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Entry, Node]]) -> "SetValuedFunction":
@@ -106,16 +102,7 @@ class SetValuedFunction:
         image: dict[Entry, set[Node]] = {}
         for entry, node in pairs:
             image.setdefault(entry, set()).add(node)
-        return cls(image.keys(), image)
-
-    @classmethod
-    def from_images(cls, image: Mapping[Entry, Iterable[Node]]) -> "SetValuedFunction":
-        return cls(image.keys(), image)
-
-    def _init(self, entries, nodes, indptr, indices) -> None:
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        self.entries, self.nodes, self.indptr, self.indices = entries, nodes, indptr, indices
+        return cls.from_images(image)
 
     @cached_property
     def entry_index(self) -> dict[Entry, int]:
@@ -151,27 +138,11 @@ class IntersectionGraph:
     indices[indptr[p]:indptr[p + 1]], the int32 positions of p's
     neighbours in ascending order, so it decodes to the sorted neighbour
     list; `indptr` holds the n + 1 int64 offsets.  Symmetric and
-    irreflexive.  IntersectionGraph(vertices, adj) converts entry ->
-    neighbour lists once; build_intersection_graph calls from_csr.
+    irreflexive.  build_intersection_graph is the one builder.
     Immutable: both arrays are read-only.
     """
 
-    def __init__(self, vertices: Iterable[Entry], adj: Mapping[Entry, Iterable[Entry]]):
-        vertices = tuple(vertices)
-        order = tuple(sorted(vertices))
-        rank = {e: p for p, e in enumerate(order)}
-        rows = [np.unique(np.fromiter((rank[w] for w in adj[e]), dtype=np.int64)) for e in order]
-        self._init(vertices, order, *_csr(rows))
-
-    @classmethod
-    def from_csr(
-        cls, vertices: tuple[Entry, ...], order: tuple[Entry, ...], indptr: np.ndarray, indices: np.ndarray
-    ) -> "IntersectionGraph":
-        g = cls.__new__(cls)
-        g._init(vertices, order, indptr, indices)
-        return g
-
-    def _init(self, vertices, order, indptr, indices) -> None:
+    def __init__(self, vertices: tuple[Entry, ...], order: tuple[Entry, ...], indptr: np.ndarray, indices: np.ndarray):
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self.vertices, self.order, self.indptr, self.indices = vertices, order, indptr, indices
@@ -195,10 +166,6 @@ class IntersectionGraph:
 
     def edge_count(self) -> int:
         return self.indices.size // 2
-
-    def input_positions(self) -> np.ndarray:
-        """Positions of `vertices`, in vertex order."""
-        return np.fromiter(map(self.position.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
 
 
 def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +232,7 @@ def build_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
             mask |= holders[u]
         rows.append(mask_positions(mask & ~(1 << p)))
     order = tuple(f.entries[i] for i in by_rank)
-    return IntersectionGraph.from_csr(f.entries, order, *_csr(rows))
+    return IntersectionGraph(f.entries, order, *_csr(rows))
 
 
 def _smallest_last_positions(g: IntersectionGraph) -> np.ndarray:
@@ -289,7 +256,7 @@ def _smallest_last_positions(g: IntersectionGraph) -> np.ndarray:
 
 def _order_positions(g: IntersectionGraph, order: str) -> np.ndarray:
     if order == "input":
-        return g.input_positions()
+        return np.fromiter(map(g.position.__getitem__, g.vertices), dtype=np.int64, count=len(g.vertices))
     if order == "largest-first":
         return np.argsort(-np.diff(g.indptr), kind="stable")
     if order == "smallest-last":

@@ -12,15 +12,16 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import OutOfRange, TooLargeForExact
-from .intersection import IntersectionGraph, SetValuedFunction
+from .intersection import SetValuedFunction
 
 ORACLE_PAIRWISE_CAP = 5000
 ORACLE_HYPERGRAPH_CAP = 16
 ORACLE_TREE_CAP = 16
 
 
-def oracle_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
-    """All-pairs image intersection test, quadratic on purpose."""
+def oracle_intersection_graph(f: SetValuedFunction) -> dict:
+    """The graph's definition as entry -> sorted neighbour list, in entry
+    order: an all-pairs image intersection test, quadratic on purpose."""
     n = len(f.entries)
     if n > ORACLE_PAIRWISE_CAP:
         raise TooLargeForExact(n, ORACLE_PAIRWISE_CAP, what="entry list")
@@ -34,7 +35,7 @@ def oracle_intersection_graph(f: SetValuedFunction) -> IntersectionGraph:
                 adj[b].append(a)
     for e in adj:
         adj[e].sort()
-    return IntersectionGraph(tuple(f.entries), adj)
+    return adj
 
 
 def oracle_degeneracy(h) -> int:

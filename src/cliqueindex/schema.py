@@ -179,7 +179,7 @@ class CliqueTable:
     postings holds the column postings over node positions, the table's
     only cell storage, and entries[i] is column i + 1's entry -> code map
     in it (not a copy), iterated in code order; each entry is held by some
-    node.  rows, cell and export read a node -> cells transpose built from
+    node.  rows and export read a node -> cells transpose built from
     the postings on first use.  Queries answer in positions:
     column_preimage alone decodes them to nodes.  CliqueTable(k, rows)
     converts node -> k cells, for small tables; builders pass from_postings
@@ -252,14 +252,6 @@ class CliqueTable:
         for g in cells[indptr[j]:indptr[j + 1]].tolist():
             row[column[g]] = entries[g]
         return tuple(row)
-
-    def cell(self, u: Node, i: int):
-        """Cell in column i (1-based) of node u's row."""
-        if u not in self.position:
-            raise UnknownNode(u)
-        if not 1 <= i <= self.k:
-            raise IndexError(f"column {i} outside 1..{self.k}")
-        return self._cells_of(u)[i - 1]
 
     def column_codes(self, i: int, out: np.ndarray) -> np.ndarray:
         """Column i's (1-based) int32 code at each node position, -1 for

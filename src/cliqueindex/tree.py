@@ -91,13 +91,11 @@ def tree_entry_function(n: int, canonical: bool = True) -> SetValuedFunction:
     singletons appearing in columns below a node's level.
     """
     _check_levels(n)
-    entries = []
+    image = {}
     for p in range(1, 1 << n):
-        qs = [level(p)] if canonical else range(level(p), n + 1)
-        for q in qs:
-            entries.append((p, q))
-    image = {(p, q): entry_members(p, q, n) for p, q in entries}
-    return SetValuedFunction(tuple(entries), image)
+        for q in [level(p)] if canonical else range(level(p), n + 1):
+            image[(p, q)] = entry_members(p, q, n)
+    return SetValuedFunction.from_images(image)
 
 
 def tree_coloring(n: int, canonical: bool = True) -> EntryColoring:
@@ -256,4 +254,4 @@ def naive_overlap_function(n: int) -> SetValuedFunction:
         image[k] = frozenset(
             j for j in ids if extents[j][0] < hi and lo < extents[j][1]
         )
-    return SetValuedFunction(tuple(ids), image)
+    return SetValuedFunction.from_images(image)

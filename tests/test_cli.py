@@ -263,6 +263,23 @@ def test_materialize_function_csv(tmp_path):
     assert set(t.rows) == {"a", "b", "c"}
 
 
+def test_materialize_compact_colors_output_is_pinned(tmp_path, capsys):
+    """A sidecar coloring that leaves column 2 empty: --compact-colors
+    writes two columns, and the sidecar it writes moves b from 3 to 2."""
+    fn_csv = write(tmp_path / "f.csv", "entry,node\na,1\nb,1\nb,2\nc,3\n")
+    coloring = write(tmp_path / "c.json", '{"k": 3, "coloring": {"a": 1, "b": 3, "c": 1}}\n')
+    out, sidecar = tmp_path / "t.csv", tmp_path / "t.json"
+    argv = ["materialize", "--function", fn_csv, "--coloring", coloring, "--compact-colors"]
+    assert main(argv + ["--out", str(out), "--sidecar", str(sidecar)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "materialized 3 rows x 2 columns, verified, k=2 >= lower bound 2\n"
+    assert out.read_text(encoding="utf-8") == "node,c1,c2\n1,a,b\n2,,b\n3,c,\n"
+    assert sidecar.read_text(encoding="utf-8") == sidecar_text(
+        2, {"a": 1, "b": 2, "c": 1}, clique_lower_bound=2, source=fn_csv, verified=True, **SMALLEST_LAST
+    )
+
+
 def test_query_sum_and_check(fact_csv, tmp_path, capsys):
     clique = tmp_path / "clique.csv"
     assert main(["build", "tree", "--levels", "4", "--out", str(clique)]) == 0
@@ -548,7 +565,7 @@ def test_export_compacts_unused_columns(tmp_path, capsys):
     assert main(["export", "--table", src, "--compact-colors", "--out", str(out)]) == 0
     t = import_table(out)
     assert t.k == 1
-    assert t.cell("u", 1) == "a"
+    assert t.rows["u"] == ("a",)
 
 
 def test_tree_cap_env_override(tmp_path, monkeypatch, capsys):
@@ -616,6 +633,20 @@ def test_interval_csv_endpoints_follow_the_measures_number_rule(tmp_path, capsys
     data = write(tmp_path / "iv.csv", f"id,x,y\na,0,1\nb,{x},{y}\n")
     assert main(["query-intervals", "--data", data, "--a", "3.5", "--b", "3.5"]) == 1
     assert _no_traceback(capsys).splitlines() == [f"error: {data} line 3: endpoint {bad!r} is not {why}"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["query-intervals", "--a", "0", "--b", "1"], ["build", "intervals"]], ids=["query", "build"]
+)
+@pytest.mark.parametrize("row, why", [
+    ("b,2,1", "interval 'b': upper 1.0 below lower 2.0"),
+    ("b,1e999,1e999", "interval 'b': endpoints inf, inf must be finite numbers"),
+], ids=["reversed", "infinite"])
+def test_interval_csv_invalid_range_names_the_line(tmp_path, capsys, argv, row, why):
+    # each endpoint is a CSV number; the interval they make is not valid
+    data = write(tmp_path / "iv.csv", f"id,x,y\na,0,1\n{row}\n")
+    assert main(argv + ["--data", data]) == 1
+    assert _no_traceback(capsys).splitlines() == [f"error: {data} line 3: {why}"]
 
 
 def test_interval_csv_reads_every_csv_number_form(tmp_path, capsys):

@@ -280,6 +280,35 @@ def test_peel_never_exceeds_exact(rng):
         assert exact == oracle_degeneracy(h)
 
 
+def reference_peel(h):
+    """The peel as a per-vertex loop: each step recounts every live
+    vertex's degree restriction by restriction, bit by bit."""
+    index = {u: i for i, u in enumerate(h.vertices)}
+    edge_masks = [sum(1 << index[u] for u in e) for e in h.hyperedges]
+    alive = (1 << len(h.vertices)) - 1
+    best = 0
+    while alive:
+        restrictions = {em & alive for em in edge_masks}
+        restrictions = [r for r in restrictions if r.bit_count() >= 2]
+        worst_u, worst_d = -1, None
+        for u in range(len(h.vertices)):
+            if not (alive >> u) & 1:
+                continue
+            d = sum(1 for r in restrictions if (r >> u) & 1)
+            if worst_d is None or d < worst_d:
+                worst_u, worst_d = u, d
+        best = max(best, worst_d)
+        alive &= ~(1 << worst_u)
+    return best
+
+
+def test_peel_matches_the_per_vertex_loop():
+    for seed in range(300):
+        rng = random.Random(seed)
+        h = down_hypergraph(random_dag(rng, max_nodes=rng.choice([12, 30])))
+        assert peel_degeneracy(h) == reference_peel(h), seed
+
+
 def chain_dag(n):
     """n nodes in a line: the down-hypergraph is one hyperedge over all of them."""
     return build_digraph([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])

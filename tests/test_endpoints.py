@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import re
@@ -56,7 +57,6 @@ def test_single_interval_schema():
     assert s.function.image[1.0] == {"i0"}
     assert s.function.image[4.0] == frozenset()
     assert s.coloring.k == 1
-    assert s.window == 1
     assert s.escalations == 0
 
 
@@ -162,8 +162,8 @@ def test_cyclic_coloring_below_the_window_collides():
     # i0 straddles entries 0, 1, 2: window 3, so two colors must collide
     ivs = records((0.0, 3.0), (1.0, 1.0), (2.0, 2.0))
     s = build_endpoint_schema(ivs)
-    assert s.window == 3
-    k = s.window - 1
+    assert s.coloring.k == 3
+    k = s.coloring.k - 1
     narrow = EntryColoring({e: (pos % k) + 1 for pos, e in enumerate(s.entries)}, k)
     with pytest.raises(ColorCollision):
         materialize(s.function, narrow)
@@ -173,9 +173,9 @@ def test_window_bounds_column_count(rng):
     for _ in range(10):
         ivs = random_intervals(rng, 80)
         s = build_endpoint_schema(ivs)
-        assert s.coloring.k == s.window
-        # the window is the deepest stack of straddles, a clique in overlaps
-        assert s.coloring.k >= 1
+        # k is the window, the longest run of entries one interval straddles
+        runs = [bisect.bisect_left(s.entries, r.y) - bisect.bisect_left(s.entries, r.x) for r in ivs]
+        assert s.coloring.k == max(1, *runs)
 
 
 def test_bucketed_schema_splits_by_length(rng):
@@ -234,7 +234,7 @@ def reference_endpoint_schema(intervals):
     images = [sorted({node_pos[r.id] for r in records if r.x <= e < r.y}) for e in entries]
     colors = {e: pos % window + 1 for pos, e in enumerate(entries)}
     indptr = np.cumsum([0] + [len(image) for image in images])
-    f = SetValuedFunction.from_csr(tuple(entries), nodes, indptr, np.array(sum(images, []), dtype=np.int32))
+    f = SetValuedFunction(tuple(entries), nodes, indptr, np.array(sum(images, []), dtype=np.int32))
     materialize(f, EntryColoring(colors, window), nodes)  # an id shared by disjoint runs can collide
     postings = []
     for i in range(1, window + 1):
@@ -264,7 +264,7 @@ def snapshot(s):
         indptr=s.function.indptr.tolist(),
         indices=s.function.indices.tolist(),
         assignment=[(type(e), repr(e), i) for e, i in s.coloring.assignment.items()],
-        window=s.window,
+        window=s.coloring.k,
         postings=[
             ([repr(e) for e in entry_code], offsets.tolist(), ids.tolist())
             for entry_code, offsets, ids in s.clique.postings.columns

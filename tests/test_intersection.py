@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,8 +103,8 @@ def test_matches_pairwise_oracle(f):
     fast = build_intersection_graph(f)
     slow = oracle_intersection_graph(f)
     adj = reference_adj(f)
-    assert fast.vertices == slow.vertices == f.entries
-    assert fast.adj == slow.adj == adj
+    assert fast.vertices == tuple(slow) == f.entries
+    assert fast.adj == slow == adj
     assert fast.edge_count() == len(reference_edges(f.entries, adj))
     for a in f.entries:
         assert [fast.order[q] for q in fast.row(fast.position[a]).tolist()] == adj[a]
@@ -112,7 +114,7 @@ def test_single_entry_and_empty_function():
     g = build_intersection_graph(fn(a={1, 2}))
     assert dict(g.adj) == {"a": []} and g.edge_count() == 0
     assert greedy_color(g).assignment == {"a": 1}
-    empty = build_intersection_graph(SetValuedFunction((), {}))
+    empty = build_intersection_graph(SetValuedFunction.from_images({}))
     assert dict(empty.adj) == {} and empty.edge_count() == 0
     for order in GREEDY_ORDERS:
         assert greedy_color(empty, order) == EntryColoring({}, 0)
@@ -219,6 +221,34 @@ def test_odd_cycle_needs_three_colors():
     assert clique_lower_bound(f) == 2
     assert exact_chromatic(g) == 3
     assert greedy_color(g).k >= 3
+
+
+def test_exact_beats_every_greedy_order():
+    """A graph no greedy order colors optimally, so the search itself finds
+    the answer: each edge is one node two entries share, and each entry
+    also holds a node of its own.  A brute force over all 3^9 and 2^9
+    colorings agrees that 3 colors suffice and 2 do not."""
+    order = ["e5", "e0", "e3", "e6", "e8", "e1", "e7", "e2", "e4"]
+    edges = [
+        ("e5", "e0"), ("e5", "e1"), ("e5", "e6"), ("e5", "e8"), ("e0", "e4"), ("e0", "e6"),
+        ("e0", "e8"), ("e3", "e1"), ("e3", "e2"), ("e3", "e6"), ("e3", "e8"), ("e6", "e1"),
+        ("e6", "e4"), ("e6", "e7"), ("e8", "e7"), ("e7", "e2"), ("e7", "e4"), ("e2", "e4"),
+    ]
+    image = {e: {e} for e in order}
+    for a, b in edges:
+        image[a].add(a + b)
+        image[b].add(a + b)
+    g = build_intersection_graph(SetValuedFunction.from_images(image))
+    assert g.edge_count() == len(edges)
+    assert [greedy_color(g, o).k for o in GREEDY_ORDERS] == [4, 4, 4]
+    assert exact_chromatic(g) == 3
+    position = {e: i for i, e in enumerate(order)}
+    pairs = [(position[a], position[b]) for a, b in edges]
+
+    def colorable(k):
+        return any(all(c[i] != c[j] for i, j in pairs) for c in product(range(k), repeat=len(order)))
+
+    assert colorable(3) and not colorable(2)
 
 
 def test_edgeless_needs_one_color():

@@ -11,7 +11,7 @@ from cliqueindex.errors import (
     UnknownNode,
 )
 from cliqueindex.corpus import random_function
-from cliqueindex.intersection import build_intersection_graph, greedy_color, SetValuedFunction
+from cliqueindex.intersection import build_intersection_graph, EntryColoring, greedy_color, SetValuedFunction
 from cliqueindex.schema import (
     CliqueTable,
     compact_colors,
@@ -23,6 +23,7 @@ from cliqueindex.schema import (
     recover_coloring,
     sidecar_payload,
     verify_schema,
+    VerifyResult,
 )
 from cliqueindex.tree import build_tree_schema
 
@@ -41,8 +42,7 @@ def test_materialize_single_entry():
     t = materialize(f, c)
     assert t.k == 1
     assert len(t) == 2
-    assert t.cell(1, 1) == "e"
-    assert t.cell(2, 1) == "e"
+    assert t.rows == {1: ("e",), 2: ("e",)}
 
 
 def test_materialize_domain_defaults_to_image_union():
@@ -54,7 +54,7 @@ def test_materialize_domain_defaults_to_image_union():
 def test_materialize_explicit_domain_adds_null_rows():
     f = fn(a={1})
     t = materialize(f, colored(f), domain=[1, 2])
-    assert t.cell(2, 1) is NULL
+    assert t.rows[2] == (NULL,)
     assert t.null_count() == 1
 
 
@@ -110,6 +110,15 @@ def test_verify_catches_stray_cell():
     assert 2 in res.extra
 
 
+def test_verify_catches_an_entry_the_function_lacks():
+    """Every entry of f is where its color says, but column 2 also holds
+    z, which f has no entry for: the failure names z at its first node."""
+    f = fn(a={1})
+    t = CliqueTable(2, {1: ("a", NULL), 2: (NULL, "z")})
+    res = verify_schema(f, t, EntryColoring({"a": 1}, 2))
+    assert res == VerifyResult(False, "z", frozenset(), frozenset({2}))
+
+
 def test_recover_coloring_round_trip():
     f = fn(a={1, 2}, b={2, 3}, c={4})
     c = colored(f)
@@ -130,7 +139,7 @@ def test_compact_colors_drops_empty_columns():
     squeezed, remap = compact_colors(t)
     assert squeezed.k == 1
     assert remap == {2: 1}
-    assert squeezed.cell(1, 1) == "a"
+    assert squeezed.rows == {1: ("a",), 2: ("a",)}
 
 
 def test_compact_colors_noop_when_all_used():
@@ -160,14 +169,6 @@ def test_entries_are_the_postings_entry_maps_not_copies():
 def test_table_arity_is_checked():
     with pytest.raises(InconsistentArity):
         CliqueTable(2, {1: ("a",)})
-
-
-def test_cell_bounds_checked():
-    t = CliqueTable(1, {1: ("a",)})
-    with pytest.raises(UnknownNode):
-        t.cell(9, 1)
-    with pytest.raises(IndexError):
-        t.cell(1, 2)
 
 
 def test_column_preimage():
@@ -200,8 +201,7 @@ def test_csv_round_trip_preserves_nulls():
     text = export_table(t)
     back = import_table(text)
     assert back.k == 2
-    assert back.cell("u", 2) is NULL
-    assert back.cell("v", 2) == "b"
+    assert back.rows == {"u": ("a", NULL), "v": (NULL, "b")}
 
 
 def test_csv_round_trip_via_file(tmp_path):
@@ -209,9 +209,9 @@ def test_csv_round_trip_via_file(tmp_path):
     dest = tmp_path / "t.csv"
     with open(dest, "w", encoding="utf-8") as fh:
         export_table(t, fh)
-    assert import_table(dest).cell("u", 1) == "a"
+    assert import_table(dest).rows == {"u": ("a",)}
     with open(dest, encoding="utf-8") as fh:
-        assert import_table(fh).cell("u", 1) == "a"
+        assert import_table(fh).rows == {"u": ("a",)}
 
 
 def test_csv_round_trip_keeps_carriage_returns_and_newlines(tmp_path):
