@@ -81,9 +81,9 @@ from .oracle import (
     oracle_tree_overlap,
 )
 from .schema import (
-    NULL,
     CliqueTable,
     CsvInput,
+    Postings,
     compact_colors,
     csv_lines,
     export_table,
@@ -333,6 +333,8 @@ def cmd_materialize(args) -> int:
             raise CliqueIndexError(
                 f"coloring sidecar is missing {len(missing)} entries (first: {missing[0]!r})"
             )
+        del provenance["order"]  # no greedy order ran: name the sidecar used
+        provenance["coloring"] = args.coloring
     else:
         coloring = greedy_color(build_intersection_graph(f), args.order)
     table = materialize(f, coloring)
@@ -470,12 +472,12 @@ def _verify_schema_duality(rng: random.Random, scale: float):
             yield bool(verify_schema(f, table, coloring)), f"function #{i} {order}"
             recovered = recover_coloring(table)
             yield recovered.is_proper(graph), f"function #{i} {order} recover"
-        rows = {u: list(row) for u, row in table.rows.items()}
-        filled = [(u, col) for u, row in rows.items() for col, v in enumerate(row) if v is not NULL]
-        if filled:
-            u, col = filled[rng.randrange(len(filled))]
-            rows[u][col] = NULL
-            broken = CliqueTable(table.k, {u: tuple(row) for u, row in rows.items()})
+        codes = np.array([table.column_codes(i, np.empty(len(table), np.int32)) for i in range(1, table.k + 1)])
+        filled = np.argwhere(codes.T >= 0)  # (node position, column), row by row
+        if len(filled):
+            j, col = filled[rng.randrange(len(filled))]
+            codes[col, j] = -1
+            broken = CliqueTable(table.rows, Postings.from_codes(len(table), zip(table.entries, codes)))
             yield not verify_schema(f, broken, coloring), f"function #{i} blanked cell not caught"
 
 

@@ -485,7 +485,7 @@ class ScanOracle:
         if isinstance(q, Atom):
             if not 1 <= q.col <= self.k:
                 raise MalformedExpr(f"column c{q.col} outside 1..c{self.k}")
-            code = self.clique.entries[q.col - 1].get(q.entry, -2)
+            code = self.clique.postings.codes(q.col).get(q.entry, -2)
             return self.row_codes(q.col) == code
         if isinstance(q, And):
             out = self._mask(q.items[0])

@@ -5,17 +5,19 @@ graph, the table has one row per node and one column per color; cell
 (u, i) holds the unique entry of color i whose image contains u, or NULL.
 Column i is then an index on the data: the rows holding e* in column
 c(e*) are exactly the image of e*, which is what verify_schema checks.
-The table is stored as that index and nothing else: per column, CSR
-postings of node positions (`Postings`).  Rows and cells are read from a
-node -> cells transpose built on first use.  A `PostingIndex` joins the
-fact rows that reference the nodes (`engine`) to those postings through a
-node -> rows CSR, so a predicate is evaluated on the nodes and its node
-set expanded to fact rows.
+The table is stored as that index and nothing else: per column, its
+entries in code order and CSR postings of node positions (`Postings`),
+which build the column's entry -> code map on its first lookup.  Rows and
+cells are read from a node -> cells transpose built on first use.  A
+`PostingIndex` joins the fact rows that reference the nodes (`engine`) to
+those postings through a node -> rows CSR, so a predicate is evaluated on
+the nodes and its node set expanded to fact rows.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import io
 import json
@@ -54,45 +56,56 @@ def _sorted_ids(values: Iterable) -> list:
 class Postings:
     """(column, entry) -> id set over positions 0..n-1, stored by column.
 
-    Each column is a tuple (entry_code, offsets, ids): entry_code maps an
-    entry to its code and iterates in code order, ids holds the column's
-    positions grouped by code (read-only int32, ascending within a code),
-    and code c's posting is the zero-copy view
-    ids[offsets[c]:offsets[c + 1]].  A posting is read two ways only:
-    ids_of gives one (column, entry)'s view, and union_of a column's IN
-    list in one pass; when its postings' runs do not interleave, the
-    answer stays an array at any size.  len is the number of (column,
-    entry) postings.  from_codes builds the columns from int32 code arrays
-    over the positions.
+    Each column is a tuple (entries, offsets, ids): entries lists (a range
+    for the tree) the column's entries in code order, ids holds the
+    column's positions grouped by code (read-only int32, ascending within
+    a code), and code c's posting is the zero-copy view
+    ids[offsets[c]:offsets[c + 1]].  codes(col) is the column's entry ->
+    code dict, built on first use and kept, also by copies (PostingIndex's).
+    A posting is read two ways only: ids_of gives one (column, entry)'s
+    view, and union_of a column's IN list in one pass; when its postings'
+    runs do not interleave, the answer stays an array at any size.  len is
+    the number of (column, entry) postings.  from_codes builds the columns
+    from int32 code arrays over the positions.
     """
 
-    def __init__(self, n: int, columns: Iterable[tuple[dict, np.ndarray, np.ndarray]]):
+    def __init__(self, n: int, columns: Iterable[tuple[Sequence, np.ndarray, np.ndarray]]):
         self.n = n
         self.columns = list(columns)
+        self._maps: list[dict | None] = [None] * len(self.columns)
         for _, _, ids in self.columns:
             ids.flags.writeable = False
 
     @classmethod
-    def from_codes(cls, n: int, columns: Iterable[tuple[dict, np.ndarray]]) -> "Postings":
-        """Columns from (entry_code, codes) pairs, codes holding each
+    def from_codes(cls, n: int, columns: Iterable[tuple[Sequence, np.ndarray]]) -> "Postings":
+        """Columns from (entries, codes) pairs, codes holding each
         position's int32 code (-1 for NULL), by one stable argsort each;
         a column is turned into its posting before the next is read."""
         out = []
-        for entry_code, codes in columns:
+        for entries, codes in columns:
             rows = np.flatnonzero(codes >= 0)
             codes = codes[rows]
             ids = rows[np.argsort(codes, kind="stable")].astype(np.int32)
-            counts = np.bincount(codes, minlength=len(entry_code))
-            out.append((entry_code, np.concatenate(([0], np.cumsum(counts))), ids))
+            counts = np.bincount(codes, minlength=len(entries))
+            out.append((entries, np.concatenate(([0], np.cumsum(counts))), ids))
         return cls(n, out)
+
+    def codes(self, col: int) -> dict:
+        """Column col's (1-based, in 1..k) entry -> code dict, built from its
+        entries on first use and kept."""
+        entry_code = self._maps[col - 1]
+        if entry_code is None:
+            entries = self.columns[col - 1][0]
+            entry_code = self._maps[col - 1] = dict(zip(entries, range(len(entries))))
+        return entry_code
 
     def ids_of(self, col: int, entry: Entry) -> np.ndarray | None:
         """Column col's posting of entry as its read-only id view, or None
         for a column outside 1..k or an entry the column does not hold."""
         if not 1 <= col <= len(self.columns):
             return None
-        entry_code, offsets, ids = self.columns[col - 1]
-        code = entry_code.get(entry)
+        _, offsets, ids = self.columns[col - 1]
+        code = self.codes(col).get(entry)
         return None if code is None else ids[offsets[code]:offsets[code + 1]]
 
     def union_of(self, col: int, entries: Iterable[Entry]) -> CompressedBitset:
@@ -104,7 +117,8 @@ class Postings:
         interleaving runs take bitset.union."""
         if not 1 <= col <= len(self.columns):
             raise KeyError(col)
-        entry_code, offsets, ids = self.columns[col - 1]
+        _, offsets, ids = self.columns[col - 1]
+        entry_code = self.codes(col)
         codes = {entry_code[e] for e in entries if e in entry_code}
         spans = ((offsets[c], offsets[c + 1]) for c in codes)
         runs = sorted((ids[a:b] for a, b in spans if a < b), key=lambda run: run[0])
@@ -117,7 +131,7 @@ class Postings:
         return union(self.n, [CompressedBitset(self.n, ids=run) for run in runs])
 
     def __len__(self) -> int:
-        return sum(len(entry_code) for entry_code, _, _ in self.columns)
+        return sum(len(entries) for entries, _, _ in self.columns)
 
 
 class PostingIndex:
@@ -125,17 +139,18 @@ class PostingIndex:
     postings (a semijoin through the table, in place of a bitmap join
     index that copies each posting into row space).
 
-    postings is the table's columns, shared and not copied, read over the
-    N + 1 node slots: ids_of gives one (column, entry)'s node positions and
-    union_of a column's IN list.  acc[r] is row r's node position, N for a
-    row that references no node (it is unresolved and in no posting).
-    Node slot j's rows, ascending, are rows[indptr[j]:indptr[j + 1]] for j
-    in 0..N, from one stable argsort of acc, and counts[j] is their
-    number.  acc, rows, indptr and counts are read-only.
+    postings copies the table's, sharing its columns and kept entry maps,
+    over the N + 1 node slots: ids_of gives one (column, entry)'s node
+    positions and union_of a column's IN list.  acc[r] is row r's node
+    position, N for a row that references no node (unresolved, in no
+    posting).  Node slot j's rows, ascending, are rows[indptr[j]:indptr[j + 1]]
+    for j in 0..N, from one stable argsort of acc, and counts[j] is their
+    number; acc, rows, indptr and counts are read-only.
     """
 
     def __init__(self, postings: Postings, acc: np.ndarray):
-        self.postings = Postings(postings.n + 1, postings.columns)
+        self.postings = copy.copy(postings)
+        self.postings.n += 1
         self.n = len(acc)
         self.k = len(postings.columns)
         self.acc = acc.astype(np.int32)
@@ -164,47 +179,34 @@ class PostingIndex:
         return postings + self.acc.nbytes + self.rows.nbytes + self.indptr.nbytes
 
 
-def _code_columns(n: int, columns: Iterable[Sequence], null=NULL) -> Iterator[tuple[dict, np.ndarray]]:
+def _code_columns(n: int, columns: Iterable[Sequence], null=NULL) -> Iterator[tuple[list, np.ndarray]]:
     """Code the columns' n cells in first-seen order, one column at a time:
-    per column, its entry -> code map and int32 codes, -1 at null."""
+    per column, its entries in code order and int32 codes, -1 at null."""
     for column in columns:
-        code = {v: i for i, v in enumerate(v for v in dict.fromkeys(column) if v != null)}
-        index = {**code, null: -1}
-        yield code, np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=n)
+        entries = [v for v in dict.fromkeys(column) if v != null]
+        index = dict(zip(entries, range(len(entries))))
+        index[null] = -1
+        yield entries, np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=n)
 
 
 class CliqueTable:
     """k color columns over an ordered node domain, stored as their postings.
 
     postings holds the column postings over node positions, the table's
-    only cell storage, and entries[i] is column i + 1's entry -> code map
-    in it (not a copy), iterated in code order; each entry is held by some
-    node.  rows and export read a node -> cells transpose built from
-    the postings on first use.  Queries answer in positions:
-    column_preimage alone decodes them to nodes.  CliqueTable(k, rows)
-    converts node -> k cells, for small tables; builders pass from_postings
-    the stored form, converting code columns one at a time with
-    Postings.from_codes or, when the layout is known (build_tree_schema),
-    writing the columns.  Immutable by convention.
+    only cell storage, and entries[i] is column i + 1's entries in it (not
+    a copy), in code order; each entry is held by some node.  A column's
+    entry -> code map is postings.codes(i + 1), built on its first lookup.
+    rows and export read a node -> cells transpose built from the postings
+    on first use.  Queries answer in positions: column_preimage alone
+    decodes them to nodes.  Builders write the postings: materialize and
+    build_tree_schema lay out the columns directly, import_table codes its
+    cells with Postings.from_codes.  Immutable by convention.
     """
 
-    def __init__(self, k: int, rows: Mapping[Node, tuple]):
-        for u, cells in rows.items():
-            if len(cells) != k:
-                raise InconsistentArity(f"row {u!r} has {len(cells)} cells, table width is {k}")
-        columns = zip(*rows.values()) if rows else [()] * k
-        self._init(rows, Postings.from_codes(len(rows), _code_columns(len(rows), columns)))
-
-    @classmethod
-    def from_postings(cls, nodes: Iterable[Node], postings: Postings) -> "CliqueTable":
-        table = cls.__new__(cls)
-        table._init(nodes, postings)
-        return table
-
-    def _init(self, nodes: Iterable[Node], postings: Postings) -> None:
+    def __init__(self, nodes: Iterable[Node], postings: Postings):
         self._nodes = np.fromiter(nodes, dtype=object, count=postings.n)
         self.k = len(postings.columns)
-        self.entries = [entry_code for entry_code, _, _ in postings.columns]
+        self.entries = [entries for entries, _, _ in postings.columns]
         self.postings = postings
 
     @cached_property
@@ -304,10 +306,11 @@ def materialize(
     positions to rows; when they already are the rows (the domain starts
     with f's nodes, in order) f.indices is used as is.  The entries with a
     non-empty image, grouped by color in f's order, are the columns'
-    codes, and their rows, gathered in that order into one int32 array,
-    the columns' ids (views of it).  The gather runs in blocks of whole
-    columns, about GATHER_BLOCK memberships each, widened once to intp for
-    the per-column check: a row twice in one column is a collision.
+    entries in code order (slices of one list), and their rows, gathered
+    in that order into one int32 array, the columns' ids (views of it).
+    The gather runs in blocks of whole columns, about GATHER_BLOCK
+    memberships each, widened once to intp for the per-column check: a row
+    twice in one column is a collision.
     """
     order = _sorted_ids(f.node_domain()) if domain is None else list(dict.fromkeys(domain))
     position = dict(zip(order, range(len(order))))
@@ -355,8 +358,8 @@ def materialize(
         if not np.array_equal(last[column], mark):
             raise _first_conflict(f, c, position)
         offsets = offset[a:b + 1] - offset[a]
-        columns.append((dict(zip(names[a:b], range(b - a))), offsets, ids[bounds[i]:bounds[i + 1]]))
-    return CliqueTable.from_postings(order, Postings(len(order), columns))
+        columns.append((names[a:b], offsets, ids[bounds[i]:bounds[i + 1]]))
+    return CliqueTable(order, Postings(len(order), columns))
 
 
 @dataclass(frozen=True)
@@ -429,7 +432,7 @@ def compact_colors(t: CliqueTable) -> tuple[CliqueTable, dict[int, int]]:
     used = [i for i in range(1, t.k + 1) if t.entries[i - 1]]
     remap = {old: new for new, old in enumerate(used, start=1)}
     columns = t.postings.columns
-    return CliqueTable.from_postings(t._nodes, Postings(len(t), [columns[i - 1] for i in used])), remap
+    return CliqueTable(t._nodes, Postings(len(t), [columns[i - 1] for i in used])), remap
 
 
 def write_table_csv(fh, k: int, blocks: Iterable[np.ndarray], texts: Sequence[str] | None = None) -> None:
@@ -575,7 +578,7 @@ def import_table(source) -> CliqueTable:
             nodes[node] = record
     columns = islice(zip(*nodes.values()), 1, None) if nodes else [()] * k  # zip builds one column per step
     postings = Postings.from_codes(len(nodes), _code_columns(len(nodes), columns, ""))
-    return CliqueTable.from_postings(nodes, postings)
+    return CliqueTable(nodes, postings)
 
 
 def sidecar_payload(c: EntryColoring, provenance: dict) -> dict:

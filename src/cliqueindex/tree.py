@@ -10,10 +10,10 @@ single-column IN query over an id's ancestor chain answers overlap.
 Row k's cell in column q is k >> max(L(k) - q, 0); the streamed CSV
 computes the cells block by block.  Column q holds every id of level <= q
 as itself and nothing else, so the clique table needs no cells at all:
-its codes are cell - 1 and its postings are written in closed form from
-n and q.  Overlap queries, on the table's postings or on a fact index
-over it, are one IN list, the ancestor chain in column L(k), gathered in
-one pass.
+its entries are range(1, 2^q), its codes cell - 1, and its postings are
+written in closed form from n and q.  Overlap queries, on the table's
+postings or on a fact index over it, are one IN list, the ancestor chain
+in column L(k), gathered in one pass.
 All arithmetic is integer: extents are kept in units of 2^(1-n).
 """
 
@@ -154,19 +154,13 @@ def build_tree_schema(n: int) -> CliqueTable:
     ancestor) for q up to k's level, and k itself below; storing the bare
     p is enough because the column fixes q.  Column q's values are exactly
     the ids 1..2^q - 1 with code cell - 1, and every part of its postings
-    is known from n and q: the entry map is column q - 1's grown by the
-    level-q ids (a copy, so the columns share their int objects), and the
-    offsets and ids are written directly (_tree_column), with no cells,
-    codes or sort.
+    is known from n and q: its entries are range(1, 2^q), whose entry map
+    the postings build on the column's first lookup, and the offsets and
+    ids are written directly (_tree_column), with no cells, codes or sort.
     """
     _check_levels(n)
-    columns, entry_code = [], {}
-    for q in range(1, n + 1):
-        h = 1 << (q - 1)
-        entry_code = entry_code.copy()
-        entry_code.update(zip(range(h, 2 * h), range(h - 1, 2 * h - 1)))
-        columns.append((entry_code, *_tree_column(n, q)))
-    return CliqueTable.from_postings(range(1, 1 << n), Postings((1 << n) - 1, columns))
+    columns = [(range(1, 1 << q), *_tree_column(n, q)) for q in range(1, n + 1)]
+    return CliqueTable(range(1, 1 << n), Postings((1 << n) - 1, columns))
 
 
 def verify_tree_schema(t: CliqueTable, n: int) -> VerifyResult:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the pair-cover digraph and the 4-level golden table.
+"""Shared fixtures: the pair-cover digraph, the 4-level golden table and
+clique tables written row by row.
 
 The pair digraph has sink nodes 1..4 and a source node for every two-element
 subset, named by its digits (12 covers 1 and 2).  Every descendant set has
@@ -11,6 +12,7 @@ import random
 import pytest
 
 from cliqueindex.digraph import build_digraph
+from cliqueindex.schema import CliqueTable, Postings, _code_columns
 
 PAIR_EDGES = [
     (12, 1), (12, 2),
@@ -52,3 +54,11 @@ def pair_dag():
 @pytest.fixture
 def rng():
     return random.Random(0xC11)
+
+
+def rows_table(k, rows):
+    """The clique table of node -> k cells (None for NULL), each column's
+    entries coded in first-seen order, as small tests write tables."""
+    assert all(len(cells) == k for cells in rows.values())
+    columns = zip(*rows.values()) if rows else [()] * k
+    return CliqueTable(rows, Postings.from_codes(len(rows), _code_columns(len(rows), columns)))

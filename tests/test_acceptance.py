@@ -61,7 +61,7 @@ from cliqueindex.oracle import (
     oracle_degeneracy,
     oracle_interval_intersections,
 )
-from cliqueindex.schema import CliqueTable, import_table, materialize, NULL, verify_schema
+from cliqueindex.schema import import_table, materialize, NULL, verify_schema
 from cliqueindex.tree import (
     build_tree_schema,
     entry_members,
@@ -70,7 +70,7 @@ from cliqueindex.tree import (
     tree_entry_function,
 )
 
-from conftest import GOLDEN_TREE_4, PAIR_EDGES
+from conftest import GOLDEN_TREE_4, PAIR_EDGES, rows_table
 
 
 class Budget:
@@ -208,7 +208,7 @@ def test_criterion_07_schema_duality_and_cell_deletion():
                         continue
                     broken_cells = list(cells)
                     broken_cells[col] = NULL
-                    broken = CliqueTable(t.k, {**t.rows, node: tuple(broken_cells)})
+                    broken = rows_table(t.k, {**t.rows, node: tuple(broken_cells)})
                     assert not verify_schema(f, broken, c), (node, col)
                     deletions += 1
     report(7, f"100 functions x 3 orders verify; all {deletions} cell deletions caught", b)

@@ -10,10 +10,10 @@ from cliqueindex import cli
 from cliqueindex.cli import main
 from cliqueindex.engine import MAX_QUERY_DEPTH, ScanOracle
 from cliqueindex.errors import OutOfRange
-from cliqueindex.schema import CliqueTable, export_table, import_table
+from cliqueindex.schema import export_table, import_table
 from cliqueindex.tree import build_tree_schema, iter_tree_blocks
 
-from conftest import GOLDEN_TREE_4, PAIR_EDGES
+from conftest import GOLDEN_TREE_4, PAIR_EDGES, rows_table
 
 
 def write(path, text):
@@ -148,7 +148,7 @@ def test_color_stdout_matches_the_out_file(pair_edges_tsv, tmp_path, capsys, sou
     assert out.read_text(encoding="utf-8") == stdout
 
 
-def sidecar_text(k, coloring, **provenance):
+def sidecar_text(k, coloring, /, **provenance):
     return json.dumps({"coloring": coloring, "k": k, "provenance": provenance}, indent=2, sort_keys=True) + "\n"
 
 
@@ -276,8 +276,20 @@ def test_materialize_compact_colors_output_is_pinned(tmp_path, capsys):
     assert captured.err == "materialized 3 rows x 2 columns, verified, k=2 >= lower bound 2\n"
     assert out.read_text(encoding="utf-8") == "node,c1,c2\n1,a,b\n2,,b\n3,c,\n"
     assert sidecar.read_text(encoding="utf-8") == sidecar_text(
-        2, {"a": 1, "b": 2, "c": 1}, clique_lower_bound=2, source=fn_csv, verified=True, **SMALLEST_LAST
+        2, {"a": 1, "b": 2, "c": 1}, clique_lower_bound=2, coloring=coloring, source=fn_csv, verified=True
     )
+
+
+def test_materialize_with_a_coloring_names_its_sidecar_not_an_order(pair_edges_tsv, tmp_path):
+    """No greedy order runs when a coloring is given, so the provenance
+    names the sidecar read in place of --order."""
+    coloring, out = str(tmp_path / "c.json"), str(tmp_path / "t.csv")
+    assert main(["color", "--edges", pair_edges_tsv, "--out", coloring]) == 0
+    assert main(["materialize", "--edges", pair_edges_tsv, "--coloring", coloring, "--order", "input", "--out", out]) == 0
+    with open(out + ".sidecar.json", encoding="utf-8") as fh:
+        provenance = json.load(fh)["provenance"]
+    assert provenance["coloring"] == coloring and provenance["map"] == "descendants"
+    assert "order" not in provenance
 
 
 def test_query_sum_and_check(fact_csv, tmp_path, capsys):
@@ -707,7 +719,7 @@ def test_a_node_holding_a_crlf_joins_its_fact_rows(tmp_path, capsys):
     """The table and the fact file both keep the quoted "\r\n" of node
     "a\r\nb", so both fact rows resolve."""
     clique = tmp_path / "t.csv"
-    clique.write_text(export_table(CliqueTable(1, {"a\r\nb": ("x",), "c": ("x",)})), encoding="utf-8", newline="")
+    clique.write_text(export_table(rows_table(1, {"a\r\nb": ("x",), "c": ("x",)})), encoding="utf-8", newline="")
     facts = tmp_path / "fact.csv"
     facts.write_bytes(b'rid,acc,m\n0,"a\r\nb",5\n1,c,7\n')
     query = ["query", "--fact", str(facts), "--clique", str(clique), "--expr", "c1='x'"]
@@ -959,7 +971,7 @@ def test_csv_field_over_the_csv_limit_exits_one(tmp_path, capsys, argv, header):
 
 
 def test_export_of_a_table_holding_carriage_returns_is_byte_stable(tmp_path):
-    table = CliqueTable(2, {"a\rb": ("x\r\ny", None), "c\nd": (None, "z\r"), "plain": ("\r", "q")})
+    table = rows_table(2, {"a\rb": ("x\r\ny", None), "c\nd": (None, "z\r"), "plain": ("\r", "q")})
     first, second, third = (tmp_path / f"{name}.csv" for name in ("first", "second", "third"))
     first.write_text(export_table(table), encoding="utf-8", newline="")
     assert main(["export", "--table", str(first), "--out", str(second)]) == 0

@@ -31,7 +31,6 @@ from cliqueindex.intersection import (
 )
 from cliqueindex.schema import (
     NULL,
-    CliqueTable,
     Postings,
     compact_colors,
     export_table,
@@ -40,6 +39,7 @@ from cliqueindex.schema import (
     recover_coloring,
 )
 from cliqueindex.tree import ancestor_path, build_tree_schema, level
+from conftest import rows_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -177,7 +177,7 @@ def test_fact_postings_hold_the_rows_whose_acc_cell_is_the_entry(seed):
 
 
 def test_rows_view_is_read_only():
-    t = CliqueTable(1, {"u": ("a",)})
+    t = rows_table(1, {"u": ("a",)})
     with pytest.raises(TypeError):
         t.rows["u"] = ("b",)
     assert t.rows == {"u": ("a",)}
@@ -202,7 +202,7 @@ def test_tree_rows_match_the_cell_by_cell_formula(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 8], ids=TABLE_LAYOUT)
 def test_tree_columns_match_the_rows_constructor(n):
     built = build_tree_schema(n)
-    converted = CliqueTable(n, {k: reference_tree_row(k, n) for k in range(1, 1 << n)})
+    converted = rows_table(n, {k: reference_tree_row(k, n) for k in range(1, 1 << n)})
     assert built.rows == converted.rows
     assert built.null_count() == converted.null_count()
     for q in range(1, n + 1):
@@ -235,7 +235,8 @@ def reference_coding(k, rows):
 def table_codes(t):
     """Each node's per-column code, rebuilt from the decoded rows and the
     table's entry codes, as a (k, N) array, -1 for NULL."""
-    codes = [[-1 if v is NULL else ec[v] for ec, v in zip(t.entries, row)] for row in t.rows.values()]
+    maps = [t.postings.codes(i) for i in range(1, t.k + 1)]
+    codes = [[-1 if v is NULL else ec[v] for ec, v in zip(maps, row)] for row in t.rows.values()]
     return np.array(codes, dtype=np.int32).reshape(len(t), t.k).T
 
 
@@ -301,7 +302,7 @@ tables = st.integers(0, 4).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_table_csv_matches_the_row_wise_coder_writer_and_reader(table):
     k, rows = table
-    t = CliqueTable(k, rows)
+    t = rows_table(k, rows)
     entries, codes = reference_coding(k, rows)
     assert [list(map(repr, column)) for column in t.entries] == [list(map(repr, column)) for column in entries]
     assert np.array_equal(table_codes(t), codes)
@@ -504,7 +505,7 @@ def test_tree_in_lists_match_the_union_of_their_atoms(n):
 
 def test_in_list_drops_empty_postings_and_sorts_interleaved_runs():
     ids = np.array([0, 4, 2, 6, 7, 1, 3], dtype=np.int32)
-    postings = Postings(8, [({"a": 0, "b": 1, "none": 2, "c": 3, "d": 4}, np.array([0, 2, 4, 4, 5, 7]), ids)])
+    postings = Postings(8, [(["a", "b", "none", "c", "d"], np.array([0, 2, 4, 4, 5, 7]), ids)])
     assert postings.union_of(1, ["b", "a"]).to_array().tolist() == [0, 2, 4, 6]
     assert postings.union_of(1, ["c", "none", "b", "b"]).to_array().tolist() == [2, 6, 7]
     assert postings.union_of(1, ["d", "c"]).to_array().tolist() == [1, 3, 7]
@@ -522,11 +523,11 @@ def test_in_list_drops_empty_postings_and_sorts_interleaved_runs():
 
 @st.composite
 def in_lists(draw):
-    """(postings, column, entries): a table from CliqueTable(k, rows) or
+    """(postings, column, entries): a table from rows_table(k, rows) or
     materialized from a greedily colored function, one of its columns, and
     entries drawn from that column's, absent values and repeats."""
     if draw(st.booleans()):
-        t = CliqueTable(*draw(tables.filter(lambda table: table[0] > 0)))
+        t = rows_table(*draw(tables.filter(lambda table: table[0] > 0)))
     else:
         f = draw(colored_functions())[0]
         t = materialize(f, greedy_color(build_intersection_graph(f)))

@@ -14,7 +14,8 @@ from cliqueindex.corpus import random_function, random_intervals
 from cliqueindex.endpoints import IntervalRecord, build_endpoint_schema
 from cliqueindex.errors import EmptyInput
 from cliqueindex.intersection import SetValuedFunction, build_intersection_graph, clique_lower_bound
-from cliqueindex.schema import NULL, CliqueTable, materialize, verify_schema
+from cliqueindex.schema import NULL, materialize, verify_schema
+from conftest import rows_table
 
 
 def assert_csr(f):
@@ -90,7 +91,7 @@ def test_image_is_a_read_only_view():
     on an unknown key, the owner's key order, len, `in` and dict equality."""
     f = SetValuedFunction.from_images({"c": {2, 3}, "a": {1, 2}, "b": set()})
     g = build_intersection_graph(f)
-    t = CliqueTable(2, {3: ("x", NULL), 1: (NULL, "y"), 2: ("x", "y")})
+    t = rows_table(2, {3: ("x", NULL), 1: (NULL, "y"), 2: ("x", "y")})
     cases = [
         (f.image, {"c": frozenset({2, 3}), "a": frozenset({1, 2}), "b": frozenset()}, (f.indices, f.indptr)),
         (g.adj, {"c": ["a"], "a": ["c"], "b": []}, (g.indices, g.indptr)),

@@ -39,8 +39,9 @@ from cliqueindex.errors import (
     MeasureOverflow,
 )
 from cliqueindex.intersection import build_intersection_graph, greedy_color
-from cliqueindex.schema import CliqueTable, NULL, PostingIndex, Postings, materialize
+from cliqueindex.schema import NULL, PostingIndex, Postings, materialize
 from cliqueindex.tree import build_tree_schema
+from conftest import rows_table
 
 
 def make_fact(n=800, seed=5, levels=4):
@@ -367,7 +368,7 @@ def test_scan_oracle_codes_only_the_columns_its_atoms_read():
     scan = ScanOracle(fact, clique)
     assert scan.rid_array(And((Atom(3, 4), Not(Atom(4, 9))))).tolist() == [0]
     assert sorted(scan._codes) == [3, 4]
-    codes = clique.entries[1]
+    codes = clique.postings.codes(2)
     assert scan.row_codes(2).tolist() == [codes[2], codes[2], codes[3], -1]
 
 
@@ -431,7 +432,7 @@ def test_node_space_matches_the_fact_row_postings(seed, kind, layout):
 
 
 def test_null_cells_never_match():
-    clique = CliqueTable(2, {"u": ("a", NULL), "v": (NULL, "b")})
+    clique = rows_table(2, {"u": ("a", NULL), "v": (NULL, "b")})
     fact = FactTable(["u", "v"], [1, 1])
     idx = build_index(fact, clique)
     scan = ScanOracle(fact, clique)

@@ -2,6 +2,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 
 from cliqueindex.errors import (
@@ -13,12 +14,12 @@ from cliqueindex.errors import (
 from cliqueindex.corpus import random_function
 from cliqueindex.intersection import build_intersection_graph, EntryColoring, greedy_color, SetValuedFunction
 from cliqueindex.schema import (
-    CliqueTable,
     compact_colors,
     export_table,
     import_table,
     materialize,
     NULL,
+    PostingIndex,
     read_sidecar,
     recover_coloring,
     sidecar_payload,
@@ -26,6 +27,7 @@ from cliqueindex.schema import (
     VerifyResult,
 )
 from cliqueindex.tree import build_tree_schema
+from conftest import rows_table
 
 
 def fn(**images):
@@ -90,7 +92,7 @@ def test_verify_catches_blanked_cell():
     col = c.assignment["a"] - 1
     cells[col] = NULL
     rows[2] = tuple(cells)
-    broken = CliqueTable(t.k, rows)
+    broken = rows_table(t.k, rows)
     res = verify_schema(f, broken, c)
     assert not res
     assert res.entry == "a"
@@ -105,7 +107,7 @@ def test_verify_catches_stray_cell():
     cells = list(rows[2])
     cells[c.assignment["a"] - 1] = "a"
     rows[2] = tuple(cells)
-    res = verify_schema(f, CliqueTable(t.k, rows), c)
+    res = verify_schema(f, rows_table(t.k, rows), c)
     assert not res
     assert 2 in res.extra
 
@@ -114,7 +116,7 @@ def test_verify_catches_an_entry_the_function_lacks():
     """Every entry of f is where its color says, but column 2 also holds
     z, which f has no entry for: the failure names z at its first node."""
     f = fn(a={1})
-    t = CliqueTable(2, {1: ("a", NULL), 2: (NULL, "z")})
+    t = rows_table(2, {1: ("a", NULL), 2: (NULL, "z")})
     res = verify_schema(f, t, EntryColoring({"a": 1}, 2))
     assert res == VerifyResult(False, "z", frozenset(), frozenset({2}))
 
@@ -129,13 +131,13 @@ def test_recover_coloring_round_trip():
 
 
 def test_recover_coloring_rejects_entry_in_two_columns():
-    t = CliqueTable(2, {1: ("a", NULL), 2: (NULL, "a")})
+    t = rows_table(2, {1: ("a", NULL), 2: (NULL, "a")})
     with pytest.raises(MalformedCsv):
         recover_coloring(t)
 
 
 def test_compact_colors_drops_empty_columns():
-    t = CliqueTable(3, {1: (NULL, "a", NULL), 2: (NULL, "a", NULL)})
+    t = rows_table(3, {1: (NULL, "a", NULL), 2: (NULL, "a", NULL)})
     squeezed, remap = compact_colors(t)
     assert squeezed.k == 1
     assert remap == {2: 1}
@@ -143,7 +145,7 @@ def test_compact_colors_drops_empty_columns():
 
 
 def test_compact_colors_noop_when_all_used():
-    t = CliqueTable(1, {1: ("a",)})
+    t = rows_table(1, {1: ("a",)})
     squeezed, remap = compact_colors(t)
     assert squeezed.k == 1
     assert remap == {1: 1}
@@ -151,7 +153,7 @@ def test_compact_colors_noop_when_all_used():
 
 def test_entries_are_the_postings_entry_maps_not_copies():
     f = fn(a={1, 2}, b={2, 3}, c={4})
-    rows = CliqueTable(3, {1: (NULL, "a", NULL), 2: ("b", "a", NULL), 3: ("b", NULL, NULL)})
+    rows = rows_table(3, {1: (NULL, "a", NULL), 2: ("b", "a", NULL), 3: ("b", NULL, NULL)})
     tables = [
         materialize(f, colored(f)),
         import_table("node,c1,c2\nu,a,\nv,a,b\n"),
@@ -161,18 +163,43 @@ def test_entries_are_the_postings_entry_maps_not_copies():
     ]
     for t in tables:
         assert len(t.entries) == len(t.postings.columns) == t.k
-        for i, (entry_code, offsets, _) in enumerate(t.postings.columns):
-            assert t.entries[i] is entry_code
-            assert list(entry_code.values()) == list(range(len(offsets) - 1))  # code order
+        for i, (entries, offsets, _) in enumerate(t.postings.columns):
+            assert t.entries[i] is entries
+            assert list(t.postings.codes(i + 1).items()) == list(zip(entries, range(len(offsets) - 1)))  # code order
 
 
-def test_table_arity_is_checked():
-    with pytest.raises(InconsistentArity):
-        CliqueTable(2, {1: ("a",)})
+TABLE_BUILDS = {
+    "materialize": lambda f=fn(a={1, 2}, b={2, 3}, c={4}): materialize(f, colored(f)),
+    "import_table": lambda: import_table("node,c1,c2\nu,a,\nv,a,b\n"),
+    "build_tree_schema": lambda: build_tree_schema(6),
+    "compact_colors": lambda f=fn(a={1, 2}, b={2, 3}, c={4}): compact_colors(
+        materialize(f, EntryColoring({"a": 1, "b": 3, "c": 1}, 3))
+    )[0],
+}
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDS.values(), ids=TABLE_BUILDS)
+def test_column_maps_are_built_on_first_lookup_once_and_shared(build):
+    """No column has an entry -> code map until a lookup reads it; ids_of
+    on column i builds column i's alone, later lookups reuse it, and a
+    PostingIndex over the table reads (and builds) the very same maps."""
+    for i in range(1, build().k + 1):
+        t = build()
+        assert t.postings._maps == [None] * t.k
+        assert len(t.postings.ids_of(i, t.entries[i - 1][0]))
+        built = t.postings._maps[i - 1]
+        assert type(built) is dict and list(built) == list(t.entries[i - 1])
+        assert [code is not None for code in t.postings._maps] == [j == i for j in range(1, t.k + 1)]
+        assert t.postings.codes(i) is built
+        idx = PostingIndex(t.postings, np.zeros(0, dtype=np.int32))
+        assert idx.postings.codes(i) is built
+        other = i % t.k + 1
+        idx.postings.union_of(other, t.entries[other - 1][:1])
+        assert t.postings._maps[other - 1] is idx.postings.codes(other) is t.postings.codes(other)
 
 
 def test_column_preimage():
-    t = CliqueTable(2, {1: ("a", NULL), 2: ("a", "b"), 3: (NULL, "b")})
+    t = rows_table(2, {1: ("a", NULL), 2: ("a", "b"), 3: (NULL, "b")})
     assert t.column_preimage(1, "a") == {1, 2}
     assert t.column_preimage(2, "b") == {2, 3}
     assert t.column_preimage(2, "zzz") == set()
@@ -182,7 +209,7 @@ def test_lookups_outside_the_table_find_nothing():
     """Columns 0 and k + 1 and an entry a column does not hold: ids_of
     gives None and column_preimage set(); union_of finds no ids for an
     absent entry and raises KeyError for a column outside 1..k."""
-    t = CliqueTable(2, {1: ("a", NULL), 2: ("a", "b"), 3: (NULL, "b")})
+    t = rows_table(2, {1: ("a", NULL), 2: ("a", "b"), 3: (NULL, "b")})
     postings = t.postings
     assert postings.ids_of(1, "a").tolist() == [0, 1]
     assert postings.union_of(1, ["a"]).to_array().tolist() == [0, 1]
@@ -197,7 +224,7 @@ def test_lookups_outside_the_table_find_nothing():
 
 
 def test_csv_round_trip_preserves_nulls():
-    t = CliqueTable(2, {"u": ("a", NULL), "v": (NULL, "b")})
+    t = rows_table(2, {"u": ("a", NULL), "v": (NULL, "b")})
     text = export_table(t)
     back = import_table(text)
     assert back.k == 2
@@ -205,7 +232,7 @@ def test_csv_round_trip_preserves_nulls():
 
 
 def test_csv_round_trip_via_file(tmp_path):
-    t = CliqueTable(1, {"u": ("a",)})
+    t = rows_table(1, {"u": ("a",)})
     dest = tmp_path / "t.csv"
     with open(dest, "w", encoding="utf-8") as fh:
         export_table(t, fh)
@@ -216,8 +243,8 @@ def test_csv_round_trip_via_file(tmp_path):
 
 def test_csv_round_trip_keeps_carriage_returns_and_newlines(tmp_path):
     for t in (
-        CliqueTable(2, {"a\rb": ("x\r\ny", NULL), "c\nd": (NULL, "z\r"), "\r\n": ("\n", "\r")}),
-        CliqueTable(0, {"a\rb": (), "\r": (), "": ()}),
+        rows_table(2, {"a\rb": ("x\r\ny", NULL), "c\nd": (NULL, "z\r"), "\r\n": ("\n", "\r")}),
+        rows_table(0, {"a\rb": (), "\r": (), "": ()}),
     ):
         text = export_table(t)
         assert dict(import_table(text).rows) == dict(t.rows)
@@ -301,7 +328,7 @@ def test_import_skips_blank_lines_and_codes_cast_entries_once():
 
 
 def test_empty_table_exports_header_only():
-    t = CliqueTable(2, {})
+    t = rows_table(2, {})
     assert export_table(t).strip() == "node,c1,c2"
 
 

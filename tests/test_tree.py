@@ -10,7 +10,7 @@ from cliqueindex.engine import Atom, build_index, evaluate, evaluate_in, FactTab
 from cliqueindex.errors import MalformedExpr, OutOfRange
 from cliqueindex.intersection import build_intersection_graph, exact_chromatic
 from cliqueindex.oracle import oracle_tree_overlap
-from cliqueindex.schema import CliqueTable, materialize, Postings, verify_schema
+from cliqueindex.schema import materialize, Postings, verify_schema
 from cliqueindex.tree import (
     _tree_cells,
     ancestor_path,
@@ -29,7 +29,7 @@ from cliqueindex.tree import (
     verify_tree_schema,
 )
 
-from conftest import GOLDEN_TREE_4
+from conftest import GOLDEN_TREE_4, rows_table
 
 
 def test_level_values():
@@ -99,7 +99,7 @@ def test_schema_has_no_nulls_up_to_ten_levels():
 def test_both_variants_verify():
     # the closed-form build and the same rows through the rows constructor
     for n in range(1, 7):
-        for t in (build_tree_schema(n), CliqueTable(n, dict(build_tree_schema(n).rows))):
+        for t in (build_tree_schema(n), rows_table(n, dict(build_tree_schema(n).rows))):
             assert verify_tree_schema(t, n), n
 
 
@@ -110,7 +110,7 @@ def unique_coded_postings(n):
     columns = []
     for q in range(1, n + 1):
         values, inverse = np.unique(_tree_cells(ids, n, q), return_inverse=True)
-        columns.append((dict(zip(values.tolist(), range(len(values)))), inverse.astype(np.int32)))
+        columns.append((values.tolist(), inverse.astype(np.int32)))
     return Postings.from_codes(len(ids), columns)
 
 
@@ -120,12 +120,13 @@ def test_closed_form_codes_match_unique_coding():
         want = unique_coded_postings(n)
         assert t.postings.n == want.n and len(t.postings.columns) == len(want.columns) == n
         # real dicts keep union_of's lookups in C; each column owns its map
-        assert all(type(entry_code) is dict for entry_code in t.entries)
-        assert len({id(entry_code) for entry_code in t.entries}) == n
+        maps = [t.postings.codes(q) for q in range(1, n + 1)]
+        assert all(type(entry_code) is dict for entry_code in maps)
+        assert len({id(entry_code) for entry_code in maps}) == n
         for q, (got_col, want_col) in enumerate(zip(t.postings.columns, want.columns), start=1):
-            (entry_code, offsets, ids), (want_code, want_offsets, want_ids) = got_col, want_col
-            assert list(entry_code.items()) == list(want_code.items()), (n, q)
-            assert list(t.entries[q - 1]) == list(range(1, 2**q))
+            (entries, offsets, ids), (_, want_offsets, want_ids) = got_col, want_col
+            assert list(maps[q - 1].items()) == list(want.codes(q).items()), (n, q)
+            assert t.entries[q - 1] is entries and list(entries) == list(range(1, 2**q))
             assert all(type(e) is int for e in t.entries[q - 1])
             assert offsets.dtype == want_offsets.dtype and np.array_equal(offsets, want_offsets), (n, q)
             assert ids.dtype == want_ids.dtype == np.int32 and np.array_equal(ids, want_ids), (n, q)
