@@ -28,12 +28,13 @@ from .digraph import (
 from .endpoints import (
     EndpointSchema,
     IntervalRecord,
-    bucketed_interval_query,
-    bucketed_schema,
+    TreeIntervalIndex,
     build_endpoint_schema,
+    build_tree_interval_index,
     interval_query,
     interval_query_branches,
     stabbing_query,
+    tree_interval_query,
 )
 from .engine import (
     And,
@@ -99,8 +100,6 @@ from .tree import (
     entry_members,
     extent,
     level,
-    map_point_to_leaf,
-    map_range_to_cover,
     naive_overlap_function,
     overlap_query,
     tree_coloring,

@@ -42,11 +42,11 @@ from .digraph import (
 )
 from .endpoints import (
     IntervalRecord,
-    bucketed_interval_query,
-    bucketed_schema,
     build_endpoint_schema,
+    build_tree_interval_index,
     interval_query,
     interval_query_branches,
+    tree_interval_query,
 )
 from .engine import (
     And,
@@ -265,12 +265,9 @@ def cmd_build_dag(args) -> int:
 def cmd_build_intervals(args) -> int:
     records = _load_intervals(args.data)
     s = build_endpoint_schema(records)
-    provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.coloring.k, "escalations": s.escalations}
+    provenance = {"source": args.data, "kind": "interval-endpoints", "window": s.coloring.k}
     _emit_table(s.clique, sidecar_payload(s.coloring, provenance), args)
-    _note(
-        f"{len(records)} intervals, {len(s.entries)} entries, k={s.coloring.k}, "
-        f"window={s.coloring.k}, escalations={s.escalations}"
-    )
+    _note(f"{len(records)} intervals, {len(s.entries)} entries, k={s.coloring.k}, window={s.coloring.k}")
     return EXIT_OK
 
 
@@ -405,14 +402,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_query_intervals(args) -> int:
-    records = _load_intervals(args.data)
-    a, b = args.a, args.b
-    if args.bucketed:
-        schemas = bucketed_schema(records)
-        ids = bucketed_interval_query(schemas, a, b)
-    else:
-        s = build_endpoint_schema(records)
-        ids = interval_query(s, a, b)
+    ids = interval_query(build_endpoint_schema(_load_intervals(args.data)), args.a, args.b)
     _emit_ids(sorted(ids, key=str), args.out)
     return EXIT_OK
 
@@ -485,10 +475,8 @@ def _verify_intervals(rng: random.Random, scale: float):
     for i in range(max(1, int(25 * scale))):
         records = corpus.random_intervals(rng, rng.randint(1, 60))
         s = build_endpoint_schema(records)
-        schemas = bucketed_schema(records)
+        t = build_tree_interval_index(records)
         yield bool(verify_schema(s.function, s.clique, s.coloring)), f"corpus #{i} schema verify"
-        for j, t in enumerate(schemas):
-            yield bool(verify_schema(t.function, t.clique, t.coloring)), f"corpus #{i} bucket #{j} schema verify"
         span = 1200
         for _ in range(20):
             a = rng.uniform(-10, span)
@@ -497,7 +485,7 @@ def _verify_intervals(rng: random.Random, scale: float):
             first, second = interval_query_branches(s, a, b)
             yield first | second == want, f"corpus #{i} query [{a},{b}]"
             yield not (first & second), f"corpus #{i} branch overlap [{a},{b}]"
-            yield bucketed_interval_query(schemas, a, b) == want, f"corpus #{i} bucketed [{a},{b}]"
+            yield tree_interval_query(t, a, b) == want, f"corpus #{i} tree [{a},{b}]"
 
 
 def _verify_tree(rng: random.Random, scale: float):
@@ -691,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with id,x,y")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--bucketed", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_query_intervals)
 

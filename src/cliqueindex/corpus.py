@@ -53,14 +53,12 @@ def random_function(
     return SetValuedFunction.from_images(image)
 
 
-def random_intervals(
-    rng: random.Random, count: int, span: float = 1000.0, mixed_lengths: bool = True
-) -> list[IntervalRecord]:
-    """Random closed intervals; lengths span magnitudes when mixed_lengths,
-    and a few duplicates/zero-length degenerates are always thrown in."""
+def random_intervals(rng: random.Random, count: int, mixed_lengths: bool = True) -> list[IntervalRecord]:
+    """Random closed intervals, lower endpoints uniform on [0, 1000]; lengths
+    span magnitudes when mixed_lengths, and about 5% have length zero."""
     out = []
     for i in range(count):
-        x = rng.uniform(0, span)
+        x = rng.uniform(0, 1000.0)
         roll = rng.random()
         if roll < 0.05:
             length = 0.0

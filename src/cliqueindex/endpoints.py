@@ -1,4 +1,4 @@
-"""Indexing closed intervals through their endpoint set.
+"""Indexing closed intervals, through their endpoint set or a tree schema.
 
 Every distinct endpoint value is a data entry; the entry e points at the
 intervals that straddle it (lower endpoint weakly left of e, upper endpoint
@@ -6,7 +6,8 @@ strictly right).  An interval's straddled entries form one consecutive run
 in the sorted endpoint list, so entries conflict only within runs and
 coloring the sorted positions cyclically with the longest run length is
 proper.  A range query then needs one color-column lookup plus one scan of
-upper endpoints.
+upper endpoints.  The tree path stores each interval's dyadic cover as fact
+rows over the n-column build_tree_schema(n); a stab is one IN list on them.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from .errors import EmptyInput, InvalidRange
 from .intersection import EntryColoring, SetValuedFunction
-from .schema import CliqueTable, materialize
+from .schema import CliqueTable, PostingIndex, materialize
+from .tree import DEFAULT_TREE_CAP, build_tree_schema, tree_fact_query
 
 
 @dataclass(frozen=True, order=True)
@@ -56,7 +58,7 @@ class EndpointSchema:
     function: SetValuedFunction
     coloring: EntryColoring
     clique: CliqueTable
-    escalations: int  # always 0; the sidecar, the CLI report and perfbench's set-up check read it
+    escalations: int  # always 0; only perfbench's set-up check reads it
     _ys: list = field(repr=False)
     _y_ids: list = field(repr=False)
 
@@ -142,15 +144,19 @@ def build_endpoint_schema(intervals: Iterable[IntervalRecord]) -> EndpointSchema
     return EndpointSchema(entries, f, coloring, clique, 0, *y_order)
 
 
+def _check_bounds(a, b) -> None:
+    if not a <= b:  # also true when either bound is NaN
+        if a != a or b != b:
+            raise InvalidRange(f"query bound is NaN: [{a}, {b}]")
+        raise InvalidRange(f"query upper {b} below lower {a}")
+
+
 def _straddling(s: EndpointSchema, a, b) -> set:
     """Check the bounds, then give the first branch as a new set: rows
     whose color column for the greatest entry N* <= b holds N*, the
     intervals straddling N*.  Each has x <= b < y, since every upper
     endpoint is an entry."""
-    if not a <= b:  # also true when either bound is NaN
-        if a != a or b != b:
-            raise InvalidRange(f"query bound is NaN: [{a}, {b}]")
-        raise InvalidRange(f"query upper {b} below lower {a}")
+    _check_bounds(a, b)
     pos = bisect.bisect_right(s.entries, b) - 1
     if pos < 0:
         return set()
@@ -189,26 +195,69 @@ def stabbing_query(s: EndpointSchema, p) -> set:
     return interval_query(s, p, p)
 
 
-def bucketed_schema(intervals: Iterable[IntervalRecord]) -> list[EndpointSchema]:
-    """One schema per log2-length bucket; zero-length intervals get their own.
+@dataclass
+class TreeIntervalIndex:
+    """Row r of index is a node of interval owner[r]'s dyadic cover; xs, ys
+    and ids are in x order, and v in [xs[0], top] is on leaf _leaf_ids(v, ...)."""
 
-    Mixing long and short intervals inflates runs (a long interval straddles
-    every endpoint under it), so bucketing by magnitude usually shrinks the
-    per-bucket color count.
-    """
-    records = list(intervals)
+    lo: float
+    scale: float
+    top: object
+    index: PostingIndex
+    owner: np.ndarray
+    xs: list
+    ys: list
+    ids: list
+
+
+def _leaf_ids(v, lo: float, scale: float, half: int) -> np.ndarray:
+    """Tree id half + floor((v - lo) * scale), the leaf index clipped to 0..half - 1,
+    for float64 v >= lo.  At ranges past the float limits v - lo can overflow
+    and inf * 0 give NaN; NaN takes leaf 0, so the map stays monotone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = (v - lo) * scale
+    return half + np.where(pos > 0, np.minimum(pos, half - 1), 0).astype(np.int64)
+
+
+def build_tree_interval_index(intervals: Iterable[IntervalRecord]) -> TreeIntervalIndex:
+    """Cover rows over build_tree_schema(n), n = min(DEFAULT_TREE_CAP, ceil(log2 m) + 1)
+    for m intervals.  2^(n-1) leaves split [least x, greatest y] as floats;
+    float() and the arithmetic are monotone, so x <= v <= y puts v's leaf
+    between x's and y's.  n passes of the bottom-up segment-tree walk give
+    each leaf range's canonical cover, disjoint nodes, one row each."""
+    records = sorted(intervals, key=lambda r: r.x)  # stable, by exact comparisons
     if not records:
         raise EmptyInput("no intervals given")
-    buckets: dict[float, list[IntervalRecord]] = {}
-    for rec in records:
-        length = rec.y - rec.x
-        key = -math.inf if length == 0 else math.floor(math.log2(length))
-        buckets.setdefault(key, []).append(rec)
-    return [build_endpoint_schema(buckets[key]) for key in sorted(buckets)]
+    xs, ys, ids = [r.x for r in records], [r.y for r in records], [r.id for r in records]
+    n = min(DEFAULT_TREE_CAP, (len(records) - 1).bit_length() + 1)
+    half = 1 << (n - 1)
+    xf, yf = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    lo, hi = float(xf[0]), float(yf.max())
+    scale = half / (hi - lo) if hi > lo else 0.0
+    left, right = _leaf_ids(xf, lo, scale, half), _leaf_ids(yf, lo, scale, half) + 1
+    at, owner, nodes = np.arange(len(records)), [], []
+    for _ in range(n):
+        take = (left < right) & (left & 1 == 1)  # an odd left end is a cover node,
+        left += take
+        take_right = (left < right) & (right & 1 == 1)  # and so is the one before an odd right end
+        right -= take_right
+        owner += [at[take], at[take_right]]
+        nodes += [left[take] - 1, right[take_right]]
+        left >>= 1
+        right >>= 1
+    index = PostingIndex(build_tree_schema(n).postings, np.concatenate(nodes) - 1)
+    return TreeIntervalIndex(lo, scale, max(ys), index, np.concatenate(owner), xs, ys, ids)
 
 
-def bucketed_interval_query(schemas: Sequence[EndpointSchema], a, b) -> set:
-    out: set = set()
-    for s in schemas:
-        out |= interval_query(s, a, b)
+def tree_interval_query(t: TreeIntervalIndex, a, b) -> set:
+    """Ids of intervals meeting [a, b], as interval_query gives them: those
+    holding a, from the rows at a's leaf and its ancestors (tree_fact_query,
+    which meets an interval at most once, its cover nodes being disjoint)
+    kept when x <= a <= y, and those starting in (a, b], a slice of xs."""
+    _check_bounds(a, b)
+    xs, ys, ids = t.xs, t.ys, t.ids
+    out = set(ids[bisect.bisect_right(xs, a):bisect.bisect_right(xs, b)])
+    if xs[0] <= a <= t.top:
+        leaf = int(_leaf_ids(np.float64(a), t.lo, t.scale, 1 << (t.index.k - 1)))
+        out.update(ids[i] for i in t.owner[tree_fact_query(leaf, t.index).to_array()].tolist() if xs[i] <= a <= ys[i])
     return out

@@ -12,14 +12,13 @@ computes the cells block by block.  Column q holds every id of level <= q
 as itself and nothing else, so the clique table needs no cells at all:
 its entries are range(1, 2^q), its codes cell - 1, and its postings are
 written in closed form from n and q.  Overlap queries, on the table's
-postings or on a fact index over it, are one IN list, the ancestor chain
-in column L(k), gathered in one pass.
-All arithmetic is integer: extents are kept in units of 2^(1-n).
+postings or on a fact index over it, such as the interval covers of
+endpoints.build_tree_interval_index, are one IN list, the ancestor chain
+in column L(k), gathered in one pass.  Extents are integers, in units of 2^(1-n).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -192,38 +191,6 @@ def overlap_query(k: int, schema: CliqueTable) -> np.ndarray:
     ids = schema.postings.union_of(level(k), ancestor_path(k)).to_array()
     ids += 1
     return ids
-
-
-def map_point_to_leaf(x: float, n: int) -> int:
-    """Bottom-level id whose extent contains the point x of [0,1)."""
-    _check_levels(n)
-    if not 0 <= x < 1:
-        raise OutOfRange(f"point {x} outside [0, 1)")
-    half = 1 << (n - 1)
-    return half + int(x * half)
-
-
-def map_range_to_cover(a: float, b: float, n: int) -> list[int]:
-    """Canonical minimal dyadic cover of [a, b) clipped to [0,1).
-
-    Bounds at or past 1, infinite ones too, clip to 1 (so a >= 1 gives []);
-    a NaN bound is OutOfRange.  Endpoints snap outward to the bottom-level
-    grid, then the greedy walk repeatedly takes the largest aligned block
-    that fits.
-    """
-    _check_levels(n)
-    if not 0 <= a <= b:  # false for a NaN bound too
-        raise OutOfRange(f"range [{a}, {b}) is not inside [0, inf)")
-    half = 1 << (n - 1)
-    lo, hi = math.floor(min(a, 1) * half), math.ceil(min(b, 1) * half)
-    cover = []
-    while lo < hi:
-        size = lo & -lo if lo else half
-        while size > hi - lo:
-            size >>= 1
-        cover.append((half + lo) >> (size.bit_length() - 1))
-        lo += size
-    return cover
 
 
 def tree_fact_query(k: int, idx: "engine.PostingIndex"):

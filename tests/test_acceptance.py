@@ -34,11 +34,11 @@ from cliqueindex.digraph import (
     max_down_set_size,
 )
 from cliqueindex.endpoints import (
-    bucketed_interval_query,
-    bucketed_schema,
     build_endpoint_schema,
+    build_tree_interval_index,
     interval_query,
     interval_query_branches,
+    tree_interval_query,
 )
 from cliqueindex.engine import (
     aggregate_sum,
@@ -219,7 +219,7 @@ def test_criterion_08_interval_queries_vs_oracle():
         rng = random.Random(801)
         intervals = random_intervals(rng, 1000)
         schema = build_endpoint_schema(intervals)
-        buckets = bucketed_schema(intervals)
+        tree = build_tree_interval_index(intervals)
         lo = min(r.x for r in intervals)
         hi = max(r.y for r in intervals)
         for _ in range(500):
@@ -231,8 +231,8 @@ def test_criterion_08_interval_queries_vs_oracle():
             assert first & second == set()
             assert first | second == want
             assert interval_query(schema, a, bq) == want
-            assert bucketed_interval_query(buckets, a, bq) == want
-    report(8, "1000 intervals x 500 queries: exact, disjoint branches, bucketed agrees", b)
+            assert tree_interval_query(tree, a, bq) == want
+    report(8, "1000 intervals x 500 queries: exact, disjoint branches, tree path agrees", b)
 
 
 def test_criterion_09_chromatic_identities():

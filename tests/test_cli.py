@@ -416,11 +416,10 @@ def test_query_intervals_matches_scan(tmp_path, capsys):
         ivs.append((f"iv{i}", x, y))
         rows.append(f"iv{i},{x},{y}")
     data = write(tmp_path / "iv.csv", "\n".join(rows) + "\n")
-    for extra in ([], ["--bucketed"]):
-        assert main(["query-intervals", "--data", data, "--a", "10", "--b", "12"] + extra) == 0
-        got = set(capsys.readouterr().out.split())
-        want = {i for i, x, y in ivs if x <= 12 and y >= 10}
-        assert got == want
+    assert main(["query-intervals", "--data", data, "--a", "10", "--b", "12"]) == 0
+    got = set(capsys.readouterr().out.split())
+    want = {i for i, x, y in ivs if x <= 12 and y >= 10}
+    assert got == want
 
 
 def test_build_intervals_emits_table_and_sidecar(tmp_path, capsys):
@@ -467,7 +466,6 @@ INTERVALS_PIN_SIDECAR = """\
   },
   "k": 6,
   "provenance": {
-    "escalations": 0,
     "kind": "interval-endpoints",
     "source": "DATA",
     "window": 6
@@ -487,7 +485,7 @@ def test_build_intervals_output_is_pinned(tmp_path, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "11 intervals, 7 entries, k=6, window=6, escalations=0\n"
+    assert captured.err == "11 intervals, 7 entries, k=6, window=6\n"
     assert out.read_text(encoding="utf-8") == INTERVALS_PIN_TABLE
     assert sidecar.read_text(encoding="utf-8").replace(data, "DATA") == INTERVALS_PIN_SIDECAR
 
@@ -546,14 +544,15 @@ def test_verify_quick(capsys):
     assert len(payload["sections"]) == 7
 
 
-def test_verify_checks_every_interval_schema_and_bucket(capsys):
-    """Besides 20 queries of three comparisons per corpus, the interval suite
-    verifies each corpus's endpoint schema and the schema of each bucket."""
+def test_verify_checks_each_interval_corpus_on_both_paths(capsys):
+    """Per corpus, the interval suite verifies the endpoint schema and runs
+    20 queries of three comparisons: the endpoint answer, its branches'
+    disjointness and the tree path's answer."""
     assert main(["verify", "--quick", "--seed", "7"]) == 0
     section = json.loads(capsys.readouterr().out)["sections"][4]
     assert section["section"] == "interval-queries-vs-scan" and section["mismatches"] == 0
     corpora = max(1, int(25 * 0.25))
-    assert section["comparisons"] >= corpora * (20 * 3 + 2)
+    assert section["comparisons"] == corpora * (20 * 3 + 1)
 
 
 def test_bench_non_timing_columns_deterministic(tmp_path):
@@ -621,11 +620,15 @@ def test_query_intervals_rejects_nan_endpoints(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bounds", [["--a", "nan", "--b", "nan"], ["--a", "nan", "--b", "5"], ["--a", "0", "--b", "nan"]])
-@pytest.mark.parametrize("extra", [[], ["--bucketed"]])
+@pytest.mark.parametrize("extra", [[], ["--out", "{out}"]])
 def test_query_intervals_rejects_nan_bounds(tmp_path, capsys, bounds, extra):
+    """A NaN bound exits 1 before any output: an --out file is left as it was."""
     data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\nb,1,2\n")
-    assert main(["query-intervals", "--data", data] + bounds + extra) == 1
+    out = tmp_path / "answer.csv"
+    out.write_bytes(b"kept\r\n")
+    assert main(["query-intervals", "--data", data] + bounds + [arg.format(out=out) for arg in extra]) == 1
     assert "NaN" in _no_traceback(capsys)
+    assert out.read_bytes() == b"kept\r\n"
 
 
 def test_interval_csv_non_numeric_endpoint_names_the_line(tmp_path, capsys):
@@ -675,7 +678,6 @@ CSV_READERS = {
     "color": ("function", ["color", "--function"]),
     "build-intervals": ("intervals", ["build", "intervals", "--data"]),
     "query-intervals": ("intervals", ["query-intervals", "--a", "1", "--b", "2.5", "--data"]),
-    "query-intervals-bucketed": ("intervals", ["query-intervals", "--bucketed", "--a", "0", "--b", "1", "--data"]),
 }
 
 SHORT_ROW = {
@@ -755,7 +757,6 @@ ENDED_CORPUS = {
 ENDED_COMMANDS = {
     "build-intervals": ["build", "intervals", "--data", "{intervals}"],
     "query-intervals": ["query-intervals", "--data", "{intervals}", "--a", "0.7", "--b", "1"],
-    "query-intervals-bucketed": ["query-intervals", "--bucketed", "--data", "{intervals}", "--a", "0", "--b", "3"],
     "color": ["color", "--function", "{function}"],
     "materialize": ["materialize", "--function", "{function}"],
     "index": ["index", "--fact", "{fact}", "--clique", "{table}"],

@@ -36,7 +36,7 @@ COMMANDS = {
     ],
     "intervals": [
         ["build", "intervals", "--data", "{intervals}"],
-        ["query-intervals", "--data", "{intervals}", "--a", "0", "--b", "1", "--bucketed"],
+        ["query-intervals", "--data", "{intervals}", "--a", "0", "--b", "1"],
     ],
     "fact": [
         ["query", "--fact", "{fact}", "--clique", "{table}", "--expr", "c1='1' & !c2='3'", "--sum", "--check"],

@@ -12,19 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 from cliqueindex.corpus import random_intervals
 from cliqueindex.endpoints import (
-    bucketed_interval_query,
-    bucketed_schema,
+    _leaf_ids,
     build_endpoint_schema,
+    build_tree_interval_index,
     interval_query,
     interval_query_branches,
     IntervalRecord,
     _straddle_csr,
     stabbing_query,
+    tree_interval_query,
 )
 from cliqueindex.errors import ColorCollision, EmptyInput, InvalidRange
 from cliqueindex.intersection import EntryColoring, SetValuedFunction
 from cliqueindex.oracle import oracle_interval_intersections
 from cliqueindex.schema import materialize, verify_schema
+from cliqueindex.tree import extent
 
 
 def records(*pairs):
@@ -142,7 +144,7 @@ def test_nan_query_bound_raises(a, b):
     with pytest.raises(InvalidRange):
         interval_query_branches(s, a, b)
     with pytest.raises(InvalidRange):
-        bucketed_interval_query(bucketed_schema(records((0.0, 1.0))), a, b)
+        tree_interval_query(build_tree_interval_index(records((0.0, 1.0))), a, b)
 
 
 def test_nan_stabbing_point_raises():
@@ -176,39 +178,6 @@ def test_window_bounds_column_count(rng):
         # k is the window, the longest run of entries one interval straddles
         runs = [bisect.bisect_left(s.entries, r.y) - bisect.bisect_left(s.entries, r.x) for r in ivs]
         assert s.coloring.k == max(1, *runs)
-
-
-def test_bucketed_schema_splits_by_length(rng):
-    ivs = random_intervals(rng, 150, mixed_lengths=True)
-    buckets = bucketed_schema(ivs)
-    assert len(buckets) >= 2
-    covered = set()
-    for schema in buckets:
-        ids = set(schema.function.nodes)
-        assert not ids & covered
-        covered |= ids
-    assert covered == {r.id for r in ivs}
-
-
-def test_zero_length_intervals_get_their_own_bucket():
-    ivs = records((1.0, 1.0), (0.0, 8.0))
-    buckets = bucketed_schema(ivs)
-    assert len(buckets) == 2
-    # zero-length bucket sorts first
-    assert buckets[0].function.nodes == ("i0",)
-
-
-def test_bucketed_query_equals_plain(rng):
-    for _ in range(8):
-        ivs = random_intervals(rng, 70)
-        s = build_endpoint_schema(ivs)
-        buckets = bucketed_schema(ivs)
-        lo = min(r.x for r in ivs)
-        hi = max(r.y for r in ivs)
-        for _ in range(20):
-            a = lo + rng.random() * (hi - lo)
-            b = a + rng.random() * (hi - lo) * 0.25
-            assert bucketed_interval_query(buckets, a, b) == interval_query(s, a, b)
 
 
 def test_schema_verifies(rng):
@@ -433,3 +402,105 @@ def test_straddle_csr_matches_a_pair_sort_at_the_key_width_edge(n_entries, share
     assert indptr.tolist() == want_indptr
     assert indices.tolist() == want_indices
     assert indices[-1] == n_nodes - 1  # the largest key: last entry, last node
+
+
+# -- the tree path against the oracle -----------------------------------------
+
+
+def tree_probes(t, intervals):
+    """Query points: every endpoint, the midpoints between them, every leaf
+    boundary of the grid, points beyond both ends, and both infinities."""
+    points = sorted({v for r in intervals for v in (r.x, r.y)})
+    edges = [t.lo + j / t.scale for j in range(1 << (t.index.k - 1))] if t.scale else []
+    mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    return points + mids + edges + [points[0] - 1, points[-1] + 1, -math.inf, math.inf]
+
+
+def assert_tree_path_matches_the_oracle(intervals):
+    t = build_tree_interval_index(intervals)
+    probes = tree_probes(t, intervals)
+    for p in probes:
+        assert tree_interval_query(t, p, p) == oracle_interval_intersections(intervals, p, p), p
+    for a in probes[::4]:
+        for b in probes[::3]:
+            if a <= b:
+                assert tree_interval_query(t, a, b) == oracle_interval_intersections(intervals, a, b), (a, b)
+
+
+# Shared ids, zero-length intervals, -0.0 beside 0.0, Fractions and ints
+# past 2**53 and 2**64, mixed in one collection.
+@given(st.lists(st.tuples(small_ids, st.one_of(float_endpoints, general_endpoints),
+                          st.one_of(float_endpoints, general_endpoints)), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_tree_path_matches_the_oracle(rows):
+    assert_tree_path_matches_the_oracle(make_records(rows))
+
+
+@pytest.mark.parametrize("value", [5, 5.0, -0.0, Fraction(1, 3), 2 ** 64 + 1])
+def test_tree_path_on_one_point(value):
+    # every endpoint equal: the grid has no width and every value is on leaf 0
+    intervals = records((value, value), (value, value))
+    t = build_tree_interval_index(intervals)
+    assert t.scale == 0
+    for a, b in [(-math.inf, math.inf), (-math.inf, value), (value, math.inf), (value, value), (math.inf, math.inf)]:
+        assert tree_interval_query(t, a, b) == ({"i0", "i1"} if a <= value <= b else set())
+    assert_tree_path_matches_the_oracle(intervals)
+
+
+def test_tree_path_answers_an_id_the_endpoint_schema_rejects():
+    # a's two runs neither overlap nor touch, so the cyclic coloring collides
+    intervals = make_records([("a", 0, 1), ("a", 5, 6), ("b", 2, 3)])
+    with pytest.raises(ColorCollision):
+        build_endpoint_schema(intervals)
+    t = build_tree_interval_index(intervals)
+    assert tree_interval_query(t, -math.inf, math.inf) == {"a", "b"}
+    assert tree_interval_query(t, 0.5, 2.5) == {"a", "b"}
+    assert tree_interval_query(t, 5.5, 5.5) == {"a"}
+    assert_tree_path_matches_the_oracle(intervals)
+
+
+def test_tree_path_boundaries_are_closed():
+    t = build_tree_interval_index(records((1.0, 2.0), (3.0, 3.0)))
+    assert tree_interval_query(t, 2.0, 2.0) == {"i0"}
+    assert tree_interval_query(t, 1.0, 1.0) == {"i0"}
+    assert tree_interval_query(t, 0.999, 0.999) == set()
+    assert tree_interval_query(t, 2.001, 2.999) == set()
+    assert tree_interval_query(t, 2.001, 3.0) == {"i1"}
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (-math.inf, math.inf, {"i0", "i1", "i2"}),
+    (2.5, math.inf, {"i1", "i2"}),
+    (-math.inf, 0.0, {"i0"}),
+    (-(10 ** 400), 10 ** 400, {"i0", "i1", "i2"}),  # past the float range: float() would overflow
+    (Fraction(5), Fraction(10 ** 400, 3), {"i2"}),
+    (10 ** 400, 10 ** 401, set()),
+])
+def test_tree_path_takes_bounds_of_any_size(a, b, want):
+    t = build_tree_interval_index(records((0.0, 1.0), (2.0, 3.0), (5.0, 5.0)))
+    assert tree_interval_query(t, a, b) == want
+
+
+def test_tree_path_rejects_bad_input():
+    with pytest.raises(EmptyInput):
+        build_tree_interval_index([])
+    with pytest.raises(InvalidRange):
+        tree_interval_query(build_tree_interval_index(records((0.0, 1.0))), 2.0, 1.0)
+
+
+def test_tree_covers_tile_each_leaf_range(rng):
+    """Each interval's cover rows are disjoint tree nodes, at most 2n of
+    them, whose extents tile exactly the leaves from x's to y's."""
+    for _ in range(10):
+        intervals = random_intervals(rng, rng.randint(1, 200))
+        t = build_tree_interval_index(intervals)
+        n = t.index.k
+        half = 1 << (n - 1)
+        assert n == min(24, math.ceil(math.log2(len(intervals))) + 1)
+        nodes = t.index.acc.astype(np.int64) + 1
+        for i, (x, y) in enumerate(zip(t.xs, t.ys)):
+            spans = sorted(extent(k, n) for k in nodes[t.owner == i].tolist())
+            assert 1 <= len(spans) <= 2 * n
+            first, last = (int(_leaf_ids(np.float64(v), t.lo, t.scale, half)) - half for v in (x, y))
+            assert spans[0][0] == first and spans[-1][1] == last + 1
+            assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))

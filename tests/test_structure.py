@@ -16,8 +16,6 @@ PAPER_CONSTRUCTIONS = {
     "tree_entry_function": "the (p, q) entries whose coloring is the tree schema",
     "tree_coloring": "the coloring by q that makes the tree schema n columns wide",
     "naive_overlap_function": "the first-attempt function whose graph is complete",
-    "map_point_to_leaf": "maps a point onto the tree grid, for interval queries through the tree",
-    "map_range_to_cover": "the dyadic cover of a range, for interval queries through the tree",
 }
 OPENERS = {
     "schema.CsvInput.__init__",

@@ -1,4 +1,3 @@
-import math
 import random
 from unittest import mock
 
@@ -19,8 +18,6 @@ from cliqueindex.tree import (
     extent,
     iter_tree_blocks,
     level,
-    map_point_to_leaf,
-    map_range_to_cover,
     naive_overlap_function,
     overlap_query,
     tree_coloring,
@@ -219,49 +216,6 @@ def test_naive_overlap_needs_full_palette():
         f = naive_overlap_function(n)
         g = build_intersection_graph(f)
         assert exact_chromatic(g, cap=2 ** n) == 2 ** n - 1
-
-
-def test_map_point_to_leaf():
-    assert map_point_to_leaf(0.3, 4) == 10
-    assert map_point_to_leaf(0.0, 4) == 8
-    assert map_point_to_leaf(0.999, 4) == 15
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(OutOfRange):
-            map_point_to_leaf(bad, 4)
-
-
-def test_map_range_to_cover_aligned():
-    assert map_range_to_cover(0.0, 0.5, 4) == [2]
-    assert map_range_to_cover(0.25, 0.375, 4) == [10]
-    assert map_range_to_cover(0.25, 0.5, 4) == [5]
-    assert map_range_to_cover(0.0, 1.0, 4) == [1]
-    # bounds past the grid end clip to it, infinite ones too
-    assert map_range_to_cover(0.5, 2.0, 4) == [3]
-    assert map_range_to_cover(0.0, math.inf, 4) == [1]
-    assert map_range_to_cover(0.75, 1e300, 4) == [7]
-    for a in (1.0, 1.5, math.inf):
-        assert map_range_to_cover(a, math.inf, 4) == []
-    for a, b in ((math.nan, 0.5), (0.0, math.nan), (math.nan, math.nan), (-0.5, 0.5), (0.5, 0.25), (math.inf, 1.0)):
-        with pytest.raises(OutOfRange):
-            map_range_to_cover(a, b, 4)
-
-
-def test_map_range_to_cover_properties():
-    rng = random.Random(4)
-    n = 6
-    half = 2 ** (n - 1)
-    for _ in range(80):
-        a = rng.random()
-        b = a + rng.random() * (1 - a)
-        cover = map_range_to_cover(a, b, n)
-        spans = [extent(k, n) for k in cover]
-        # blocks tile the snapped range without overlap
-        spans.sort()
-        for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            assert hi == lo
-        if cover:
-            assert spans[0][0] == math.floor(a * half)
-            assert spans[-1][1] == min(half, math.ceil(b * half))
 
 
 def test_tree_fact_query_matches_brute_force():
