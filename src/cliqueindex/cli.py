@@ -44,7 +44,6 @@ from .endpoints import (
     IntervalRecord,
     build_endpoint_schema,
     build_tree_interval_index,
-    interval_query,
     interval_query_branches,
     tree_interval_query,
 )
@@ -402,7 +401,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_query_intervals(args) -> int:
-    ids = interval_query(build_endpoint_schema(_load_intervals(args.data)), args.a, args.b)
+    ids = tree_interval_query(build_tree_interval_index(_load_intervals(args.data)), args.a, args.b)
     _emit_ids(sorted(ids, key=str), args.out)
     return EXIT_OK
 

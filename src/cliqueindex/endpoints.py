@@ -58,7 +58,7 @@ class EndpointSchema:
     function: SetValuedFunction
     coloring: EntryColoring
     clique: CliqueTable
-    escalations: int  # always 0; only perfbench's set-up check reads it
+    escalations: int  # always 0; kept only for perfbench's set-up check
     _ys: list = field(repr=False)
     _y_ids: list = field(repr=False)
 

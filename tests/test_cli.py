@@ -422,6 +422,17 @@ def test_query_intervals_matches_scan(tmp_path, capsys):
     assert got == want
 
 
+def test_query_intervals_answers_an_id_the_endpoint_schema_rejects(tmp_path, capsys):
+    # a's straddle runs neither overlap nor touch: build intervals cannot color them
+    data = write(tmp_path / "iv.csv", "id,x,y\na,0,1\na,5,6\nb,2,3\n")
+    assert main(["build", "intervals", "--data", data]) == 1
+    assert _no_traceback(capsys) == "error: entries 0.0 and 5.0 both have color 1 and both contain node 'a'\n"
+    assert main(["query-intervals", "--data", data, "--a", "0", "--b", "9"]) == 0
+    assert capsys.readouterr().out.split() == ["a", "b"]
+    assert main(["query-intervals", "--data", data, "--a", "5.5", "--b", "5.5"]) == 0
+    assert capsys.readouterr().out.split() == ["a"]
+
+
 def test_build_intervals_emits_table_and_sidecar(tmp_path, capsys):
     data = write(tmp_path / "iv.csv", "id,x,y\na,0,2\nb,1,3\n")
     out = tmp_path / "clique.csv"
