@@ -36,7 +36,7 @@ class IntervalRecord:
     def __post_init__(self):
         try:
             finite = math.isfinite(self.x) and math.isfinite(self.y)
-        except TypeError:
+        except (TypeError, OverflowError):  # not a number, or one float() cannot hold
             finite = False
         if not finite:
             raise InvalidRange(f"interval {self.id!r}: endpoints {self.x!r}, {self.y!r} must be finite numbers")

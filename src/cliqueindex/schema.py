@@ -7,7 +7,9 @@ Column i is then an index on the data: the rows holding e* in column
 c(e*) are exactly the image of e*, which is what verify_schema checks.
 The table is stored as that index and nothing else: per column, its
 entries in code order and CSR postings of node positions (`Postings`),
-which build the column's entry -> code map on its first lookup.  Rows and
+which build the column's entry -> code map on its first lookup; a column
+whose entries are a range (the tree's) codes an int by arithmetic and
+builds no map for it.  A range node domain is kept as the range.  Rows and
 cells are read from a node -> cells transpose built on first use.  A
 `PostingIndex` joins the fact rows that reference the nodes (`engine`) to
 those postings through a node -> rows CSR, so a predicate is evaluated on
@@ -53,6 +55,37 @@ def _sorted_ids(values: Iterable) -> list:
         return sorted(values, key=repr)
 
 
+def _entry_map(maps: list, i: int, entries: Sequence) -> dict:
+    """maps[i], the entry -> code dict of a column with these entries,
+    built on first use and kept."""
+    entry_code = maps[i]
+    if entry_code is None:
+        entry_code = maps[i] = dict(zip(entries, range(len(entries))))
+    return entry_code
+
+
+class _RangeCodes(dict):
+    """Entry -> code of a column whose entries are a range, filled as keys
+    are looked up: an int's code is found by range arithmetic and kept (an
+    absent int gives None, not kept); a key of any other type gives what
+    the column's full map (maps[i], built on first use) gives.  Kept keys
+    are the ints that map holds, so a key equal to one (True, 2.0) reads
+    the same code from either."""
+
+    __slots__ = ("maps", "i", "entries")
+
+    def __init__(self, maps: list, i: int, entries: range):
+        self.maps, self.i, self.entries = maps, i, entries
+
+    def __missing__(self, e: Entry) -> int | None:
+        if type(e) is not int:
+            return _entry_map(self.maps, self.i, self.entries).get(e)
+        if e not in self.entries:
+            return None
+        code = self[e] = (e - self.entries.start) // self.entries.step
+        return code
+
+
 class Postings:
     """(column, entry) -> id set over positions 0..n-1, stored by column.
 
@@ -62,6 +95,8 @@ class Postings:
     a code), and code c's posting is the zero-copy view
     ids[offsets[c]:offsets[c + 1]].  codes(col) is the column's entry ->
     code dict, built on first use and kept, also by copies (PostingIndex's).
+    A column whose entries are a range codes an int by range arithmetic
+    (_RangeCodes) and builds that dict only for a key of another type.
     A posting is read two ways only: ids_of gives one (column, entry)'s
     view, and union_of a column's IN list in one pass; when its postings'
     runs do not interleave, the answer stays an array at any size.  len is
@@ -73,6 +108,10 @@ class Postings:
         self.n = n
         self.columns = list(columns)
         self._maps: list[dict | None] = [None] * len(self.columns)
+        self._ranges = [
+            _RangeCodes(self._maps, i, entries) if type(entries) is range else None
+            for i, (entries, _, _) in enumerate(self.columns)
+        ]
         for _, _, ids in self.columns:
             ids.flags.writeable = False
 
@@ -93,11 +132,7 @@ class Postings:
     def codes(self, col: int) -> dict:
         """Column col's (1-based, in 1..k) entry -> code dict, built from its
         entries on first use and kept."""
-        entry_code = self._maps[col - 1]
-        if entry_code is None:
-            entries = self.columns[col - 1][0]
-            entry_code = self._maps[col - 1] = dict(zip(entries, range(len(entries))))
-        return entry_code
+        return _entry_map(self._maps, col - 1, self.columns[col - 1][0])
 
     def ids_of(self, col: int, entry: Entry) -> np.ndarray | None:
         """Column col's posting of entry as its read-only id view, or None
@@ -105,7 +140,8 @@ class Postings:
         if not 1 <= col <= len(self.columns):
             return None
         _, offsets, ids = self.columns[col - 1]
-        code = self.codes(col).get(entry)
+        by_range = self._ranges[col - 1]
+        code = self.codes(col).get(entry) if by_range is None else by_range[entry]
         return None if code is None else ids[offsets[code]:offsets[code + 1]]
 
     def union_of(self, col: int, entries: Iterable[Entry]) -> CompressedBitset:
@@ -118,8 +154,13 @@ class Postings:
         if not 1 <= col <= len(self.columns):
             raise KeyError(col)
         _, offsets, ids = self.columns[col - 1]
-        entry_code = self.codes(col)
-        codes = {entry_code[e] for e in entries if e in entry_code}
+        by_range = self._ranges[col - 1]
+        if by_range is None:
+            entry_code = self.codes(col)
+            codes = {entry_code[e] for e in entries if e in entry_code}
+        else:
+            codes = {by_range[e] for e in entries}
+            codes.discard(None)
         spans = ((offsets[c], offsets[c + 1]) for c in codes)
         runs = sorted((ids[a:b] for a, b in spans if a < b), key=lambda run: run[0])
         if not runs:
@@ -195,24 +236,38 @@ class CliqueTable:
     postings holds the column postings over node positions, the table's
     only cell storage, and entries[i] is column i + 1's entries in it (not
     a copy), in code order; each entry is held by some node.  A column's
-    entry -> code map is postings.codes(i + 1), built on its first lookup.
-    rows and export read a node -> cells transpose built from the postings
-    on first use.  Queries answer in positions: column_preimage alone
-    decodes them to nodes.  Builders write the postings: materialize and
-    build_tree_schema lay out the columns directly, import_table codes its
-    cells with Postings.from_codes.  Immutable by convention.
+    entry -> code map is postings.codes(i + 1), built on its first lookup
+    (a range column's int lookups need none).  rows and export read a
+    node -> cells transpose built from the postings on first use.  Queries
+    answer in positions: column_preimage alone decodes them to nodes.  A
+    range node domain of the table's length is kept as the range; any other
+    is copied at construction into the object array of nodes by position,
+    which a range domain builds only when node objects are read.  Builders
+    write the postings: materialize and build_tree_schema lay out the
+    columns directly, import_table codes its cells with Postings.from_codes.
+    Immutable by convention.
     """
 
     def __init__(self, nodes: Iterable[Node], postings: Postings):
-        self._nodes = np.fromiter(nodes, dtype=object, count=postings.n)
+        if type(nodes) is range and len(nodes) == postings.n:
+            self._domain = nodes
+        else:
+            self._domain = self._nodes = np.fromiter(nodes, dtype=object, count=postings.n)
         self.k = len(postings.columns)
         self.entries = [entries for entries, _, _ in postings.columns]
         self.postings = postings
 
     @cached_property
+    def _nodes(self) -> np.ndarray:
+        """The nodes by position as an object array, built on first use
+        from a range domain."""
+        return np.fromiter(self._domain, dtype=object, count=len(self))
+
+    @cached_property
     def position(self) -> dict:
         """Node -> position, built on first use."""
-        return dict(zip(self._nodes.tolist(), range(len(self._nodes))))
+        domain = self._domain
+        return dict(zip(domain if type(domain) is range else domain.tolist(), range(len(self))))
 
     @cached_property
     def _transpose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,7 +299,7 @@ class CliqueTable:
     @property
     def rows(self) -> Mapping[Node, tuple]:
         """Read-only node -> tuple of cells; each row is decoded when read."""
-        return RowView(self._nodes, self._cells_of)
+        return RowView(self._domain, self._cells_of)
 
     def _cells_of(self, u: Node) -> tuple:
         indptr, cells, _ = self._transpose
@@ -272,7 +327,7 @@ class CliqueTable:
         return set() if ids is None else set(self._nodes.take(ids).tolist())
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self.postings.n
 
 
 def _first_conflict(f: SetValuedFunction, c: EntryColoring, position: dict) -> Exception:
@@ -432,7 +487,7 @@ def compact_colors(t: CliqueTable) -> tuple[CliqueTable, dict[int, int]]:
     used = [i for i in range(1, t.k + 1) if t.entries[i - 1]]
     remap = {old: new for new, old in enumerate(used, start=1)}
     columns = t.postings.columns
-    return CliqueTable(t._nodes, Postings(len(t), [columns[i - 1] for i in used])), remap
+    return CliqueTable(t._domain, Postings(len(t), [columns[i - 1] for i in used])), remap
 
 
 def write_table_csv(fh, k: int, blocks: Iterable[np.ndarray], texts: Sequence[str] | None = None) -> None:

@@ -11,7 +11,8 @@ Row k's cell in column q is k >> max(L(k) - q, 0); the streamed CSV
 computes the cells block by block.  Column q holds every id of level <= q
 as itself and nothing else, so the clique table needs no cells at all:
 its entries are range(1, 2^q), its codes cell - 1, and its postings are
-written in closed form from n and q.  Overlap queries, on the table's
+written in closed form from n and q.  Its node domain is range(1, 2^n),
+id j + 1 at position j, kept as the range.  Overlap queries, on the table's
 postings or on a fact index over it, such as the interval covers of
 endpoints.build_tree_interval_index, are one IN list, the ancestor chain
 in column L(k), gathered in one pass.  Extents are integers, in units of 2^(1-n).
@@ -153,9 +154,11 @@ def build_tree_schema(n: int) -> CliqueTable:
     ancestor) for q up to k's level, and k itself below; storing the bare
     p is enough because the column fixes q.  Column q's values are exactly
     the ids 1..2^q - 1 with code cell - 1, and every part of its postings
-    is known from n and q: its entries are range(1, 2^q), whose entry map
-    the postings build on the column's first lookup, and the offsets and
-    ids are written directly (_tree_column), with no cells, codes or sort.
+    is known from n and q: its entries are range(1, 2^q), so an int is
+    coded by range arithmetic with no entry map, and the offsets and ids
+    are written directly (_tree_column), with no cells, codes or sort.  The
+    node domain stays range(1, 2^n): no node objects are made until a
+    reader (rows, column_preimage, export) asks for them.
     """
     _check_levels(n)
     columns = [(range(1, 1 << q), *_tree_column(n, q)) for q in range(1, n + 1)]

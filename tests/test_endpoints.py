@@ -47,6 +47,15 @@ def test_record_rejects_non_finite_or_non_numeric_endpoints(x, y):
         IntervalRecord("bad", x, y)
 
 
+@pytest.mark.parametrize("x, y", [
+    (0, 10**400), (-10**400, 0), (0, Fraction(10**400, 3)), (Fraction(-10**400), Fraction(1, 3)),
+])
+def test_record_rejects_endpoints_no_float_holds(x, y):
+    """math.isfinite converts through float(), which overflows on these."""
+    with pytest.raises(InvalidRange, match="must be finite numbers"):
+        IntervalRecord("big", x, y)
+
+
 def test_zero_length_record_allowed():
     r = IntervalRecord("pt", 3.0, 3.0)
     assert r.x == r.y

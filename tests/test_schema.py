@@ -163,8 +163,12 @@ def test_entries_are_the_postings_entry_maps_not_copies():
     ]
     for t in tables:
         assert len(t.entries) == len(t.postings.columns) == t.k
-        for i, (entries, offsets, _) in enumerate(t.postings.columns):
+        for i, (entries, offsets, ids) in enumerate(t.postings.columns):
             assert t.entries[i] is entries
+            if type(entries) is range:  # the tree's: each int entry's code is found with no map
+                for code, e in enumerate(entries):
+                    assert np.array_equal(t.postings.ids_of(i + 1, e), ids[offsets[code]:offsets[code + 1]])
+                assert t.postings._maps[i] is None
             assert list(t.postings.codes(i + 1).items()) == list(zip(entries, range(len(offsets) - 1)))  # code order
 
 
@@ -178,23 +182,36 @@ TABLE_BUILDS = {
 }
 
 
+def map_key(entries, e):
+    """A key that makes a lookup read the column's entry -> code map: the
+    entry itself, or for a range column, whose ints need no map, its text
+    (a key the column does not hold)."""
+    return str(e) if type(entries) is range else e
+
+
 @pytest.mark.parametrize("build", TABLE_BUILDS.values(), ids=TABLE_BUILDS)
 def test_column_maps_are_built_on_first_lookup_once_and_shared(build):
     """No column has an entry -> code map until a lookup reads it; ids_of
     on column i builds column i's alone, later lookups reuse it, and a
-    PostingIndex over the table reads (and builds) the very same maps."""
+    PostingIndex over the table reads (and builds) the very same maps.
+    A range column's int lookups build no map at all, in either."""
     for i in range(1, build().k + 1):
         t = build()
         assert t.postings._maps == [None] * t.k
-        assert len(t.postings.ids_of(i, t.entries[i - 1][0]))
+        entries = t.entries[i - 1]
+        if type(entries) is range:
+            assert len(t.postings.ids_of(i, entries[0])) and t.postings.union_of(i, entries).cardinality() == len(t)
+            assert t.postings._maps == [None] * t.k
+        found = t.postings.ids_of(i, map_key(entries, entries[0]))
+        assert found is None if type(entries) is range else len(found)
         built = t.postings._maps[i - 1]
-        assert type(built) is dict and list(built) == list(t.entries[i - 1])
+        assert type(built) is dict and list(built) == list(entries)
         assert [code is not None for code in t.postings._maps] == [j == i for j in range(1, t.k + 1)]
         assert t.postings.codes(i) is built
         idx = PostingIndex(t.postings, np.zeros(0, dtype=np.int32))
         assert idx.postings.codes(i) is built
         other = i % t.k + 1
-        idx.postings.union_of(other, t.entries[other - 1][:1])
+        idx.postings.union_of(other, [map_key(t.entries[other - 1], t.entries[other - 1][0])])
         assert t.postings._maps[other - 1] is idx.postings.codes(other) is t.postings.codes(other)
 
 

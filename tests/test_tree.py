@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -116,18 +119,68 @@ def test_closed_form_codes_match_unique_coding():
         t = build_tree_schema(n)
         want = unique_coded_postings(n)
         assert t.postings.n == want.n and len(t.postings.columns) == len(want.columns) == n
-        # real dicts keep union_of's lookups in C; each column owns its map
-        maps = [t.postings.codes(q) for q in range(1, n + 1)]
-        assert all(type(entry_code) is dict for entry_code in maps)
-        assert len({id(entry_code) for entry_code in maps}) == n
         for q, (got_col, want_col) in enumerate(zip(t.postings.columns, want.columns), start=1):
             (entries, offsets, ids), (_, want_offsets, want_ids) = got_col, want_col
-            assert list(maps[q - 1].items()) == list(want.codes(q).items()), (n, q)
-            assert t.entries[q - 1] is entries and list(entries) == list(range(1, 2**q))
-            assert all(type(e) is int for e in t.entries[q - 1])
+            assert t.entries[q - 1] is entries and entries == range(1, 2**q)
             assert offsets.dtype == want_offsets.dtype and np.array_equal(offsets, want_offsets), (n, q)
             assert ids.dtype == want_ids.dtype == np.int32 and np.array_equal(ids, want_ids), (n, q)
             assert not ids.flags.writeable
+            # int lookups are range arithmetic: the last entry's posting, and all of them at once
+            assert np.array_equal(t.postings.ids_of(q, 2**q - 1), want.ids_of(q, 2**q - 1)), (n, q)
+            assert np.array_equal(t.postings.union_of(q, entries).to_array(), np.arange(want.n)), (n, q)
+        assert t.postings._maps == [None] * n
+        # keys of other types read the full maps: real dicts, one per column, as the unique coding's
+        maps = [t.postings.codes(q) for q in range(1, n + 1)]
+        assert all(type(entry_code) is dict for entry_code in maps)
+        assert len({id(entry_code) for entry_code in maps}) == n
+        for q, entry_code in enumerate(maps, start=1):
+            assert list(entry_code.items()) == list(want.codes(q).items()), (n, q)
+
+
+OTHER_KEYS = [True, False, 2.0, Fraction(3), np.int64(3), "3", None, 2**64]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("ints_first", [True, False])
+def test_lookups_match_the_dict_coding_for_every_key_type(n, ints_first):
+    """ids_of and union_of on the closed-form table (range arithmetic for
+    an int, the column's map for any other key) give what the dict-coded
+    table gives, whichever kind of key a column is asked first."""
+    got, want = build_tree_schema(n).postings, unique_coded_postings(n)
+    for q in range(1, n + 1):
+        ints = list(range(-1, 2**q + 1))
+        for key in (ints + OTHER_KEYS) if ints_first else (OTHER_KEYS + ints):
+            a, b = got.ids_of(q, key), want.ids_of(q, key)
+            assert (a is None and b is None) or np.array_equal(a, b), (n, q, key)
+        rng = random.Random(n * 100 + q)
+        mixed = [*OTHER_KEYS, -1, 2**q, 2**q - 1, 2**q - 1, *rng.sample(ints, min(len(ints), 4))]
+        for keys in (mixed, mixed[::-1], ints[1:-1:3], [np.int64(2**q - 1), 1.0]):
+            assert np.array_equal(got.union_of(q, iter(keys)).to_array(), want.union_of(q, keys).to_array()), (n, q)
+        for postings in (got, want):
+            with pytest.raises(TypeError):
+                postings.ids_of(q, [1])
+            with pytest.raises(TypeError):
+                postings.union_of(q, [1, [1]])
+
+
+def test_overlap_queries_keep_no_node_objects_or_entry_maps():
+    """After the build and one overlap query per level, the table holds
+    its posting arrays and little else: no node array, position map or
+    entry dict (a 2^16 - 1 node array of ints alone is about 2.3 MB)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        t = build_tree_schema(16)
+        for q in range(1, 17):
+            assert len(overlap_query((1 << q) - 1, t)) == q - 1 + (1 << (17 - q)) - 1  # ancestors, subtree
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(offsets.nbytes + ids.nbytes for _, offsets, ids in t.postings.columns)
+    assert abs(retained - arrays) <= 0.1 * arrays, (retained, arrays)
+    assert "_nodes" not in vars(t) and "position" not in vars(t)
+    assert t.postings._maps == [None] * 16
 
 
 def test_schema_cap():
